@@ -50,10 +50,12 @@ from .mixture import (
     sample,
 )
 from .structure import (
+    Analysis,
     FisherSolution,
     PerturbationReport,
     ScatterPair,
     SdistEstimate,
+    analyze,
     distinctness_delta_check,
     fisher_solve,
     perturb_eigs_first_order,
@@ -75,6 +77,7 @@ from .transform import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Analysis",
     "Cell",
     "ConfigError",
     "DefinitenessError",
@@ -98,6 +101,7 @@ __all__ = [
     "SubspaceBasis",
     "SymmetryError",
     "WeightVector",
+    "analyze",
     "apply_centering",
     "apply_hat",
     "apply_weights",

@@ -17,10 +17,8 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .experiment import RECIPE_NAMES, ExperimentConfig, recipe, run_sweep
-from .linalg import apply_centering
 from .mixture import LabeledDataset, MixtureSpec, make_separation_family, sample
-from .structure import distinctness_delta_check
-from .subspace import fisher_subspace, pc_subspace, sss
+from .structure import analyze
 from .transform import DEFAULT_ALPHA, SCHEMES, transform_pipeline
 
 EXIT_OK = 0
@@ -108,13 +106,8 @@ def _cmd_transform(args) -> int:
 
 def _cmd_analyze(args) -> int:
     data = LabeledDataset.from_csv(args.data)
-    pipe = transform_pipeline(data, alpha=args.alpha, scheme=args.scheme)
-    report = distinctness_delta_check(
-        data, pipe.weighted, args.alpha, isotropic=pipe.isotropic
-    )
-    m = data.k - 1
-    sss_x = sss(pc_subspace(apply_centering(data.data), m), fisher_subspace(data))
-    sss_z = sss(pc_subspace(pipe.weighted.data, m), fisher_subspace(pipe.weighted))
+    result = analyze(data, alpha=args.alpha, scheme=args.scheme)
+    report, sss_x, sss_z = result.report, result.sss_x, result.sss_z
     print(f"n={data.n} d={data.d} k={data.k} alpha={args.alpha} scheme={args.scheme}")
     print(
         f"lambda_x={report.lambda_bar_x:.6f} lambda_z={report.lambda_bar_z:.6f} "

@@ -24,11 +24,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, StructdrError
-from .linalg import apply_centering
 from .mixture import make_separation_family, sample
-from .structure import distinctness_delta_check
-from .subspace import fisher_subspace, pc_subspace, sss
-from .transform import SCHEMES, transform_pipeline
+from .structure import analyze
+from .transform import SCHEMES
 
 CSV_SCHEMA_LINE = "# schema=1"
 MAX_CLUSTER_CAP = 10
@@ -212,10 +210,10 @@ def derive_seeds(master_seed: int, cell: Cell, replicate: int) -> tuple:
 def run_cell(cell: Cell, replicate: int, master_seed: int) -> ExperimentRecord:
     """Execute one replicate of one grid cell.
 
-    Pipeline: draw a mixture and a sample, measure subspace similarity on
-    the raw data, transform, measure it again on the weighted data, and
-    check the distinctness shift against the closed-form bound. Module
-    errors mark the record failed instead of aborting the sweep.
+    Pipeline: draw a mixture and a sample, then `analyze` it: subspace
+    similarity on the raw and the weighted data, and the distinctness
+    shift against the closed-form bound. Module errors mark the record
+    failed instead of aborting the sweep.
     """
     spec_seed, data_seed = derive_seeds(master_seed, cell, replicate)
     record = ExperimentRecord(
@@ -229,15 +227,10 @@ def run_cell(cell: Cell, replicate: int, master_seed: int) -> ExperimentRecord:
             cell.d, cell.k, cell.separation, cell.dispersion, seed=spec_seed
         )
         data = sample(spec, cell.n_per_cluster, seed=data_seed)
-        m = cell.k - 1
-        record.sss_x = sss(pc_subspace(apply_centering(data.data), m), fisher_subspace(data))
-        pipe = transform_pipeline(data, alpha=cell.alpha, scheme=cell.scheme)
-        record.sss_z = sss(
-            pc_subspace(pipe.weighted.data, m), fisher_subspace(pipe.weighted)
-        )
-        report = distinctness_delta_check(
-            data, pipe.weighted, cell.alpha, isotropic=pipe.isotropic
-        )
+        result = analyze(data, alpha=cell.alpha, scheme=cell.scheme)
+        report = result.report
+        record.sss_x = result.sss_x
+        record.sss_z = result.sss_z
         record.lambda_x = report.lambda_bar_x
         record.lambda_z = report.lambda_bar_z
         record.delta = report.observed_delta

@@ -79,6 +79,33 @@ def sym_eig(m, atol=SYM_ATOL) -> EigenSolution:
     return EigenSolution(values=vals[order], vectors=_fix_signs(vecs[:, order]), kind="standard")
 
 
+def definite_whitener(m_sol: EigenSolution, rank_rtol=RANK_RTOL, error=DefinitenessError,
+                      what="metric matrix not positive definite") -> np.ndarray:
+    """Whitener A L^{-1/2} of a symmetric matrix M = A L A^T, so that
+    W^T M W = I.
+
+    Raises `error` (message prefixed by `what`) when M is not numerically
+    positive definite: its smallest eigenvalue is <= rank_rtol times its
+    largest.
+    """
+    largest = float(m_sol.values[0])
+    smallest = float(m_sol.values[-1])
+    if largest <= 0.0 or smallest <= rank_rtol * largest:
+        bad = int(m_sol.values.size - 1)
+        raise error(
+            f"{what}: eigenvalue[{bad}] = {smallest:.6e} "
+            f"(largest = {largest:.6e}, required > {rank_rtol:g} * largest)"
+        )
+    return m_sol.vectors / np.sqrt(m_sol.values)
+
+
+def unwhiten(whitener: np.ndarray, reduced: EigenSolution) -> EigenSolution:
+    """Generalized solution of K v = lambda M v from the standard solution
+    of the reduced matrix W^T K W, where W is M's whitener."""
+    vectors = _fix_signs(whitener @ reduced.vectors)
+    return EigenSolution(values=reduced.values, vectors=vectors, kind="generalized")
+
+
 def gen_eig(k_mat, m_mat, rank_rtol=RANK_RTOL) -> EigenSolution:
     """Solve the symmetric-definite generalized eigenproblem K v = lambda M v.
 
@@ -100,20 +127,8 @@ def gen_eig(k_mat, m_mat, rank_rtol=RANK_RTOL) -> EigenSolution:
         If M has an eigenvalue <= rank_rtol times its largest.
     """
     k_mat = check_symmetric(k_mat, name="k_mat")
-    m_sol = sym_eig(m_mat)
-    largest = float(m_sol.values[0])
-    smallest = float(m_sol.values[-1])
-    if largest <= 0.0 or smallest <= rank_rtol * largest:
-        bad = int(m_sol.values.size - 1)
-        raise DefinitenessError(
-            f"metric matrix not positive definite: eigenvalue[{bad}] = {smallest:.6e} "
-            f"(largest = {largest:.6e}, required > {rank_rtol:g} * largest)"
-        )
-    whitener = m_sol.vectors / np.sqrt(m_sol.values)
-    reduced = symmetrize(whitener.T @ k_mat @ whitener)
-    inner = sym_eig(reduced)
-    vectors = _fix_signs(whitener @ inner.vectors)
-    return EigenSolution(values=inner.values, vectors=vectors, kind="generalized")
+    whitener = definite_whitener(sym_eig(m_mat), rank_rtol)
+    return unwhiten(whitener, sym_eig(symmetrize(whitener.T @ k_mat @ whitener)))
 
 
 def frobenius_norm(m) -> float:
@@ -177,6 +192,14 @@ def hat_matrix(labels, k=None) -> np.ndarray:
     return h
 
 
+def cluster_means(labels, x, counts) -> np.ndarray:
+    """(k, d) per-cluster means of the rows of x for labels in {1..k} with
+    the given cluster sizes, from the indicator-matrix product E^T x."""
+    indicator = np.zeros((labels.size, counts.size))
+    indicator[np.arange(labels.size), labels - 1] = 1.0
+    return (indicator.T @ x) / counts[:, None]
+
+
 def apply_hat(labels, x, k=None) -> np.ndarray:
     """Matrix-free H @ x: replace each row of x by its cluster mean."""
     labels = np.asarray(labels)
@@ -185,8 +208,5 @@ def apply_hat(labels, x, k=None) -> np.ndarray:
     vec_in = x.ndim == 1
     if vec_in:
         x = x[:, None]
-    sums = np.zeros((counts.size, x.shape[1]))
-    np.add.at(sums, labels - 1, x)
-    means = sums / counts[:, None]
-    out = means[labels - 1]
+    out = cluster_means(labels, x, counts)[labels - 1]
     return out[:, 0] if vec_in else out

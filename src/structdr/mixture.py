@@ -85,20 +85,37 @@ class MixtureSpec:
 
 @dataclass
 class LabeledDataset:
-    """n x d observations with per-row cluster labels in 1..k."""
+    """n x d observations with per-row cluster labels in 1..k.
+
+    Every value must be finite and every label an integer; error messages
+    count rows from 1.
+    """
 
     data: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if self.data.ndim != 2:
             raise ConfigError(f"data must be 2-D, got shape {self.data.shape}")
-        if self.labels.shape != (self.data.shape[0],):
+        if labels.shape != (self.data.shape[0],):
             raise ConfigError(
-                f"labels shape {self.labels.shape} does not match {self.data.shape[0]} rows"
+                f"labels shape {labels.shape} does not match {self.data.shape[0]} rows"
             )
+        bad = np.argwhere(~np.isfinite(self.data))
+        if bad.size:
+            row, col = bad[0]
+            raise ConfigError(
+                f"row {row + 1}, column x{col + 1}: non-finite value {self.data[row, col]}"
+            )
+        if labels.dtype.kind == "f":
+            bad = np.flatnonzero(~np.isfinite(labels) | (labels != np.round(labels)))
+            if bad.size:
+                raise ConfigError(
+                    f"row {bad[0] + 1}, column label: {labels[bad[0]]} is not an integer"
+                )
+        self.labels = labels.astype(np.int64)
         cluster_counts(self.labels)
 
     @property
@@ -126,6 +143,9 @@ class LabeledDataset:
 
     @classmethod
     def from_csv(cls, path) -> "LabeledDataset":
+        """Read a CSV with header x1,...,xd,label. Malformed content raises
+        ConfigError naming the file, the data row (from 1, blank lines
+        skipped) and the column."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -136,11 +156,34 @@ class LabeledDataset:
             for row in reader:
                 if not row:
                     continue
+                where = f"{path}: row {len(data) + 1}"
                 if len(row) != d + 1:
-                    raise ConfigError(f"{path}: row has {len(row)} fields, expected {d + 1}")
-                data.append([float(v) for v in row[:d]])
-                labels.append(int(row[d]))
-        return cls(data=np.asarray(data), labels=np.asarray(labels))
+                    raise ConfigError(f"{where} has {len(row)} fields, expected {d + 1}")
+                try:
+                    data.append([float(v) for v in row[:d]])
+                except ValueError:
+                    col = next(j for j, v in enumerate(row[:d]) if not _is_float(v))
+                    raise ConfigError(
+                        f"{where}, column {header[col]}: {row[col]!r} is not a number"
+                    ) from None
+                try:
+                    labels.append(int(row[d]))
+                except ValueError:
+                    raise ConfigError(
+                        f"{where}, column label: {row[d]!r} is not an integer"
+                    ) from None
+        try:
+            return cls(data=np.asarray(data), labels=np.asarray(labels))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -1,26 +1,32 @@
 """Clustering-structure analysis: scatter matrices, the Fisher eigenproblem
 and its distinctness coefficient, a Monte-Carlo overlap measure for
-two-component mixtures, and first-order perturbation tooling with the
-closed-form bound on how much weighting can move the distinctness.
+two-component mixtures, first-order perturbation tooling with the
+closed-form bound on how much weighting can move the distinctness, and
+`analyze`, the one-pass analysis of a dataset before and after the
+transform that sweeps and the CLI share.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import multivariate_normal
 
-from . import transform as _transform
 from .errors import ConfigError, ShapeError
 from .linalg import (
     EigenSolution,
     apply_centering,
     check_symmetric,
     cluster_counts,
+    cluster_means,
+    definite_whitener,
     gen_eig,
+    sym_eig,
     symmetrize,
+    unwhiten,
 )
 from .mixture import LabeledDataset, MixtureSpec
+from .subspace import SubspaceBasis, leading_basis, sss
+from .transform import DEFAULT_ALPHA, IsotropicDataset, apply_weights, compute_weights
 
 MIN_MC_SAMPLES = 10_000
 DEFAULT_MC_SAMPLES = 200_000
@@ -50,7 +56,7 @@ class FisherSolution:
 
     eigen: EigenSolution
     distinctness: float
-    fisher_basis: "SubspaceBasis"  # noqa: F821 - imported lazily to avoid a cycle
+    fisher_basis: SubspaceBasis
 
 
 @dataclass(frozen=True)
@@ -96,18 +102,38 @@ class PerturbationReport:
         ]
 
 
-def scatter_matrices(data: LabeledDataset) -> ScatterPair:
-    """Total and between-cluster scatter of a labeled dataset."""
+def _scatter_pair(centered: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> ScatterPair:
+    """Scatter pair of already-centered rows: one pass over the rows for T
+    and one indicator product for the cluster sums."""
+    total = symmetrize(centered.T @ centered)
+    offsets = cluster_means(labels, centered, counts)  # cluster means of the centered data
+    between = symmetrize((offsets * counts[:, None]).T @ offsets)
+    return ScatterPair(total=total, between=between)
+
+
+def _counts(data: LabeledDataset) -> np.ndarray:
+    """Cluster sizes, once n > d makes a full-rank total scatter possible."""
     counts = cluster_counts(data.labels)
     if data.n <= data.d:
         raise ConfigError(f"need n > d, got n = {data.n}, d = {data.d}")
-    centered = apply_centering(data.data)
-    total = symmetrize(centered.T @ centered)
-    sums = np.zeros((counts.size, data.d))
-    np.add.at(sums, data.labels - 1, centered)
-    offsets = sums / counts[:, None]  # cluster means of the centered data
-    between = symmetrize((offsets * counts[:, None]).T @ offsets)
-    return ScatterPair(total=total, between=between)
+    return counts
+
+
+def scatter_matrices(data: LabeledDataset) -> ScatterPair:
+    """Total and between-cluster scatter of a labeled dataset."""
+    return _scatter_pair(apply_centering(data.data), data.labels, _counts(data))
+
+
+def _check_k(k: int, d: int):
+    if not 1 <= k - 1 < d:
+        raise ConfigError(f"need 2 <= k <= d, got k = {k} with d = {d}")
+
+
+def _fisher_summary(eigen: EigenSolution, k: int) -> FisherSolution:
+    top = eigen.values[: k - 1]
+    distinctness = float(min(max(top.mean(), 0.0), 1.0))
+    basis = SubspaceBasis(columns=eigen.vectors[:, : k - 1])
+    return FisherSolution(eigen=eigen, distinctness=distinctness, fisher_basis=basis)
 
 
 def fisher_solve(s: ScatterPair, k: int) -> FisherSolution:
@@ -117,16 +143,8 @@ def fisher_solve(s: ScatterPair, k: int) -> FisherSolution:
     The eigenvalues lie in [0, 1] up to roundoff; the distinctness
     coefficient averages the k-1 largest and is clipped into [0, 1].
     """
-    from .subspace import SubspaceBasis
-
-    d = s.total.shape[0]
-    if not 1 <= k - 1 < d:
-        raise ConfigError(f"need 2 <= k <= d, got k = {k} with d = {d}")
-    eigen = gen_eig(s.between, s.total)
-    top = eigen.values[: k - 1]
-    distinctness = float(min(max(top.mean(), 0.0), 1.0))
-    basis = SubspaceBasis(columns=eigen.vectors[:, : k - 1])
-    return FisherSolution(eigen=eigen, distinctness=distinctness, fisher_basis=basis)
+    _check_k(k, s.total.shape[0])
+    return _fisher_summary(gen_eig(s.between, s.total), k)
 
 
 def min_nonzero_eigenvalue(solution: FisherSolution, tol: float = 1e-6) -> float:
@@ -150,6 +168,9 @@ def sdist_overlap(spec: MixtureSpec, mc_samples: int = DEFAULT_MC_SAMPLES,
         )
     if mc_samples < MIN_MC_SAMPLES:
         raise ConfigError(f"mc_samples must be >= {MIN_MC_SAMPLES}, got {mc_samples}")
+    # scipy.stats costs about a second to import and nothing else needs it
+    from scipy.stats import multivariate_normal
+
     rng = np.random.default_rng(seed)
     half = mc_samples // 2
     counts = (half, mc_samples - half)
@@ -194,6 +215,68 @@ def proposition1_bound(n: int, d: int, k: int, alpha: float, lambda_bar_x: float
     return (d / alpha) * (lambda_bar_x + math.sqrt(k)) / math.sqrt(n)
 
 
+@dataclass(frozen=True)
+class _Solved:
+    """One dataset's scatter pair (T, B), solved once.
+
+    The spectral decomposition of T gives the whitener W (W^T T W = I) and
+    the principal axes. The whitened pair (W^T T W, W^T B W) is the
+    scatter pair of the isotropized rows Y = X0 W; its standard
+    eigenproblem `inner` is the Fisher problem of Y, and W maps its
+    eigenvectors to the Fisher solution of the data itself.
+    """
+
+    pair: ScatterPair
+    spectrum: EigenSolution
+    whitener: np.ndarray
+    whitened: ScatterPair
+    inner: EigenSolution
+    fisher: FisherSolution
+
+
+def _solve(centered: np.ndarray, labels: np.ndarray, counts: np.ndarray, k: int) -> _Solved:
+    pair = _scatter_pair(centered, labels, counts)
+    spectrum = sym_eig(pair.total)
+    whitener = definite_whitener(spectrum)
+    whitened = ScatterPair(
+        total=symmetrize(whitener.T @ pair.total @ whitener),
+        between=symmetrize(whitener.T @ pair.between @ whitener),
+    )
+    inner = sym_eig(whitened.between)
+    fisher = _fisher_summary(unwhiten(whitener, inner), k)
+    return _Solved(pair, spectrum, whitener, whitened, inner, fisher)
+
+
+def _report(x: LabeledDataset, alpha: float, xs: _Solved, zs: _Solved,
+            y: np.ndarray) -> PerturbationReport:
+    """Distinctness shift from X to Z0. The first-order predictions start
+    from Y's Fisher problem, which is X's whitened one; y holds the
+    isotropic rows, whose squared norms' spread is reported."""
+    predicted = perturb_eigs_first_order(
+        xs.inner,
+        zs.pair.between - xs.whitened.between,
+        zs.pair.total - xs.whitened.total,
+    )
+    sqnorms = np.einsum("ij,ij->i", y, y)
+    lambda_x = xs.fisher.distinctness
+    lambda_z = zs.fisher.distinctness
+    bound = proposition1_bound(x.n, x.d, x.k, alpha, lambda_x)
+    delta = abs(lambda_z - lambda_x)
+    return PerturbationReport(
+        n=x.n,
+        d=x.d,
+        k=x.k,
+        alpha=float(alpha),
+        lambda_bar_x=lambda_x,
+        lambda_bar_z=lambda_z,
+        observed_delta=delta,
+        bound_rhs=bound,
+        bound_satisfied=bool(delta <= bound),
+        predicted_values=predicted,
+        empirical_sd_norm=float(sqnorms.std(ddof=0)),
+    )
+
+
 def distinctness_delta_check(x: LabeledDataset, z0: LabeledDataset, alpha: float,
                              isotropic=None) -> PerturbationReport:
     """Compare distinctness before and after the weighting transform.
@@ -204,34 +287,68 @@ def distinctness_delta_check(x: LabeledDataset, z0: LabeledDataset, alpha: float
     recorded, never raised: the bound rests on an unproven assumption
     about the spread of squared row norms, so the empirical standard
     deviation of |y_i|^2 is measured and reported with every run.
+    `isotropic`, when given, is `isotropize(x)` and supplies those rows.
     """
     if x.labels.shape != z0.labels.shape or np.any(x.labels != z0.labels):
         raise ShapeError("x and z0 must carry identical labels")
-    k = x.k
-    lambda_x = fisher_solve(scatter_matrices(x), k).distinctness
-    lambda_z = fisher_solve(scatter_matrices(z0), k).distinctness
+    counts = _counts(x)
+    _check_k(x.k, x.d)
+    centered = apply_centering(x.data)
+    xs = _solve(centered, x.labels, counts, x.k)
+    zs = _solve(apply_centering(z0.data), z0.labels, counts, x.k)
+    y = isotropic.data if isotropic is not None else centered @ xs.whitener
+    return _report(x, alpha, xs, zs, y)
 
-    iso = isotropic if isotropic is not None else _transform.isotropize(x)
-    base_pair = scatter_matrices(iso.as_labeled())
-    base_sol = gen_eig(base_pair.between, base_pair.total)
-    z_pair = scatter_matrices(z0)
-    predicted = perturb_eigs_first_order(
-        base_sol, z_pair.between - base_pair.between, z_pair.total - base_pair.total
-    )
 
-    sqnorms = np.einsum("ij,ij->i", iso.data, iso.data)
-    bound = proposition1_bound(x.n, x.d, k, alpha, lambda_x)
-    delta = abs(lambda_z - lambda_x)
-    return PerturbationReport(
-        n=x.n,
-        d=x.d,
-        k=k,
-        alpha=float(alpha),
-        lambda_bar_x=lambda_x,
-        lambda_bar_z=lambda_z,
-        observed_delta=delta,
-        bound_rhs=bound,
-        bound_satisfied=bool(delta <= bound),
-        predicted_values=predicted,
-        empirical_sd_norm=float(sqnorms.std(ddof=0)),
+@dataclass(frozen=True)
+class Analysis:
+    """What one dataset's analysis reports: the distinctness check of the
+    weighting transform, and the similarity of the principal-component
+    subspace to the Fisher subspace before (sss_x) and after (sss_z)."""
+
+    report: PerturbationReport
+    sss_x: float
+    sss_z: float
+
+
+def _pc_similarity(solved: _Solved, n: int, m: int) -> float:
+    # the covariance T / n has T's eigenvectors and eigenvalues / n
+    pcs = leading_basis(solved.spectrum.values / n, solved.spectrum.vectors, m)
+    return sss(pcs, solved.fisher.fisher_basis)
+
+
+def analyze(x: LabeledDataset, alpha: float = DEFAULT_ALPHA,
+            scheme: str = "hyperbolic") -> Analysis:
+    """Analyze a dataset before and after isotropization and weighting.
+
+    The same numbers as `transform_pipeline` followed by
+    `distinctness_delta_check` and `sss(pc_subspace, fisher_subspace)` on
+    X and Z0, computed with one pass over the rows and two symmetric
+    eigensolves per dataset: the spectral decomposition of X's total
+    scatter yields the isotropizing whitener, the reduced Fisher problem
+    and X's principal axes, and Y's Fisher problem is X's reduced one.
+
+    Raises
+    ------
+    ConfigError
+        For k < 2, k > d, n <= d, alpha <= 0 or an unknown scheme.
+    DefinitenessError
+        If X's (or Z0's) total scatter is numerically singular.
+    """
+    n, d, k = x.n, x.d, x.k
+    m = k - 1
+    if not 1 <= m < d:
+        raise ConfigError(f"need 1 <= m < d, got m = {m}, d = {d}")
+    counts = _counts(x)
+    center = x.data.mean(axis=0)
+    centered = x.data - center
+    xs = _solve(centered, x.labels, counts, k)
+    sss_x = _pc_similarity(xs, n, m)
+    iso = IsotropicDataset(
+        data=centered @ xs.whitener, labels=x.labels, center=center, whitener=xs.whitener
     )
+    del centered  # hold no more n x d arrays than the step-by-step pipeline
+    z0 = apply_weights(iso, compute_weights(iso, alpha=alpha, scheme=scheme)).data
+    zs = _solve(z0, x.labels, counts, k)
+    sss_z = _pc_similarity(zs, n, m)
+    return Analysis(report=_report(x, alpha, xs, zs, iso.data), sss_x=sss_x, sss_z=sss_z)

@@ -11,7 +11,6 @@ import numpy as np
 from .errors import ConfigError, RankError, ShapeError
 from .linalg import sym_eig, symmetrize
 from .mixture import LabeledDataset
-from .structure import fisher_solve, scatter_matrices
 
 INDEPENDENCE_TOL = 1e-10
 CONDITIONING_WARN_TOL = 1e-6
@@ -86,19 +85,31 @@ def pc_subspace(data, m: int) -> SubspaceBasis:
         )
     cov = symmetrize(data.T @ data) / n
     sol = sym_eig(cov)
+    return leading_basis(sol.values, sol.vectors, m)
+
+
+def leading_basis(values, vectors, m: int) -> SubspaceBasis:
+    """Span of the m leading eigenvectors of a covariance matrix, given its
+    eigenvalues (non-increasing) and eigenvectors. When the m-th and
+    (m+1)-th eigenvalues coincide the subspace is not unique, and an
+    ambiguity warning is attached."""
     warnings = ()
-    gap = float(sol.values[m - 1] - sol.values[m])
-    if gap <= AMBIGUITY_TOL * max(1.0, float(sol.values[0])):
+    gap = float(values[m - 1] - values[m])
+    if gap <= AMBIGUITY_TOL * max(1.0, float(values[0])):
         warnings = (
             f"leading {m}-dimensional subspace is ambiguous: eigenvalue {m} and "
             f"{m + 1} differ by {gap:.3e}",
         )
-    return SubspaceBasis(columns=sol.vectors[:, :m], warnings=warnings)
+    return SubspaceBasis(columns=vectors[:, :m], warnings=warnings)
 
 
 def fisher_subspace(data: LabeledDataset) -> SubspaceBasis:
     """Span of the k-1 leading generalized eigenvectors of the
     (between, total) scatter pair."""
+    # structure builds its Fisher bases from this module, so it is
+    # imported here rather than at module level
+    from .structure import fisher_solve, scatter_matrices
+
     return fisher_solve(scatter_matrices(data), data.k).fisher_basis
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, RankError, ShapeError
-from .linalg import RANK_RTOL, apply_centering, sym_eig, symmetrize
+from .linalg import apply_centering, definite_whitener, sym_eig, symmetrize
 from .mixture import LabeledDataset
 
 DEFAULT_ALPHA = 0.5
@@ -77,17 +77,8 @@ def isotropize(x: LabeledDataset) -> IsotropicDataset:
         regularization is attempted).
     """
     centered = apply_centering(x.data)
-    scatter = symmetrize(centered.T @ centered)
-    sol = sym_eig(scatter)
-    largest = float(sol.values[0])
-    smallest = float(sol.values[-1])
-    if largest <= 0.0 or smallest <= RANK_RTOL * largest:
-        bad = int(sol.values.size - 1)
-        raise RankError(
-            f"total scatter is rank deficient: eigenvalue[{bad}] = {smallest:.6e} "
-            f"(largest = {largest:.6e}); cannot isotropize"
-        )
-    whitener = sol.vectors / np.sqrt(sol.values)
+    sol = sym_eig(symmetrize(centered.T @ centered))
+    whitener = definite_whitener(sol, error=RankError, what="total scatter is rank deficient")
     return IsotropicDataset(
         data=centered @ whitener,
         labels=x.labels,

@@ -1,0 +1,165 @@
+"""The one-pass analysis kernel against the step-by-step composition it
+replaces: `transform_pipeline`, the Fisher solve of each dataset, the
+first-order predictions from the isotropic data's own scatter pair, and
+`sss(pc_subspace, fisher_subspace)` before and after the transform.
+`run_cell`, `analyze` and `distinctness_delta_check` must reproduce it,
+including the exception a failing dataset raises.
+"""
+
+import numpy as np
+import pytest
+
+from structdr import (
+    Cell,
+    ConfigError,
+    DefinitenessError,
+    LabeledDataset,
+    analyze,
+    apply_centering,
+    distinctness_delta_check,
+    fisher_solve,
+    fisher_subspace,
+    gen_eig,
+    make_separation_family,
+    pc_subspace,
+    perturb_eigs_first_order,
+    proposition1_bound,
+    run_cell,
+    sample,
+    scatter_matrices,
+    sss,
+    transform_pipeline,
+)
+from structdr import experiment
+from structdr.experiment import derive_seeds
+
+# Reordered floating-point sums (indicator product against scattered adds,
+# Y's scatter derived through the whitener against summed over its rows)
+# move the reported values by ~1e-12 at these sizes.
+ATOL = 1e-10
+SHAPES = [(7, 3, 300), (20, 10, 300)]
+SCHEMES = ["hyperbolic", "exponential"]
+FIELDS = ("lambda_x", "lambda_z", "delta", "bound_rhs", "sss_x", "sss_z",
+          "empirical_sd_norm")
+
+
+def reference(data, alpha, scheme):
+    """The record fields and top k-1 predictions, computed step by step."""
+    k, m = data.k, data.k - 1
+    sss_x = sss(pc_subspace(apply_centering(data.data), m), fisher_subspace(data))
+    pipe = transform_pipeline(data, alpha=alpha, scheme=scheme)
+    sss_z = sss(pc_subspace(pipe.weighted.data, m), fisher_subspace(pipe.weighted))
+    lambda_x = fisher_solve(scatter_matrices(data), k).distinctness
+    lambda_z = fisher_solve(scatter_matrices(pipe.weighted), k).distinctness
+    base_pair = scatter_matrices(pipe.isotropic.as_labeled())
+    z_pair = scatter_matrices(pipe.weighted)
+    predicted = perturb_eigs_first_order(
+        gen_eig(base_pair.between, base_pair.total),
+        z_pair.between - base_pair.between,
+        z_pair.total - base_pair.total,
+    )
+    sqnorms = np.einsum("ij,ij->i", pipe.isotropic.data, pipe.isotropic.data)
+    delta = abs(lambda_z - lambda_x)
+    bound = proposition1_bound(data.n, data.d, k, alpha, lambda_x)
+    values = dict(lambda_x=lambda_x, lambda_z=lambda_z, delta=delta, bound_rhs=bound,
+                  sss_x=sss_x, sss_z=sss_z, empirical_sd_norm=float(sqnorms.std()))
+    return values, delta <= bound, predicted[:m]
+
+
+def analysis_values(result):
+    r = result.report
+    return dict(lambda_x=r.lambda_bar_x, lambda_z=r.lambda_bar_z, delta=r.observed_delta,
+                bound_rhs=r.bound_rhs, sss_x=result.sss_x, sss_z=result.sss_z,
+                empirical_sd_norm=r.empirical_sd_norm)
+
+
+def assert_close(got, want):
+    for name in FIELDS:
+        assert abs(got[name] - want[name]) <= ATOL, (name, got[name], want[name])
+
+
+def cell_data(cell, replicate, master_seed):
+    spec_seed, data_seed = derive_seeds(master_seed, cell, replicate)
+    spec = make_separation_family(cell.d, cell.k, cell.separation, cell.dispersion,
+                                  seed=spec_seed)
+    return sample(spec, cell.n_per_cluster, seed=data_seed)
+
+
+def shuffled(data, rng, relabel):
+    """Nine tenths of the rows in random order, so clusters differ in size;
+    with relabel, the labels are shuffled apart from the rows."""
+    order = rng.permutation(data.n)[: data.n * 9 // 10]
+    labels = data.labels[rng.permutation(order)] if relabel else data.labels[order]
+    return LabeledDataset(data=data.data[order], labels=labels)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("d,k,n_per", SHAPES)
+def test_run_cell_matches_reference(d, k, n_per, scheme):
+    cell = Cell(d, k, n_per, 0.5, 10.0, 1.0, scheme)
+    record = run_cell(cell, replicate=2, master_seed=5)
+    want, satisfied, _ = reference(cell_data(cell, 2, 5), cell.alpha, scheme)
+    assert record.status == "ok"
+    assert record.bound_satisfied == satisfied
+    assert_close({name: getattr(record, name) for name in FIELDS}, want)
+
+
+@pytest.mark.parametrize("relabel", [False, True])
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("d,k,n_per", SHAPES)
+def test_analyze_matches_reference_on_shuffled_rows(d, k, n_per, scheme, relabel):
+    rng = np.random.default_rng(d * 100 + k)
+    spec = make_separation_family(d, k, 10.0, 1.0, seed=d + k)
+    data = shuffled(sample(spec, n_per, seed=k), rng, relabel)
+    want, satisfied, predicted = reference(data, 0.5, scheme)
+    result = analyze(data, alpha=0.5, scheme=scheme)
+    assert result.report.bound_satisfied == satisfied
+    assert_close(analysis_values(result), want)
+    # only the k-1 leading eigenvalues are simple; the zero eigenspace's
+    # vectors, and so its predictions, depend on the solver's basis
+    np.testing.assert_allclose(result.report.predicted_values[: k - 1], predicted,
+                               rtol=0, atol=ATOL)
+
+    pipe = transform_pipeline(data, alpha=0.5, scheme=scheme)
+    check = distinctness_delta_check(data, pipe.weighted, 0.5, isotropic=pipe.isotropic)
+    assert abs(check.lambda_bar_x - want["lambda_x"]) <= ATOL
+    assert abs(check.lambda_bar_z - want["lambda_z"]) <= ATOL
+    np.testing.assert_allclose(check.predicted_values[: k - 1], predicted, rtol=0, atol=ATOL)
+
+
+def reference_error(data, alpha, scheme):
+    with pytest.raises((ConfigError, DefinitenessError)) as caught:
+        reference(data, alpha, scheme)
+    return f"{type(caught.value).__name__}: {caught.value}"
+
+
+def rank_deficient(data):
+    x = data.data.copy()
+    x[:, -1] = 2.0 * x[:, 0] + 1.0
+    return LabeledDataset(data=x, labels=data.labels)
+
+
+@pytest.mark.parametrize("cell,degrade,error", [
+    # X's total scatter is singular: the Fisher solve on X fails first
+    (Cell(7, 3, 100, 0.5, 10.0, 1.0, "hyperbolic"), rank_deficient,
+     "DefinitenessError: metric matrix not positive definite"),
+    # exponential weights underflow, so Z0's total scatter is singular
+    (Cell(7, 3, 100, 1e-4, 10.0, 1.0, "exponential"), None,
+     "DefinitenessError: metric matrix not positive definite"),
+    # one cluster leaves no discriminant subspace
+    (Cell(7, 1, 100, 0.5, 10.0, 1.0, "hyperbolic"), None, "ConfigError: need 1 <= m < d"),
+])
+def test_failures_keep_exception_class_and_message(monkeypatch, cell, degrade, error):
+    data = cell_data(cell, 0, 0)
+    if degrade is not None:
+        data = degrade(data)
+        monkeypatch.setattr(experiment, "sample", lambda spec, n, seed: data)
+    want = reference_error(data, cell.alpha, cell.scheme)
+    assert want.startswith(error)
+    record = run_cell(cell, replicate=0, master_seed=0)
+    assert record.status == "failed"
+    assert record.reason == want
+    with pytest.raises((ConfigError, DefinitenessError)) as caught:
+        analyze(data, alpha=cell.alpha, scheme=cell.scheme)
+    assert f"{type(caught.value).__name__}: {caught.value}" == want
+

@@ -1,8 +1,10 @@
 """CLI verbs, file formats, and exit-code contract."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +132,19 @@ class TestAnalyze:
         assert fields[9] in ("true", "false")
 
 
+class TestMalformedDataset:
+    @pytest.mark.parametrize("row,where", [
+        ("nan,1.0,2", "row 2, column x1"),
+        ("1.0,abc,2", "row 2, column x2"),
+        ("1.0,3.0,1.5", "row 2, column label"),
+    ])
+    def test_analyze_exits_2_naming_file_row_and_column(self, tmp_path, capsys, row, where):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x1,x2,label\n1.0,2.0,1\n{row}\n")
+        assert run_cli("analyze", "--data", str(path)) == 2
+        assert f"{path}: {where}" in capsys.readouterr().err
+
+
 class TestSweepAndRecipe:
     def test_recipe_then_sweep(self, tmp_path):
         config_path = tmp_path / "config.json"
@@ -175,6 +190,18 @@ class TestEntryPoints:
         with pytest.raises(SystemExit) as exc:
             main(["bogus-verb"])
         assert exc.value.code == 2
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats takes about a second to import; only sdist_overlap uses it
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, structdr; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "cfg.json"

@@ -191,3 +191,30 @@ class TestLabeledDatasetCsv:
     def test_labels_must_cover_range(self):
         with pytest.raises(Exception):
             LabeledDataset(data=np.zeros((4, 2)), labels=np.array([1, 1, 3, 3]))
+
+    def test_non_integer_labels_rejected(self):
+        with pytest.raises(ConfigError, match="row 1, column label: 1.5 is not an integer"):
+            LabeledDataset(data=np.zeros((3, 2)), labels=[1.5, 1.0, 2.7])
+        with pytest.raises(ConfigError, match="row 2, column label"):
+            LabeledDataset(data=np.zeros((3, 2)), labels=[1.0, np.nan, 2.0])
+        assert LabeledDataset(data=np.zeros((3, 2)), labels=[1.0, 1.0, 2.0]).k == 2
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, value):
+        data = np.zeros((3, 2))
+        data[1, 1] = value
+        with pytest.raises(ConfigError, match="row 2, column x2: non-finite"):
+            LabeledDataset(data=data, labels=[1, 1, 2])
+
+    @pytest.mark.parametrize("body,where", [
+        ("1.0,2.0,1\n\nnan,1.0,2\n", "row 2, column x1: non-finite value nan"),
+        ("1.0,2.0,1\n1.0,abc,2\n", "row 2, column x2: 'abc' is not a number"),
+        ("1.0,2.0,1\n1.0,3.0,1.5\n", "row 2, column label: '1.5' is not an integer"),
+        ("1.0,2.0,1\n1.0,3.0\n", "row 2 has 2 fields, expected 3"),
+    ])
+    def test_malformed_rows_name_file_row_and_column(self, tmp_path, body, where):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,x2,label\n" + body)
+        with pytest.raises(ConfigError) as caught:
+            LabeledDataset.from_csv(path)
+        assert str(caught.value) == f"{path}: {where}"

@@ -51,6 +51,10 @@ class TestScatterMatrices:
     def test_between_matches_hat_matrix_oracle(self):
         spec = make_separation_family(4, 3, 2.0, 1.0, seed=1)
         data = sample(spec, 30, seed=2)
+        # unsorted labels and unequal cluster sizes
+        keep = np.random.default_rng(3).permutation(data.n)[:70]
+        data = LabeledDataset(data=data.data[keep], labels=data.labels[keep])
+        assert len(set(data.per_cluster_n)) > 1
         pair = scatter_matrices(data)
         centered = data.data - data.data.mean(axis=0)
         oracle = centered.T @ hat_matrix(data.labels) @ centered
