@@ -35,10 +35,8 @@ from .linalg import (
     apply_centering,
     apply_hat,
     centering_matrix,
-    frobenius_norm,
     gen_eig,
     hat_matrix,
-    spectral_norm,
     sym_eig,
 )
 from .mixture import (
@@ -110,7 +108,6 @@ __all__ = [
     "distinctness_delta_check",
     "fisher_solve",
     "fisher_subspace",
-    "frobenius_norm",
     "gen_eig",
     "hat_matrix",
     "isotropize",
@@ -126,7 +123,6 @@ __all__ = [
     "sample",
     "scatter_matrices",
     "sdist_overlap",
-    "spectral_norm",
     "sss",
     "sym_eig",
     "transform_pipeline",

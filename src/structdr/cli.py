@@ -12,6 +12,7 @@ error.
 import argparse
 import csv
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -62,7 +63,10 @@ def _build_parser() -> argparse.ArgumentParser:
     swe = sub.add_parser("sweep", help="run a replicated experiment sweep")
     swe.add_argument("--config", required=True, help="experiment config JSON")
     swe.add_argument("--out", required=True, help="output records CSV")
-    swe.add_argument("--threads", type=int, default=1)
+    swe.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted for compatibility: must be >= 1, sweeps always run serially",
+    )
     swe.add_argument("--seed", type=int, help="override the config master seed")
 
     rec = sub.add_parser("recipe", help="write a canned experiment config")
@@ -139,7 +143,7 @@ def _cmd_sweep(args) -> int:
     with open(args.config) as fh:
         config = ExperimentConfig.from_json(fh.read())
     if args.seed is not None:
-        config.seed = args.seed
+        config = replace(config, seed=args.seed)
     records = run_sweep(config, out_path=args.out, threads=args.threads)
     failed = sum(1 for r in records if r.status != "ok")
     total_time = sum(r.elapsed_seconds for r in records)

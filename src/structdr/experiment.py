@@ -7,17 +7,18 @@ mixture configuration seed deliberately excludes the per-cluster sample
 size, so cells that differ only in n share the same 50 mixture draws and
 sample-size effects are paired rather than confounded.
 
-Records are written in canonical order (grid-major, replicate-minor)
-whatever the execution order, so repeated runs produce byte-identical
-CSV bodies even with multiple worker threads. Wall-clock timings are kept
-on the in-memory records only, never serialized.
+Tasks run serially in the calling thread and records are written in
+canonical order (grid-major, replicate-minor), so repeated runs produce
+byte-identical CSV bodies. Wall-clock timings are kept on the in-memory
+records only, never serialized.
 """
 
 import csv
 import itertools
 import json
+import math
+import numbers
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
@@ -52,6 +53,24 @@ class Cell(NamedTuple):
     scheme: str
 
 
+def _is_number(value, kind=int) -> bool:
+    """True for an integer (kind=int) or a finite real (kind=float); bools
+    are neither."""
+    if isinstance(value, bool):
+        return False
+    if kind is int:
+        return isinstance(value, numbers.Integral)
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+def _axis(name: str, values, kind) -> list:
+    """A grid axis as a list of `kind` values; anything else is a ConfigError."""
+    if not isinstance(values, (list, tuple)) or not all(_is_number(v, kind) for v in values):
+        expected = "integers" if kind is int else "finite numbers"
+        raise ConfigError(f"{name} must be a list of {expected}, got {values!r}")
+    return [kind(v) for v in values]
+
+
 @dataclass
 class ExperimentConfig:
     """Sweep grid plus execution parameters. Grid axes may be empty, in
@@ -66,21 +85,26 @@ class ExperimentConfig:
     replicates: int = 50
     seed: int = 0
     scheme: str = "hyperbolic"
-    mc_samples: int = 200_000
-    output_path: str = ""
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.dims = [int(v) for v in self.dims]
-        self.clusters = [int(v) for v in self.clusters]
-        self.n_per_cluster = [int(v) for v in self.n_per_cluster]
-        self.alphas = [float(v) for v in self.alphas]
-        self.separations = [float(v) for v in self.separations]
-        self.dispersions = [float(v) for v in self.dispersions]
+        self.dims = _axis("dims", self.dims, int)
+        self.clusters = _axis("clusters", self.clusters, int)
+        self.n_per_cluster = _axis("n_per_cluster", self.n_per_cluster, int)
+        self.alphas = _axis("alphas", self.alphas, float)
+        self.separations = _axis("separations", self.separations, float)
+        self.dispersions = _axis("dispersions", self.dispersions, float)
+        for name in ("replicates", "seed"):
+            if not _is_number(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
+        if any(k < 2 for k in self.clusters):
+            raise ConfigError(f"clusters must all be >= 2, got {self.clusters}")
         for d, k in itertools.product(self.dims, self.clusters):
             if d <= k - 1:
                 raise ConfigError(f"grid pair (d={d}, k={k}) violates d > k - 1")
@@ -245,28 +269,22 @@ def run_cell(cell: Cell, replicate: int, master_seed: int) -> ExperimentRecord:
 
 
 def run_sweep(config: ExperimentConfig, out_path=None, threads: int = 1) -> list:
-    """Run every (cell, replicate) pair and optionally write the CSV.
+    """Run every (cell, replicate) pair serially in the calling thread, in
+    canonical order, and write the CSV to out_path if one is given.
 
     The output file is opened before any computation so an unwritable
-    path fails fast. Tasks may execute concurrently; rows are emitted in
-    canonical order regardless.
+    path fails fast. threads is accepted for compatibility only: it must
+    be >= 1 and has no other effect.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
-    path = out_path if out_path is not None else (config.output_path or None)
-    fh = open(path, "w", newline="") if path else None
+    fh = open(out_path, "w", newline="") if out_path else None
     try:
-        cells = config.cells()
-        tasks = [
-            (ci, rep) for ci in range(len(cells)) for rep in range(config.replicates)
+        records = [
+            run_cell(cell, rep, config.seed)
+            for cell in config.cells()
+            for rep in range(config.replicates)
         ]
-        if threads == 1 or not tasks:
-            records = [run_cell(cells[ci], rep, config.seed) for ci, rep in tasks]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                records = list(
-                    pool.map(lambda t: run_cell(cells[t[0]], t[1], config.seed), tasks)
-                )
         if fh is not None:
             write_records_csv(fh, records)
         return records

@@ -1,6 +1,5 @@
 """Dense symmetric linear algebra: spectral and generalized-symmetric
-eigenproblems, matrix norms, the centering operator and the cluster-mean
-hat projector.
+eigenproblems, the centering operator and the cluster-mean hat projector.
 
 Eigenvectors follow a deterministic sign convention (largest-magnitude
 entry positive) so downstream subspace comparisons are reproducible.
@@ -28,10 +27,6 @@ class EigenSolution:
     values: np.ndarray
     vectors: np.ndarray
     kind: str
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[0]
 
 
 def check_symmetric(m, atol=SYM_ATOL, name="matrix"):
@@ -131,16 +126,6 @@ def gen_eig(k_mat, m_mat, rank_rtol=RANK_RTOL) -> EigenSolution:
     return unwhiten(whitener, sym_eig(symmetrize(whitener.T @ k_mat @ whitener)))
 
 
-def frobenius_norm(m) -> float:
-    return float(np.linalg.norm(np.asarray(m, dtype=float), "fro"))
-
-
-def spectral_norm(m) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix."""
-    m = check_symmetric(m)
-    return float(np.abs(np.linalg.eigvalsh(m)).max())
-
-
 def centering_matrix(n: int) -> np.ndarray:
     """Materialized n x n centering operator: 1 - 1/n on the diagonal,
     -1/n off it. Symmetric and idempotent."""
@@ -163,11 +148,11 @@ def cluster_counts(labels, k=None) -> np.ndarray:
         raise MissingClusterError("labels must be a non-empty 1-D array")
     if k is None:
         k = int(labels.max())
-    counts = np.bincount(labels, minlength=k + 1)[1:]
     if labels.min() < 1 or labels.max() > k:
         raise MissingClusterError(
             f"labels must lie in 1..{k}, got range [{labels.min()}, {labels.max()}]"
         )
+    counts = np.bincount(labels, minlength=k + 1)[1:]
     missing = np.nonzero(counts == 0)[0] + 1
     if missing.size:
         raise MissingClusterError(f"empty cluster(s): {missing.tolist()} (k = {k})")

@@ -86,21 +86,6 @@ class PerturbationReport:
     predicted_values: np.ndarray
     empirical_sd_norm: float
 
-    CSV_FIELDS = ("n", "d", "k", "alpha", "lambda_x", "lambda_z", "delta", "bound", "satisfied")
-
-    def to_csv_row(self) -> list:
-        return [
-            self.n,
-            self.d,
-            self.k,
-            repr(self.alpha),
-            repr(self.lambda_bar_x),
-            repr(self.lambda_bar_z),
-            repr(self.observed_delta),
-            repr(self.bound_rhs),
-            "true" if self.bound_satisfied else "false",
-        ]
-
 
 def _scatter_pair(centered: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> ScatterPair:
     """Scatter pair of already-centered rows: one pass over the rows for T
@@ -145,12 +130,6 @@ def fisher_solve(s: ScatterPair, k: int) -> FisherSolution:
     """
     _check_k(k, s.total.shape[0])
     return _fisher_summary(gen_eig(s.between, s.total), k)
-
-
-def min_nonzero_eigenvalue(solution: FisherSolution, tol: float = 1e-6) -> float:
-    """Smallest Fisher eigenvalue above tol (0.0 if none)."""
-    nonzero = solution.eigen.values[solution.eigen.values > tol]
-    return float(nonzero.min()) if nonzero.size else 0.0
 
 
 def sdist_overlap(spec: MixtureSpec, mc_samples: int = DEFAULT_MC_SAMPLES,

@@ -137,6 +137,7 @@ class TestMalformedDataset:
         ("nan,1.0,2", "row 2, column x1"),
         ("1.0,abc,2", "row 2, column x2"),
         ("1.0,3.0,1.5", "row 2, column label"),
+        ("1.0,3.0,-1", "labels must lie in 1..1, got range [-1, 1]"),
     ])
     def test_analyze_exits_2_naming_file_row_and_column(self, tmp_path, capsys, row, where):
         path = tmp_path / "bad.csv"
@@ -172,6 +173,34 @@ class TestSweepAndRecipe:
             "--out", str(tmp_path / "no_dir" / "records.csv"),
         )
         assert code == 4
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"replicates": "5"}, "replicates must be an integer, got '5'"),
+        ({"replicates": 1.5}, "replicates must be an integer, got 1.5"),
+        ({"replicates": True}, "replicates must be an integer, got True"),
+        ({"seed": 2.0}, "seed must be an integer, got 2.0"),
+        ({"dims": ["a"]}, "dims must be a list of integers, got ['a']"),
+        ({"dims": 7}, "dims must be a list of integers, got 7"),
+        ({"alphas": [0.5, None]}, "alphas must be a list of finite numbers"),
+        ({"clusters": [1]}, "clusters must all be >= 2, got [1]"),
+    ])
+    def test_bad_config_exits_2_naming_the_field(self, tmp_path, capsys, overrides, message):
+        config_path = tmp_path / "config.json"
+        run_cli("recipe", "prop1", "--out", str(config_path))
+        config = json.loads(config_path.read_text())
+        config.update(overrides)
+        config_path.write_text(json.dumps(config))
+        code = run_cli("sweep", "--config", str(config_path), "--out", str(tmp_path / "r.csv"))
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        run_cli("recipe", "prop1", "--out", str(config_path))
+        code = run_cli("sweep", "--config", str(config_path), "--out", str(tmp_path / "r.csv"),
+                       "--seed", "-1")
+        assert code == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
     def test_seed_override_changes_rows(self, tmp_path):
         config_path = tmp_path / "config.json"

@@ -2,6 +2,8 @@
 and the canned experiment recipes.
 """
 
+import json
+import threading
 from dataclasses import asdict
 
 import numpy as np
@@ -17,6 +19,7 @@ from structdr import (
     run_cell,
     run_sweep,
 )
+from structdr import experiment
 from structdr.experiment import derive_seeds
 
 
@@ -47,6 +50,8 @@ class TestExperimentConfig:
             small_config(dims=[2], clusters=[3])
         with pytest.raises(ConfigError, match="k <= min"):
             small_config(dims=[20], clusters=[11])
+        with pytest.raises(ConfigError, match=r"clusters must all be >= 2"):
+            small_config(dims=[7], clusters=[1])
 
     def test_replicates_floor(self):
         with pytest.raises(ConfigError):
@@ -62,6 +67,13 @@ class TestExperimentConfig:
         assert [(c.d, c.n_per_cluster) for c in cells] == [
             (3, 30), (3, 50), (4, 30), (4, 50),
         ]
+
+    @pytest.mark.parametrize("name", ["mc_samples", "output_path"])
+    def test_removed_fields_are_unknown(self, name):
+        payload = json.loads(small_config().to_json())
+        payload[name] = 1
+        with pytest.raises(ConfigError, match=rf"unknown config fields: \['{name}'\]"):
+            ExperimentConfig.from_json(json.dumps(payload))
 
     def test_json_round_trip(self):
         config = small_config(metadata={"note": "x"})
@@ -164,6 +176,22 @@ class TestRunSweep:
         run_sweep(config, out_path=serial, threads=1)
         run_sweep(config, out_path=threaded, threads=4)
         assert serial.read_bytes() == threaded.read_bytes()
+
+    def test_every_record_computed_in_calling_thread(self, monkeypatch):
+        idents = []
+
+        def recording_run_cell(cell, replicate, master_seed):
+            idents.append(threading.get_ident())
+            return run_cell(cell, replicate, master_seed)
+
+        monkeypatch.setattr(experiment, "run_cell", recording_run_cell)
+        records = run_sweep(small_config(dims=[3, 4], replicates=4), threads=4)
+        assert len(records) == len(idents) == 8
+        assert set(idents) == {threading.get_ident()}
+
+    def test_threads_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="threads must be >= 1, got 0"):
+            run_sweep(small_config(), threads=0)
 
     def test_unwritable_path_fails_before_compute(self, tmp_path):
         config = small_config()

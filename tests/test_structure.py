@@ -24,7 +24,6 @@ from structdr import (
     transform_pipeline,
 )
 from structdr.linalg import hat_matrix, symmetrize
-from structdr.structure import min_nonzero_eigenvalue
 
 
 def random_spd(rng, d, shift=1.0):
@@ -130,12 +129,6 @@ class TestFisherSolve:
         data = sample(spec, 40, seed=9)
         sol = fisher_solve(scatter_matrices(data), 3)
         assert sol.fisher_basis.columns.shape == (5, 2)
-
-    def test_min_nonzero_eigenvalue(self):
-        spec = make_separation_family(5, 3, 3.0, 1.0, seed=10)
-        data = sample(spec, 40, seed=11)
-        sol = fisher_solve(scatter_matrices(data), 3)
-        assert 0.0 < min_nonzero_eigenvalue(sol) <= sol.eigen.values[0]
 
     def test_cluster_count_must_fit_dimension(self):
         spec = make_separation_family(4, 3, 2.0, 1.0, seed=12)
@@ -316,12 +309,3 @@ class TestDistinctnessDeltaCheck:
         )
         with pytest.raises(ShapeError):
             distinctness_delta_check(data, other, 0.5)
-
-    def test_csv_row_shape(self):
-        spec = make_separation_family(4, 2, 2.0, 1.0, seed=38)
-        data = sample(spec, 30, seed=39)
-        pipe = transform_pipeline(data)
-        report = distinctness_delta_check(data, pipe.weighted, 0.5, isotropic=pipe.isotropic)
-        row = report.to_csv_row()
-        assert len(row) == len(report.CSV_FIELDS) == 9
-        assert row[-1] in ("true", "false")
