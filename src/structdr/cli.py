@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .experiment import RECIPE_NAMES, ExperimentConfig, recipe, run_sweep
+from .experiment import RECIPE_NAMES, ExperimentConfig, format_value, recipe, run_sweep
 from .mixture import LabeledDataset, MixtureSpec, make_separation_family, sample
 from .structure import analyze
 from .transform import DEFAULT_ALPHA, SCHEMES, transform_pipeline
@@ -100,10 +100,8 @@ def _cmd_transform(args) -> int:
     pipe.isotropic.as_labeled().to_csv(iso_path)
     pipe.weighted.to_csv(weighted_path)
     with open(weights_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["weight", "label"])
-        for w, label in zip(pipe.weights.weights, data.labels):
-            writer.writerow([repr(float(w)), int(label)])
+        rows = zip(map(format_value, map(float, pipe.weights.weights)), map(int, data.labels))
+        csv.writer(fh).writerows([("weight", "label"), *rows])
     print(f"wrote {iso_path}, {weighted_path}, {weights_path}")
     return EXIT_OK
 
@@ -116,26 +114,22 @@ def _cmd_analyze(args) -> int:
     print(
         f"lambda_x={report.lambda_bar_x:.6f} lambda_z={report.lambda_bar_z:.6f} "
         f"delta={report.observed_delta:.6f} bound={report.bound_rhs:.6f} "
-        f"satisfied={'true' if report.bound_satisfied else 'false'}"
+        f"satisfied={format_value(report.bound_satisfied)}"
     )
     print(f"sss_x={sss_x:.6f} sss_z={sss_z:.6f}")
     print(
         f"sd_norm_sq={report.empirical_sd_norm:.6e} d/n={data.d / data.n:.6e}"
     )
     if args.out:
+        row = {
+            "n": data.n, "d": data.d, "k": data.k, "alpha": args.alpha, "scheme": args.scheme,
+            "lambda_x": report.lambda_bar_x, "lambda_z": report.lambda_bar_z,
+            "delta": report.observed_delta, "bound": report.bound_rhs,
+            "satisfied": report.bound_satisfied, "sss_x": sss_x, "sss_z": sss_z,
+            "empirical_sd_norm": report.empirical_sd_norm,
+        }
         with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["n", "d", "k", "alpha", "scheme", "lambda_x", "lambda_z", "delta",
-                 "bound", "satisfied", "sss_x", "sss_z", "empirical_sd_norm"]
-            )
-            writer.writerow(
-                [data.n, data.d, data.k, repr(float(args.alpha)), args.scheme,
-                 repr(report.lambda_bar_x), repr(report.lambda_bar_z),
-                 repr(report.observed_delta), repr(report.bound_rhs),
-                 "true" if report.bound_satisfied else "false",
-                 repr(sss_x), repr(sss_z), repr(report.empirical_sd_norm)]
-            )
+            csv.writer(fh).writerows([row, [format_value(v) for v in row.values()]])
     return EXIT_OK
 
 

@@ -19,7 +19,8 @@ import json
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, field, replace
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -41,18 +42,6 @@ DEFAULT_SEPARATION = 10.0
 RECIPE_NAMES = ("fig1", "fig2", "fig3_d7", "fig3_d20", "fig3_d20_largen", "prop1")
 
 
-class Cell(NamedTuple):
-    """One grid point of a sweep."""
-
-    d: int
-    k: int
-    n_per_cluster: int
-    alpha: float
-    separation: float
-    dispersion: float
-    scheme: str
-
-
 def _is_number(value, kind=int) -> bool:
     """True for an integer (kind=int) or a finite real (kind=float); bools
     are neither."""
@@ -69,6 +58,12 @@ def _axis(name: str, values, kind) -> list:
         expected = "integers" if kind is int else "finite numbers"
         raise ConfigError(f"{name} must be a list of {expected}, got {values!r}")
     return [kind(v) for v in values]
+
+
+# The grid axes with their element types, in canonical (grid-major) order,
+# which is also the order of a Cell's first six coordinates.
+GRID_AXES = {"dims": int, "clusters": int, "n_per_cluster": int,
+             "alphas": float, "separations": float, "dispersions": float}
 
 
 @dataclass
@@ -88,12 +83,8 @@ class ExperimentConfig:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.dims = _axis("dims", self.dims, int)
-        self.clusters = _axis("clusters", self.clusters, int)
-        self.n_per_cluster = _axis("n_per_cluster", self.n_per_cluster, int)
-        self.alphas = _axis("alphas", self.alphas, float)
-        self.separations = _axis("separations", self.separations, float)
-        self.dispersions = _axis("dispersions", self.dispersions, float)
+        for name, kind in GRID_AXES.items():
+            setattr(self, name, _axis(name, getattr(self, name), kind))
         for name in ("replicates", "seed"):
             if not _is_number(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -112,12 +103,9 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"grid pair (d={d}, k={k}) violates k <= min(d, {MAX_CLUSTER_CAP})"
                 )
-        for name, values, low in (
-            ("alphas", self.alphas, 0.0),
-            ("dispersions", self.dispersions, 0.0),
-        ):
-            if any(v <= low for v in values):
-                raise ConfigError(f"{name} must all be > {low}, got {values}")
+        for name in ("alphas", "dispersions"):
+            if any(v <= 0.0 for v in getattr(self, name)):
+                raise ConfigError(f"{name} must all be > 0.0, got {getattr(self, name)}")
         if any(v < 0 for v in self.separations):
             raise ConfigError(f"separations must all be >= 0, got {self.separations}")
         if any(v < 1 for v in self.n_per_cluster):
@@ -125,17 +113,8 @@ class ExperimentConfig:
 
     def cells(self) -> list:
         """Grid cells in canonical (grid-major) order."""
-        return [
-            Cell(d, k, n, alpha, sep, disp, self.scheme)
-            for d, k, n, alpha, sep, disp in itertools.product(
-                self.dims,
-                self.clusters,
-                self.n_per_cluster,
-                self.alphas,
-                self.separations,
-                self.dispersions,
-            )
-        ]
+        axes = (getattr(self, name) for name in GRID_AXES)
+        return [Cell(*coords, self.scheme) for coords in itertools.product(*axes)]
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -151,9 +130,7 @@ class ExperimentConfig:
         unknown = set(obj) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        missing = {
-            "dims", "clusters", "n_per_cluster", "alphas", "separations", "dispersions",
-        } - set(obj)
+        missing = set(GRID_AXES) - set(obj)
         if missing:
             raise ConfigError(f"config missing grid fields: {sorted(missing)}")
         return cls(**obj)
@@ -161,7 +138,9 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentRecord:
-    """One (cell, replicate) outcome row."""
+    """One (cell, replicate) outcome row. The sweep CSV columns are these
+    fields in declaration order, without elapsed_seconds; a failed row
+    leaves the outcome columns, lambda_x onwards, empty."""
 
     d: int
     k: int
@@ -184,29 +163,30 @@ class ExperimentRecord:
     empirical_sd_norm: float = float("nan")
     elapsed_seconds: float = 0.0  # in-memory only, not serialized
 
-    CSV_FIELDS = (
-        "d", "k", "n_per_cluster", "alpha", "separation", "dispersion", "scheme",
-        "replicate", "seed", "status", "reason", "lambda_x", "lambda_z", "delta",
-        "bound_rhs", "bound_satisfied", "sss_x", "sss_z", "empirical_sd_norm",
-    )
-    _FLOAT_FIELDS = (
-        "lambda_x", "lambda_z", "delta", "bound_rhs", "sss_x", "sss_z",
-        "empirical_sd_norm",
-    )
-
     def to_csv_row(self) -> list:
-        row = [
-            self.d, self.k, self.n_per_cluster, repr(self.alpha),
-            repr(self.separation), repr(self.dispersion), self.scheme,
-            self.replicate, self.seed, self.status, self.reason,
+        ok = self.status == "ok"
+        return [
+            format_value(getattr(self, name)) if ok or i < _OUTCOME_START else ""
+            for i, name in enumerate(self.CSV_FIELDS)
         ]
-        if self.status == "ok":
-            row += [repr(float(getattr(self, f))) for f in self._FLOAT_FIELDS[:4]]
-            row += ["true" if self.bound_satisfied else "false"]
-            row += [repr(float(getattr(self, f))) for f in self._FLOAT_FIELDS[4:]]
-        else:
-            row += [""] * 8
-        return row
+
+
+_COLUMNS = tuple(f for f in fields(ExperimentRecord) if f.name != "elapsed_seconds")
+ExperimentRecord.CSV_FIELDS = CSV_FIELDS = tuple(f.name for f in _COLUMNS)
+_OUTCOME_START = CSV_FIELDS.index("lambda_x")
+# One grid point of a sweep: the record's leading columns, d through scheme,
+# so that ExperimentRecord(*cell, replicate=..., seed=...) lines them up.
+Cell = NamedTuple("Cell", [(f.name, f.type) for f in _COLUMNS[: CSV_FIELDS.index("replicate")]])
+# Per column type: the parser of its CSV text and what that text must be.
+_PARSERS = {int: (int, "an integer"), float: (float, "a number"), str: (str, "text"),
+            bool: ({"true": True, "false": False}.__getitem__, "true or false")}
+
+
+def format_value(value) -> str:
+    """CSV text of one value: repr for floats, true/false for bools, str otherwise."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def _float_bits(value: float) -> int:
@@ -240,16 +220,10 @@ def run_cell(cell: Cell, replicate: int, master_seed: int) -> ExperimentRecord:
     failed instead of aborting the sweep.
     """
     spec_seed, data_seed = derive_seeds(master_seed, cell, replicate)
-    record = ExperimentRecord(
-        d=cell.d, k=cell.k, n_per_cluster=cell.n_per_cluster, alpha=cell.alpha,
-        separation=cell.separation, dispersion=cell.dispersion, scheme=cell.scheme,
-        replicate=replicate, seed=data_seed,
-    )
+    record = ExperimentRecord(*cell, replicate=replicate, seed=data_seed)
     start = time.perf_counter()
     try:
-        spec = make_separation_family(
-            cell.d, cell.k, cell.separation, cell.dispersion, seed=spec_seed
-        )
+        spec = make_separation_family(cell.d, cell.k, cell.separation, cell.dispersion, spec_seed)
         data = sample(spec, cell.n_per_cluster, seed=data_seed)
         result = analyze(data, alpha=cell.alpha, scheme=cell.scheme)
         report = result.report
@@ -278,8 +252,7 @@ def run_sweep(config: ExperimentConfig, out_path=None, threads: int = 1) -> list
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
-    fh = open(out_path, "w", newline="") if out_path else None
-    try:
+    with open(out_path, "w", newline="") if out_path else nullcontext() as fh:
         records = [
             run_cell(cell, rep, config.seed)
             for cell in config.cells()
@@ -287,22 +260,38 @@ def run_sweep(config: ExperimentConfig, out_path=None, threads: int = 1) -> list
         ]
         if fh is not None:
             write_records_csv(fh, records)
-        return records
-    finally:
-        if fh is not None:
-            fh.close()
+    return records
 
 
 def write_records_csv(fh, records):
     fh.write(CSV_SCHEMA_LINE + "\n")
-    writer = csv.writer(fh)
-    writer.writerow(ExperimentRecord.CSV_FIELDS)
-    for record in records:
-        writer.writerow(record.to_csv_row())
+    csv.writer(fh).writerows([CSV_FIELDS, *(r.to_csv_row() for r in records)])
+
+
+def _parse_row(where: str, row: list) -> ExperimentRecord:
+    """One data row as a record. A failed row's outcome columns are not read."""
+    if len(row) < len(_COLUMNS):
+        raise ConfigError(f"{where}, column {_COLUMNS[len(row)].name}: missing")
+    if len(row) > len(_COLUMNS):
+        raise ConfigError(f"{where} has {len(row)} fields, expected {len(_COLUMNS)}")
+    values = {}
+    for i, (column, text) in enumerate(zip(_COLUMNS, row)):
+        if i == _OUTCOME_START and values["status"] != "ok":
+            break
+        parse, expected = _PARSERS[column.type]
+        try:
+            values[column.name] = parse(text)
+        except (ValueError, KeyError):
+            raise ConfigError(
+                f"{where}, column {column.name}: {text!r} is not {expected}"
+            ) from None
+    return ExperimentRecord(**values)
 
 
 def read_records_csv(path) -> list:
-    """Parse a sweep CSV back into ExperimentRecord objects."""
+    """Parse a sweep CSV back into ExperimentRecord objects. Malformed
+    content raises ConfigError naming the file, the data row (from 1,
+    blank lines skipped) and the column."""
     records = []
     with open(path, newline="") as fh:
         schema = fh.readline().strip()
@@ -310,25 +299,11 @@ def read_records_csv(path) -> list:
             raise ConfigError(f"{path}: unexpected schema line {schema!r}")
         reader = csv.reader(fh)
         header = next(reader, None)
-        if tuple(header or ()) != ExperimentRecord.CSV_FIELDS:
+        if tuple(header or ()) != CSV_FIELDS:
             raise ConfigError(f"{path}: unexpected header {header}")
         for row in reader:
-            if not row:
-                continue
-            fields = dict(zip(ExperimentRecord.CSV_FIELDS, row))
-            record = ExperimentRecord(
-                d=int(fields["d"]), k=int(fields["k"]),
-                n_per_cluster=int(fields["n_per_cluster"]),
-                alpha=float(fields["alpha"]), separation=float(fields["separation"]),
-                dispersion=float(fields["dispersion"]), scheme=fields["scheme"],
-                replicate=int(fields["replicate"]), seed=int(fields["seed"]),
-                status=fields["status"], reason=fields["reason"],
-            )
-            if record.status == "ok":
-                for name in ExperimentRecord._FLOAT_FIELDS:
-                    setattr(record, name, float(fields[name]))
-                record.bound_satisfied = fields["bound_satisfied"] == "true"
-            records.append(record)
+            if row:
+                records.append(_parse_row(f"{path}: row {len(records) + 1}", row))
     return records
 
 

@@ -29,7 +29,7 @@ class EigenSolution:
     kind: str
 
 
-def check_symmetric(m, atol=SYM_ATOL, name="matrix"):
+def check_symmetric(m, name="matrix"):
     """Validate m is square and symmetric to tolerance; return it as float64.
 
     Tolerance scales with the largest entry magnitude so matrices built from
@@ -40,9 +40,9 @@ def check_symmetric(m, atol=SYM_ATOL, name="matrix"):
         raise SymmetryError(f"{name} must be square, got shape {m.shape}")
     scale = max(1.0, float(np.abs(m).max())) if m.size else 1.0
     dev = float(np.abs(m - m.T).max()) if m.size else 0.0
-    if dev > atol * scale:
+    if dev > SYM_ATOL * scale:
         raise SymmetryError(
-            f"{name} not symmetric: max |m - m^T| = {dev:.3e} exceeds {atol * scale:.3e}"
+            f"{name} not symmetric: max |m - m^T| = {dev:.3e} exceeds {SYM_ATOL * scale:.3e}"
         )
     return m
 
@@ -60,36 +60,36 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def sym_eig(m, atol=SYM_ATOL) -> EigenSolution:
+def sym_eig(m) -> EigenSolution:
     """Spectral decomposition of a symmetric matrix.
 
     Returns eigenvalues sorted non-increasing with orthonormal column
     eigenvectors. Raises SymmetryError for inputs asymmetric beyond
     tolerance.
     """
-    m = check_symmetric(m, atol=atol)
+    m = check_symmetric(m)
     vals, vecs = np.linalg.eigh(m)
     # stable sort on -values keeps the solver's order among exact ties
     order = np.argsort(-vals, kind="stable")
     return EigenSolution(values=vals[order], vectors=_fix_signs(vecs[:, order]), kind="standard")
 
 
-def definite_whitener(m_sol: EigenSolution, rank_rtol=RANK_RTOL, error=DefinitenessError,
+def definite_whitener(m_sol: EigenSolution, error=DefinitenessError,
                       what="metric matrix not positive definite") -> np.ndarray:
     """Whitener A L^{-1/2} of a symmetric matrix M = A L A^T, so that
     W^T M W = I.
 
     Raises `error` (message prefixed by `what`) when M is not numerically
-    positive definite: its smallest eigenvalue is <= rank_rtol times its
+    positive definite: its smallest eigenvalue is <= RANK_RTOL times its
     largest.
     """
     largest = float(m_sol.values[0])
     smallest = float(m_sol.values[-1])
-    if largest <= 0.0 or smallest <= rank_rtol * largest:
+    if largest <= 0.0 or smallest <= RANK_RTOL * largest:
         bad = int(m_sol.values.size - 1)
         raise error(
             f"{what}: eigenvalue[{bad}] = {smallest:.6e} "
-            f"(largest = {largest:.6e}, required > {rank_rtol:g} * largest)"
+            f"(largest = {largest:.6e}, required > {RANK_RTOL:g} * largest)"
         )
     return m_sol.vectors / np.sqrt(m_sol.values)
 
@@ -101,7 +101,7 @@ def unwhiten(whitener: np.ndarray, reduced: EigenSolution) -> EigenSolution:
     return EigenSolution(values=reduced.values, vectors=vectors, kind="generalized")
 
 
-def gen_eig(k_mat, m_mat, rank_rtol=RANK_RTOL) -> EigenSolution:
+def gen_eig(k_mat, m_mat) -> EigenSolution:
     """Solve the symmetric-definite generalized eigenproblem K v = lambda M v.
 
     M is reduced by its own spectral decomposition: with M = A L A^T the
@@ -113,16 +113,14 @@ def gen_eig(k_mat, m_mat, rank_rtol=RANK_RTOL) -> EigenSolution:
     ----------
     k_mat : symmetric positive semidefinite (d, d)
     m_mat : symmetric positive definite (d, d)
-    rank_rtol : smallest/largest eigenvalue ratio below which M is
-        declared indefinite or singular.
 
     Raises
     ------
     DefinitenessError
-        If M has an eigenvalue <= rank_rtol times its largest.
+        If M has an eigenvalue <= RANK_RTOL times its largest.
     """
     k_mat = check_symmetric(k_mat, name="k_mat")
-    whitener = definite_whitener(sym_eig(m_mat), rank_rtol)
+    whitener = definite_whitener(sym_eig(m_mat))
     return unwhiten(whitener, sym_eig(symmetrize(whitener.T @ k_mat @ whitener)))
 
 
@@ -185,10 +183,10 @@ def cluster_means(labels, x, counts) -> np.ndarray:
     return (indicator.T @ x) / counts[:, None]
 
 
-def apply_hat(labels, x, k=None) -> np.ndarray:
+def apply_hat(labels, x) -> np.ndarray:
     """Matrix-free H @ x: replace each row of x by its cluster mean."""
     labels = np.asarray(labels)
-    counts = cluster_counts(labels, k)
+    counts = cluster_counts(labels)
     x = np.asarray(x, dtype=float)
     vec_in = x.ndim == 1
     if vec_in:

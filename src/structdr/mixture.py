@@ -259,10 +259,10 @@ def _random_orthogonal(rng, d: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def random_spd(rng, d: int, condition_cap: float = COVARIANCE_CONDITION_CAP) -> np.ndarray:
+def random_spd(rng, d: int) -> np.ndarray:
     """Random SPD matrix Q diag(D) Q^T with log-uniform spectrum whose
-    condition number is at most condition_cap."""
-    half = np.log(condition_cap) / 2.0
+    condition number is at most COVARIANCE_CONDITION_CAP."""
+    half = np.log(COVARIANCE_CONDITION_CAP) / 2.0
     diag = np.exp(rng.uniform(-half, half, size=d))
     q = _random_orthogonal(rng, d)
     return symmetrize((q * diag) @ q.T)

@@ -26,7 +26,7 @@ from .linalg import (
 )
 from .mixture import LabeledDataset, MixtureSpec
 from .subspace import SubspaceBasis, leading_basis, sss
-from .transform import DEFAULT_ALPHA, IsotropicDataset, apply_weights, compute_weights
+from .transform import DEFAULT_ALPHA, IsotropicDataset, apply_weights, check_rows, compute_weights
 
 MIN_MC_SAMPLES = 10_000
 DEFAULT_MC_SAMPLES = 200_000
@@ -99,8 +99,7 @@ def _scatter_pair(centered: np.ndarray, labels: np.ndarray, counts: np.ndarray) 
 def _counts(data: LabeledDataset) -> np.ndarray:
     """Cluster sizes, once n > d makes a full-rank total scatter possible."""
     counts = cluster_counts(data.labels)
-    if data.n <= data.d:
-        raise ConfigError(f"need n > d, got n = {data.n}, d = {data.d}")
+    check_rows(data)
     return counts
 
 

@@ -63,6 +63,12 @@ class PipelineResult:
     weighted: LabeledDataset
 
 
+def check_rows(x: LabeledDataset):
+    """Reject a dataset with n <= d, whose total scatter cannot be full rank."""
+    if x.n <= x.d:
+        raise ConfigError(f"need n > d, got n = {x.n}, d = {x.d}")
+
+
 def isotropize(x: LabeledDataset) -> IsotropicDataset:
     """Map a dataset to isotropic position.
 
@@ -72,10 +78,13 @@ def isotropize(x: LabeledDataset) -> IsotropicDataset:
 
     Raises
     ------
+    ConfigError
+        If n <= d.
     RankError
         If the total scatter is numerically rank deficient (no silent
         regularization is attempted).
     """
+    check_rows(x)
     centered = apply_centering(x.data)
     sol = sym_eig(symmetrize(centered.T @ centered))
     whitener = definite_whitener(sol, error=RankError, what="total scatter is rank deficient")

@@ -113,6 +113,16 @@ class TestTransformVerb:
         assert code == 2
 
 
+@pytest.mark.parametrize("verb", ["transform", "analyze"])
+def test_n_not_above_d_exits_2(tmp_path, capsys, verb):
+    path = tmp_path / "square.csv"
+    LabeledDataset(
+        data=np.random.default_rng(0).standard_normal((6, 6)), labels=np.array([1, 1, 1, 2, 2, 2])
+    ).to_csv(path)
+    assert run_cli(verb, "--data", str(path), "--out", str(tmp_path / "out")) == 2
+    assert "need n > d, got n = 6, d = 6" in capsys.readouterr().err
+
+
 class TestAnalyze:
     def test_report_row(self, tmp_path, capsys):
         data_path = tmp_path / "data.csv"

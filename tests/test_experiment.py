@@ -3,11 +3,16 @@ and the canned experiment recipes.
 """
 
 import json
+import string
+import tempfile
 import threading
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structdr import (
     Cell,
@@ -20,7 +25,8 @@ from structdr import (
     run_sweep,
 )
 from structdr import experiment
-from structdr.experiment import derive_seeds
+from structdr.experiment import derive_seeds, write_records_csv
+from structdr.transform import SCHEMES
 
 
 def small_config(**overrides):
@@ -148,7 +154,11 @@ class TestRunSweep:
         assert records == []
         lines = out.read_text().splitlines()
         assert lines[0] == "# schema=1"
-        assert lines[1].startswith("d,k,n_per_cluster,")
+        assert lines[1] == (
+            "d,k,n_per_cluster,alpha,separation,dispersion,scheme,replicate,seed,"
+            "status,reason,lambda_x,lambda_z,delta,bound_rhs,bound_satisfied,"
+            "sss_x,sss_z,empirical_sd_norm"
+        )
         assert len(lines) == 2
 
     def test_row_count_and_canonical_order(self, tmp_path):
@@ -248,6 +258,17 @@ class TestRecipes:
             assert config.cells()
 
 
+OK_RECORD = ExperimentRecord(
+    d=3, k=2, n_per_cluster=10, alpha=0.5, separation=1.0, dispersion=1.0,
+    scheme="hyperbolic", replicate=0, seed=42, lambda_x=0.9, lambda_z=0.8, delta=0.1,
+    bound_rhs=2.0, bound_satisfied=True, sss_x=0.5, sss_z=0.7, empirical_sd_norm=0.01,
+)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+INTEGER = st.integers(min_value=-(2**63), max_value=2**64)
+# d, k, n_per_cluster, alpha, separation, dispersion, scheme, replicate, seed
+COORDINATES = [INTEGER] * 3 + [FINITE] * 3 + [st.sampled_from(SCHEMES)] + [INTEGER] * 2
+
+
 class TestRecordCsv:
     def test_failed_record_round_trip(self, tmp_path):
         record = ExperimentRecord(
@@ -256,10 +277,49 @@ class TestRecordCsv:
         )
         out = tmp_path / "one.csv"
         with open(out, "w", newline="") as fh:
-            from structdr.experiment import write_records_csv
-
             write_records_csv(fh, [record])
+        assert out.read_text().splitlines()[2].endswith(",failed,x: y" + "," * 8)
         parsed = read_records_csv(out)[0]
         assert parsed.status == "failed"
         assert parsed.reason == "x: y"
         assert np.isnan(parsed.lambda_x)
+
+    @pytest.mark.parametrize("edit,where", [
+        (lambda row: row[:5], "row 2, column dispersion: missing"),
+        (lambda row: ["x"] + row[1:], "row 2, column d: 'x' is not an integer"),
+        (lambda row: row[:11] + [""] + row[12:], "row 2, column lambda_x: '' is not a number"),
+    ], ids=["short_row", "text_in_int_column", "ok_row_without_outcome"])
+    def test_malformed_row_names_file_row_and_column(self, tmp_path, edit, where):
+        row = OK_RECORD.to_csv_row()
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "# schema=1\n" + ",".join(ExperimentRecord.CSV_FIELDS) + "\n"
+            + ",".join(row) + "\n\n" + ",".join(edit(row)) + "\n"
+        )
+        with pytest.raises(ConfigError) as info:
+            read_records_csv(path)
+        assert str(info.value) == f"{path}: {where}"
+
+    @settings(deadline=None)
+    @given(st.lists(st.one_of(
+        st.builds(
+            ExperimentRecord, *(COORDINATES + [st.just("failed"), st.text(string.printable)])
+        ),
+        st.builds(
+            ExperimentRecord, *(COORDINATES + [st.just("ok"), st.text(string.printable)]
+                                + [FINITE] * 4 + [st.booleans()] + [FINITE] * 3),
+            elapsed_seconds=FINITE,
+        ),
+    ), max_size=4))
+    def test_write_read_write_round_trip(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "first.csv"), Path(tmp, "second.csv")
+            with open(first, "w", newline="") as fh:
+                write_records_csv(fh, records)
+            parsed = read_records_csv(first)
+            with open(second, "w", newline="") as fh:
+                write_records_csv(fh, parsed)
+            np.testing.assert_equal(
+                [record_key(r) for r in parsed], [record_key(r) for r in records]
+            )
+            assert first.read_bytes() == second.read_bytes()
