@@ -100,8 +100,10 @@ def _cmd_transform(args) -> int:
     pipe.isotropic.as_labeled().to_csv(iso_path)
     pipe.weighted.to_csv(weighted_path)
     with open(weights_path, "w", newline="") as fh:
-        rows = zip(map(format_value, map(float, pipe.weights.weights)), map(int, data.labels))
-        csv.writer(fh).writerows([("weight", "label"), *rows])
+        writer = csv.writer(fh)
+        writer.writerow(["weight", "label"])
+        for w, label in zip(pipe.weights.weights, data.labels):
+            writer.writerow([repr(float(w)), int(label)])
     print(f"wrote {iso_path}, {weighted_path}, {weights_path}")
     return EXIT_OK
 
@@ -122,14 +124,24 @@ def _cmd_analyze(args) -> int:
     )
     if args.out:
         row = {
-            "n": data.n, "d": data.d, "k": data.k, "alpha": args.alpha, "scheme": args.scheme,
-            "lambda_x": report.lambda_bar_x, "lambda_z": report.lambda_bar_z,
-            "delta": report.observed_delta, "bound": report.bound_rhs,
-            "satisfied": report.bound_satisfied, "sss_x": sss_x, "sss_z": sss_z,
+            "n": data.n,
+            "d": data.d,
+            "k": data.k,
+            "alpha": args.alpha,
+            "scheme": args.scheme,
+            "lambda_x": report.lambda_bar_x,
+            "lambda_z": report.lambda_bar_z,
+            "delta": report.observed_delta,
+            "bound": report.bound_rhs,
+            "satisfied": report.bound_satisfied,
+            "sss_x": sss_x,
+            "sss_z": sss_z,
             "empirical_sd_norm": report.empirical_sd_norm,
         }
         with open(args.out, "w", newline="") as fh:
-            csv.writer(fh).writerows([row, [format_value(v) for v in row.values()]])
+            writer = csv.writer(fh)
+            writer.writerow(row)
+            writer.writerow([format_value(v) for v in row.values()])
     return EXIT_OK
 
 

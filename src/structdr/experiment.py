@@ -60,10 +60,16 @@ def _axis(name: str, values, kind) -> list:
     return [kind(v) for v in values]
 
 
-# The grid axes with their element types, in canonical (grid-major) order,
-# which is also the order of a Cell's first six coordinates.
-GRID_AXES = {"dims": int, "clusters": int, "n_per_cluster": int,
-             "alphas": float, "separations": float, "dispersions": float}
+# Each grid axis of the config and the Cell coordinate it spans, in
+# canonical (grid-major) order. An axis takes values of its coordinate's type.
+GRID_AXES = {
+    "dims": "d",
+    "clusters": "k",
+    "n_per_cluster": "n_per_cluster",
+    "alphas": "alpha",
+    "separations": "separation",
+    "dispersions": "dispersion",
+}
 
 
 @dataclass
@@ -83,7 +89,8 @@ class ExperimentConfig:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, kind in GRID_AXES.items():
+        for name, coordinate in GRID_AXES.items():
+            kind = Cell.__annotations__[coordinate]
             setattr(self, name, _axis(name, getattr(self, name), kind))
         for name in ("replicates", "seed"):
             if not _is_number(getattr(self, name)):
@@ -114,7 +121,10 @@ class ExperimentConfig:
     def cells(self) -> list:
         """Grid cells in canonical (grid-major) order."""
         axes = (getattr(self, name) for name in GRID_AXES)
-        return [Cell(*coords, self.scheme) for coords in itertools.product(*axes)]
+        return [
+            Cell(**dict(zip(GRID_AXES.values(), coords)), scheme=self.scheme)
+            for coords in itertools.product(*axes)
+        ]
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -172,14 +182,21 @@ class ExperimentRecord:
 
 
 _COLUMNS = tuple(f for f in fields(ExperimentRecord) if f.name != "elapsed_seconds")
-ExperimentRecord.CSV_FIELDS = CSV_FIELDS = tuple(f.name for f in _COLUMNS)
-_OUTCOME_START = CSV_FIELDS.index("lambda_x")
-# One grid point of a sweep: the record's leading columns, d through scheme,
-# so that ExperimentRecord(*cell, replicate=..., seed=...) lines them up.
-Cell = NamedTuple("Cell", [(f.name, f.type) for f in _COLUMNS[: CSV_FIELDS.index("replicate")]])
-# Per column type: the parser of its CSV text and what that text must be.
-_PARSERS = {int: (int, "an integer"), float: (float, "a number"), str: (str, "text"),
-            bool: ({"true": True, "false": False}.__getitem__, "true or false")}
+ExperimentRecord.CSV_FIELDS = tuple(f.name for f in _COLUMNS)
+_OUTCOME_START = ExperimentRecord.CSV_FIELDS.index("lambda_x")
+# The record's leading columns, d through scheme, so that
+# ExperimentRecord(*cell, replicate=..., seed=...) lines them up.
+_CELL_END = ExperimentRecord.CSV_FIELDS.index("replicate")
+Cell = NamedTuple("Cell", [(f.name, f.type) for f in _COLUMNS[:_CELL_END]])
+Cell.__doc__ = "One grid point of a sweep."
+# Per column type: the parser of its CSV text and what that text must be
+# (str cannot fail, so it has no such text).
+_PARSERS = {
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    str: (str, None),
+    bool: ({"true": True, "false": False}.__getitem__, "true or false"),
+}
 
 
 def format_value(value) -> str:
@@ -223,7 +240,9 @@ def run_cell(cell: Cell, replicate: int, master_seed: int) -> ExperimentRecord:
     record = ExperimentRecord(*cell, replicate=replicate, seed=data_seed)
     start = time.perf_counter()
     try:
-        spec = make_separation_family(cell.d, cell.k, cell.separation, cell.dispersion, spec_seed)
+        spec = make_separation_family(
+            cell.d, cell.k, cell.separation, cell.dispersion, seed=spec_seed
+        )
         data = sample(spec, cell.n_per_cluster, seed=data_seed)
         result = analyze(data, alpha=cell.alpha, scheme=cell.scheme)
         report = result.report
@@ -265,7 +284,10 @@ def run_sweep(config: ExperimentConfig, out_path=None, threads: int = 1) -> list
 
 def write_records_csv(fh, records):
     fh.write(CSV_SCHEMA_LINE + "\n")
-    csv.writer(fh).writerows([CSV_FIELDS, *(r.to_csv_row() for r in records)])
+    writer = csv.writer(fh)
+    writer.writerow(ExperimentRecord.CSV_FIELDS)
+    for record in records:
+        writer.writerow(record.to_csv_row())
 
 
 def _parse_row(where: str, row: list) -> ExperimentRecord:
@@ -299,7 +321,7 @@ def read_records_csv(path) -> list:
             raise ConfigError(f"{path}: unexpected schema line {schema!r}")
         reader = csv.reader(fh)
         header = next(reader, None)
-        if tuple(header or ()) != CSV_FIELDS:
+        if tuple(header or ()) != ExperimentRecord.CSV_FIELDS:
             raise ConfigError(f"{path}: unexpected header {header}")
         for row in reader:
             if row:
