@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DefinitenessError, MissingClusterError, SymmetryError
+from .errors import DefinitenessError, MissingClusterError, RankError, SymmetryError
 
 SYM_ATOL = 1e-12
 RANK_RTOL = 1e-10
@@ -92,6 +92,11 @@ def definite_whitener(m_sol: EigenSolution, error=DefinitenessError,
             f"(largest = {largest:.6e}, required > {RANK_RTOL:g} * largest)"
         )
     return m_sol.vectors / np.sqrt(m_sol.values)
+
+
+def total_whitener(total: EigenSolution) -> np.ndarray:
+    """`definite_whitener` of a total scatter: RankError when it is singular."""
+    return definite_whitener(total, error=RankError, what="total scatter is rank deficient")
 
 
 def unwhiten(whitener: np.ndarray, reduced: EigenSolution) -> EigenSolution:

@@ -39,6 +39,8 @@ class MixtureSpec:
             )
         if d <= k - 1:
             raise ConfigError(f"need dimension d > k - 1, got d = {d}, k = {k}")
+        if not (np.isfinite(means).all() and np.isfinite(covs).all()):
+            raise ConfigError("means and covariances must be finite")
         for l, cov in enumerate(covs):
             if np.abs(cov - cov.T).max() > 1e-10 * max(1.0, np.abs(cov).max()):
                 raise ConfigError(f"covariance {l} is not symmetric")
@@ -76,11 +78,11 @@ class MixtureSpec:
     def from_json(cls, text: str) -> "MixtureSpec":
         try:
             obj = json.loads(text)
-            means = obj["means"]
-            covariances = obj["covariances"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            means = np.asarray(obj["means"], float)
+            covariances = np.asarray(obj["covariances"], float)
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed mixture spec document: {exc}") from exc
-        return cls(means=np.asarray(means, float), covariances=np.asarray(covariances, float))
+        return cls(means=means, covariances=covariances)
 
 
 @dataclass

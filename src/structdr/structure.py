@@ -18,10 +18,9 @@ from .linalg import (
     check_symmetric,
     cluster_counts,
     cluster_means,
-    definite_whitener,
-    gen_eig,
     sym_eig,
     symmetrize,
+    total_whitener,
     unwhiten,
 )
 from .mixture import LabeledDataset, MixtureSpec
@@ -49,6 +48,9 @@ class ScatterPair:
 class FisherSolution:
     """Solution of B v = lambda T v with the derived summary quantities.
 
+    `spectrum` is T's spectral decomposition (its principal axes) and
+    `whitener` the W it gives, with W^T T W = I. `reduced` solves W^T B W,
+    the Fisher problem of the isotropized rows X0 W; W maps it to `eigen`.
     distinctness is the mean of the k-1 largest eigenvalues (zeros
     included when fewer are numerically nonzero); fisher_basis spans the
     discriminant subspace.
@@ -57,6 +59,9 @@ class FisherSolution:
     eigen: EigenSolution
     distinctness: float
     fisher_basis: SubspaceBasis
+    spectrum: EigenSolution
+    whitener: np.ndarray
+    reduced: EigenSolution
 
 
 @dataclass(frozen=True)
@@ -108,27 +113,25 @@ def scatter_matrices(data: LabeledDataset) -> ScatterPair:
     return _scatter_pair(apply_centering(data.data), data.labels, _counts(data))
 
 
-def _check_k(k: int, d: int):
-    if not 1 <= k - 1 < d:
-        raise ConfigError(f"need 2 <= k <= d, got k = {k} with d = {d}")
-
-
-def _fisher_summary(eigen: EigenSolution, k: int) -> FisherSolution:
-    top = eigen.values[: k - 1]
-    distinctness = float(min(max(top.mean(), 0.0), 1.0))
-    basis = SubspaceBasis(columns=eigen.vectors[:, : k - 1])
-    return FisherSolution(eigen=eigen, distinctness=distinctness, fisher_basis=basis)
-
-
 def fisher_solve(s: ScatterPair, k: int) -> FisherSolution:
     """Solve the generalized Fisher eigenproblem for a k-cluster scatter
     pair and summarize distinctness.
 
     The eigenvalues lie in [0, 1] up to roundoff; the distinctness
     coefficient averages the k-1 largest and is clipped into [0, 1].
+    Raises RankError when the total scatter is numerically singular.
     """
-    _check_k(k, s.total.shape[0])
-    return _fisher_summary(gen_eig(s.between, s.total), k)
+    d = s.total.shape[0]
+    if not 1 <= k - 1 < d:
+        raise ConfigError(f"need 2 <= k <= d, got k = {k} with d = {d}")
+    between = check_symmetric(s.between, name="k_mat")
+    spectrum = sym_eig(s.total)
+    whitener = total_whitener(spectrum)
+    reduced = sym_eig(symmetrize(whitener.T @ between @ whitener))
+    eigen = unwhiten(whitener, reduced)
+    distinctness = float(min(max(eigen.values[: k - 1].mean(), 0.0), 1.0))
+    basis = SubspaceBasis(columns=eigen.vectors[:, : k - 1])
+    return FisherSolution(eigen, distinctness, basis, spectrum, whitener, reduced)
 
 
 def sdist_overlap(spec: MixtureSpec, mc_samples: int = DEFAULT_MC_SAMPLES,
@@ -193,51 +196,21 @@ def proposition1_bound(n: int, d: int, k: int, alpha: float, lambda_bar_x: float
     return (d / alpha) * (lambda_bar_x + math.sqrt(k)) / math.sqrt(n)
 
 
-@dataclass(frozen=True)
-class _Solved:
-    """One dataset's scatter pair (T, B), solved once.
-
-    The spectral decomposition of T gives the whitener W (W^T T W = I) and
-    the principal axes. The whitened pair (W^T T W, W^T B W) is the
-    scatter pair of the isotropized rows Y = X0 W; its standard
-    eigenproblem `inner` is the Fisher problem of Y, and W maps its
-    eigenvectors to the Fisher solution of the data itself.
-    """
-
-    pair: ScatterPair
-    spectrum: EigenSolution
-    whitener: np.ndarray
-    whitened: ScatterPair
-    inner: EigenSolution
-    fisher: FisherSolution
-
-
-def _solve(centered: np.ndarray, labels: np.ndarray, counts: np.ndarray, k: int) -> _Solved:
-    pair = _scatter_pair(centered, labels, counts)
-    spectrum = sym_eig(pair.total)
-    whitener = definite_whitener(spectrum)
-    whitened = ScatterPair(
-        total=symmetrize(whitener.T @ pair.total @ whitener),
-        between=symmetrize(whitener.T @ pair.between @ whitener),
-    )
-    inner = sym_eig(whitened.between)
-    fisher = _fisher_summary(unwhiten(whitener, inner), k)
-    return _Solved(pair, spectrum, whitener, whitened, inner, fisher)
-
-
-def _report(x: LabeledDataset, alpha: float, xs: _Solved, zs: _Solved,
-            y: np.ndarray) -> PerturbationReport:
+def _report(x: LabeledDataset, alpha: float, x_pair: ScatterPair, x_fisher: FisherSolution,
+            z_pair: ScatterPair, z_fisher: FisherSolution, y: np.ndarray) -> PerturbationReport:
     """Distinctness shift from X to Z0. The first-order predictions start
-    from Y's Fisher problem, which is X's whitened one; y holds the
-    isotropic rows, whose squared norms' spread is reported."""
+    from Y's Fisher problem, which is X's reduced one: Y's scatter pair is
+    X's whitened by W. y holds the isotropic rows, whose squared norms'
+    spread is reported."""
+    w = x_fisher.whitener
     predicted = perturb_eigs_first_order(
-        xs.inner,
-        zs.pair.between - xs.whitened.between,
-        zs.pair.total - xs.whitened.total,
+        x_fisher.reduced,
+        z_pair.between - symmetrize(w.T @ x_pair.between @ w),
+        z_pair.total - symmetrize(w.T @ x_pair.total @ w),
     )
     sqnorms = np.einsum("ij,ij->i", y, y)
-    lambda_x = xs.fisher.distinctness
-    lambda_z = zs.fisher.distinctness
+    lambda_x = x_fisher.distinctness
+    lambda_z = z_fisher.distinctness
     bound = proposition1_bound(x.n, x.d, x.k, alpha, lambda_x)
     delta = abs(lambda_z - lambda_x)
     return PerturbationReport(
@@ -269,13 +242,16 @@ def distinctness_delta_check(x: LabeledDataset, z0: LabeledDataset, alpha: float
     """
     if x.labels.shape != z0.labels.shape or np.any(x.labels != z0.labels):
         raise ShapeError("x and z0 must carry identical labels")
+    if x.d != z0.d:
+        raise ShapeError(f"x and z0 must have the same columns, got d = {x.d} and {z0.d}")
     counts = _counts(x)
-    _check_k(x.k, x.d)
     centered = apply_centering(x.data)
-    xs = _solve(centered, x.labels, counts, x.k)
-    zs = _solve(apply_centering(z0.data), z0.labels, counts, x.k)
-    y = isotropic.data if isotropic is not None else centered @ xs.whitener
-    return _report(x, alpha, xs, zs, y)
+    x_pair = _scatter_pair(centered, x.labels, counts)
+    x_fisher = fisher_solve(x_pair, x.k)
+    z_pair = _scatter_pair(apply_centering(z0.data), z0.labels, counts)
+    z_fisher = fisher_solve(z_pair, x.k)
+    y = isotropic.data if isotropic is not None else centered @ x_fisher.whitener
+    return _report(x, alpha, x_pair, x_fisher, z_pair, z_fisher, y)
 
 
 @dataclass(frozen=True)
@@ -289,10 +265,10 @@ class Analysis:
     sss_z: float
 
 
-def _pc_similarity(solved: _Solved, n: int, m: int) -> float:
+def _pc_similarity(fisher: FisherSolution, n: int, m: int) -> float:
     # the covariance T / n has T's eigenvectors and eigenvalues / n
-    pcs = leading_basis(solved.spectrum.values / n, solved.spectrum.vectors, m)
-    return sss(pcs, solved.fisher.fisher_basis)
+    pcs = leading_basis(fisher.spectrum.values / n, fisher.spectrum.vectors, m)
+    return sss(pcs, fisher.fisher_basis)
 
 
 def analyze(x: LabeledDataset, alpha: float = DEFAULT_ALPHA,
@@ -301,16 +277,17 @@ def analyze(x: LabeledDataset, alpha: float = DEFAULT_ALPHA,
 
     The same numbers as `transform_pipeline` followed by
     `distinctness_delta_check` and `sss(pc_subspace, fisher_subspace)` on
-    X and Z0, computed with one pass over the rows and two symmetric
-    eigensolves per dataset: the spectral decomposition of X's total
-    scatter yields the isotropizing whitener, the reduced Fisher problem
-    and X's principal axes, and Y's Fisher problem is X's reduced one.
+    X and Z0, computed with one pass over the rows and one `fisher_solve`
+    per dataset: the spectral decomposition of X's total scatter yields
+    the isotropizing whitener, the reduced Fisher problem and X's
+    principal axes, and Y's Fisher problem is X's reduced one.
 
     Raises
     ------
     ConfigError
-        For k < 2, k > d, n <= d, alpha <= 0 or an unknown scheme.
-    DefinitenessError
+        For k < 2, k > d, n <= d, alpha not finite and > 0 or an unknown
+        scheme.
+    RankError
         If X's (or Z0's) total scatter is numerically singular.
     """
     n, d, k = x.n, x.d, x.k
@@ -320,13 +297,15 @@ def analyze(x: LabeledDataset, alpha: float = DEFAULT_ALPHA,
     counts = _counts(x)
     center = x.data.mean(axis=0)
     centered = x.data - center
-    xs = _solve(centered, x.labels, counts, k)
-    sss_x = _pc_similarity(xs, n, m)
-    iso = IsotropicDataset(
-        data=centered @ xs.whitener, labels=x.labels, center=center, whitener=xs.whitener
-    )
+    x_pair = _scatter_pair(centered, x.labels, counts)
+    x_fisher = fisher_solve(x_pair, k)
+    sss_x = _pc_similarity(x_fisher, n, m)
+    w = x_fisher.whitener
+    iso = IsotropicDataset(data=centered @ w, labels=x.labels, center=center, whitener=w)
     del centered  # hold no more n x d arrays than the step-by-step pipeline
     z0 = apply_weights(iso, compute_weights(iso, alpha=alpha, scheme=scheme)).data
-    zs = _solve(z0, x.labels, counts, k)
-    sss_z = _pc_similarity(zs, n, m)
-    return Analysis(report=_report(x, alpha, xs, zs, iso.data), sss_x=sss_x, sss_z=sss_z)
+    z_pair = _scatter_pair(z0, x.labels, counts)
+    z_fisher = fisher_solve(z_pair, k)
+    sss_z = _pc_similarity(z_fisher, n, m)
+    report = _report(x, alpha, x_pair, x_fisher, z_pair, z_fisher, iso.data)
+    return Analysis(report=report, sss_x=sss_x, sss_z=sss_z)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, RankError, ShapeError
-from .linalg import apply_centering, definite_whitener, sym_eig, symmetrize
+from .errors import ConfigError, ShapeError
+from .linalg import apply_centering, sym_eig, symmetrize, total_whitener
 from .mixture import LabeledDataset
 
 DEFAULT_ALPHA = 0.5
@@ -86,8 +86,7 @@ def isotropize(x: LabeledDataset) -> IsotropicDataset:
     """
     check_rows(x)
     centered = apply_centering(x.data)
-    sol = sym_eig(symmetrize(centered.T @ centered))
-    whitener = definite_whitener(sol, error=RankError, what="total scatter is rank deficient")
+    whitener = total_whitener(sym_eig(symmetrize(centered.T @ centered)))
     return IsotropicDataset(
         data=centered @ whitener,
         labels=x.labels,
@@ -99,8 +98,8 @@ def isotropize(x: LabeledDataset) -> IsotropicDataset:
 def compute_weights(y: IsotropicDataset, alpha: float = DEFAULT_ALPHA,
                     scheme: str = "hyperbolic") -> WeightVector:
     """Row weights from squared norms of the isotropic data."""
-    if alpha <= 0:
-        raise ConfigError(f"weighting parameter alpha must be > 0, got {alpha}")
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ConfigError(f"weighting parameter alpha must be finite and > 0, got {alpha}")
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown weighting scheme {scheme!r}; expected one of {SCHEMES}")
     sqnorms = np.einsum("ij,ij->i", y.data, y.data)

@@ -12,8 +12,8 @@ import pytest
 from structdr import (
     Cell,
     ConfigError,
-    DefinitenessError,
     LabeledDataset,
+    RankError,
     analyze,
     apply_centering,
     distinctness_delta_check,
@@ -128,7 +128,7 @@ def test_analyze_matches_reference_on_shuffled_rows(d, k, n_per, scheme, relabel
 
 
 def reference_error(data, alpha, scheme):
-    with pytest.raises((ConfigError, DefinitenessError)) as caught:
+    with pytest.raises((ConfigError, RankError)) as caught:
         reference(data, alpha, scheme)
     return f"{type(caught.value).__name__}: {caught.value}"
 
@@ -141,11 +141,11 @@ def rank_deficient(data):
 
 @pytest.mark.parametrize("cell,degrade,error", [
     # X's total scatter is singular: the Fisher solve on X fails first
-    (Cell(7, 3, 100, 0.5, 10.0, 1.0, "hyperbolic"), rank_deficient,
-     "DefinitenessError: metric matrix not positive definite"),
+    pytest.param(Cell(7, 3, 100, 0.5, 10.0, 1.0, "hyperbolic"), rank_deficient,
+                 "RankError: total scatter is rank deficient", id="cell0-rank_deficient-RankError"),
     # exponential weights underflow, so Z0's total scatter is singular
-    (Cell(7, 3, 100, 1e-4, 10.0, 1.0, "exponential"), None,
-     "DefinitenessError: metric matrix not positive definite"),
+    pytest.param(Cell(7, 3, 100, 1e-4, 10.0, 1.0, "exponential"), None,
+                 "RankError: total scatter is rank deficient", id="cell1-None-RankError"),
     # one cluster leaves no discriminant subspace
     (Cell(7, 1, 100, 0.5, 10.0, 1.0, "hyperbolic"), None, "ConfigError: need 1 <= m < d"),
 ])
@@ -159,7 +159,7 @@ def test_failures_keep_exception_class_and_message(monkeypatch, cell, degrade, e
     record = run_cell(cell, replicate=0, master_seed=0)
     assert record.status == "failed"
     assert record.reason == want
-    with pytest.raises((ConfigError, DefinitenessError)) as caught:
+    with pytest.raises((ConfigError, RankError)) as caught:
         analyze(data, alpha=cell.alpha, scheme=cell.scheme)
     assert f"{type(caught.value).__name__}: {caught.value}" == want
 

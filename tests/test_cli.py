@@ -75,6 +75,21 @@ class TestGenerate:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("means,message", [
+        ([["a", 1.0], [5.0, 0.0]], "malformed mixture spec document"),
+        ([[0.0, 0.0], [5.0]], "malformed mixture spec document"),
+        ([[float("nan"), 0.0], [5.0, 0.0]], "means and covariances must be finite"),
+    ], ids=["non-numeric", "ragged", "nan"])
+    def test_bad_spec_means_exit_2(self, tmp_path, capsys, means, message):
+        spec_path = tmp_path / "bad.json"
+        spec_path.write_text(json.dumps({"means": means, "covariances": [np.eye(2).tolist()] * 2}))
+        code = run_cli(
+            "generate", "--spec", str(spec_path), "--n-per-cluster", "20",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_missing_spec_file_is_io_error(self, tmp_path):
         code = run_cli(
             "generate", "--spec", str(tmp_path / "nope.json"), "--n-per-cluster", "20",

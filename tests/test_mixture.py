@@ -49,6 +49,21 @@ class TestMixtureSpec:
         with pytest.raises(ConfigError):
             MixtureSpec.from_json('{"means": [[0, 0]]}')
 
+    @pytest.mark.parametrize("means,message", [
+        ('[["a", 1], [0, 0]]', "malformed mixture spec document"),
+        ("[[0, 0], [1]]", "malformed mixture spec document"),
+        ("[[NaN, 0], [0, 0]]", "means and covariances must be finite"),
+    ], ids=["non-numeric", "ragged", "nan"])
+    def test_bad_means_rejected(self, means, message):
+        text = f'{{"means": {means}, "covariances": [[[1, 0], [0, 1]], [[1, 0], [0, 1]]]}}'
+        with pytest.raises(ConfigError, match=message):
+            MixtureSpec.from_json(text)
+
+    def test_non_finite_covariance_rejected(self):
+        covs = np.stack([np.eye(2), np.diag([1.0, np.inf])])
+        with pytest.raises(ConfigError, match="must be finite"):
+            MixtureSpec(means=np.zeros((2, 2)), covariances=covs)
+
 
 class TestSample:
     def test_deterministic(self):

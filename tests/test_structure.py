@@ -11,6 +11,8 @@ from structdr import (
     ConfigError,
     LabeledDataset,
     MixtureSpec,
+    RankError,
+    ScatterPair,
     ShapeError,
     distinctness_delta_check,
     fisher_solve,
@@ -129,6 +131,32 @@ class TestFisherSolve:
         data = sample(spec, 40, seed=9)
         sol = fisher_solve(scatter_matrices(data), 3)
         assert sol.fisher_basis.columns.shape == (5, 2)
+
+    def test_whitener_spectrum_and_reduced_solution(self):
+        rng = np.random.default_rng(14)
+        total = random_spd(rng, 6)
+        root = np.linalg.cholesky(total)
+        between = symmetrize(root @ np.diag([0.9, 0.5, 0.2, 0, 0, 0]) @ root.T)
+        sol = fisher_solve(ScatterPair(total=total, between=between), 3)
+        w = sol.whitener
+        np.testing.assert_allclose(w.T @ total @ w, np.eye(6), atol=1e-10)
+        spectrum = sol.spectrum
+        np.testing.assert_allclose(
+            (spectrum.vectors * spectrum.values) @ spectrum.vectors.T, total, atol=1e-10
+        )
+        assert np.array_equal(sol.reduced.values, sol.eigen.values)
+        mapped = w @ sol.reduced.vectors
+        signs = np.sign(np.einsum("ij,ij->j", mapped, sol.eigen.vectors))
+        np.testing.assert_allclose(mapped * signs, sol.eigen.vectors, atol=1e-12)
+        reference = gen_eig(between, total)
+        np.testing.assert_allclose(sol.eigen.values, reference.values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sol.eigen.vectors, reference.vectors, rtol=0, atol=1e-12)
+
+    def test_singular_total_scatter_is_rank_error(self):
+        total = np.diag([3.0, 2.0, 1.0, 0.0])
+        pair = ScatterPair(total=total, between=np.diag([1.0, 0.5, 0.0, 0.0]))
+        with pytest.raises(RankError, match=r"total scatter is rank deficient: eigenvalue\[3\]"):
+            fisher_solve(pair, 2)
 
     def test_cluster_count_must_fit_dimension(self):
         spec = make_separation_family(4, 3, 2.0, 1.0, seed=12)
@@ -309,3 +337,12 @@ class TestDistinctnessDeltaCheck:
         )
         with pytest.raises(ShapeError):
             distinctness_delta_check(data, other, 0.5)
+
+    def test_width_mismatch_rejected(self):
+        spec = make_separation_family(5, 2, 2.0, 1.0, seed=36)
+        data = sample(spec, 30, seed=37)
+        wider = LabeledDataset(
+            data=np.hstack([data.data, data.data[:, :1]]), labels=data.labels
+        )
+        with pytest.raises(ShapeError, match="same columns, got d = 5 and 6"):
+            distinctness_delta_check(data, wider, 0.5)

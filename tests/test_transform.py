@@ -128,8 +128,9 @@ class TestComputeWeights:
 
     def test_bad_parameters(self):
         iso = synthetic_isotropic([[1.0, 0.0]])
-        with pytest.raises(ConfigError):
-            compute_weights(iso, alpha=0.0)
+        for alpha in (0.0, np.nan, np.inf):
+            with pytest.raises(ConfigError, match="alpha must be finite and > 0"):
+                compute_weights(iso, alpha=alpha)
         with pytest.raises(ConfigError):
             compute_weights(iso, alpha=0.5, scheme="gaussian")
 
