@@ -33,18 +33,13 @@ from .experiment import (
 from .linalg import (
     EigenSolution,
     apply_centering,
-    apply_hat,
-    centering_matrix,
     gen_eig,
-    hat_matrix,
     sym_eig,
 )
 from .mixture import (
     LabeledDataset,
-    MixtureMoments,
     MixtureSpec,
     make_separation_family,
-    population_moments,
     sample,
 )
 from .structure import (
@@ -86,7 +81,6 @@ __all__ = [
     "IsotropicDataset",
     "LabeledDataset",
     "MissingClusterError",
-    "MixtureMoments",
     "MixtureSpec",
     "NumericalError",
     "PerturbationReport",
@@ -101,20 +95,16 @@ __all__ = [
     "WeightVector",
     "analyze",
     "apply_centering",
-    "apply_hat",
     "apply_weights",
-    "centering_matrix",
     "compute_weights",
     "distinctness_delta_check",
     "fisher_solve",
     "fisher_subspace",
     "gen_eig",
-    "hat_matrix",
     "isotropize",
     "make_separation_family",
     "pc_subspace",
     "perturb_eigs_first_order",
-    "population_moments",
     "proposition1_bound",
     "read_records_csv",
     "recipe",

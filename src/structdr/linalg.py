@@ -1,5 +1,5 @@
 """Dense symmetric linear algebra: spectral and generalized-symmetric
-eigenproblems, the centering operator and the cluster-mean hat projector.
+eigenproblems, column centering and per-cluster counts and means.
 
 Eigenvectors follow a deterministic sign convention (largest-magnitude
 entry positive) so downstream subspace comparisons are reproducible.
@@ -129,14 +129,6 @@ def gen_eig(k_mat, m_mat) -> EigenSolution:
     return unwhiten(whitener, sym_eig(symmetrize(whitener.T @ k_mat @ whitener)))
 
 
-def centering_matrix(n: int) -> np.ndarray:
-    """Materialized n x n centering operator: 1 - 1/n on the diagonal,
-    -1/n off it. Symmetric and idempotent."""
-    if n < 1:
-        raise MissingClusterError(f"centering operator needs n >= 1, got {n}")
-    return np.eye(n) - np.full((n, n), 1.0 / n)
-
-
 def apply_centering(data) -> np.ndarray:
     """Subtract column means (matrix-free application of the centering
     operator). Idempotent."""
@@ -162,39 +154,9 @@ def cluster_counts(labels, k=None) -> np.ndarray:
     return counts
 
 
-def hat_matrix(labels, k=None) -> np.ndarray:
-    """Materialized hat matrix H = E (E^T E)^{-1} E^T for the cluster
-    indicator matrix E.
-
-    H is the orthogonal projector onto the indicator column space: it is
-    symmetric, idempotent, has trace k, and H x replaces every coordinate
-    of x by the mean of its cluster.
-    """
-    labels = np.asarray(labels)
-    counts = cluster_counts(labels, k)
-    n = labels.size
-    h = np.zeros((n, n))
-    for cluster, count in enumerate(counts, start=1):
-        members = labels == cluster
-        h[np.ix_(members, members)] = 1.0 / count
-    return h
-
-
 def cluster_means(labels, x, counts) -> np.ndarray:
     """(k, d) per-cluster means of the rows of x for labels in {1..k} with
     the given cluster sizes, from the indicator-matrix product E^T x."""
     indicator = np.zeros((labels.size, counts.size))
     indicator[np.arange(labels.size), labels - 1] = 1.0
     return (indicator.T @ x) / counts[:, None]
-
-
-def apply_hat(labels, x) -> np.ndarray:
-    """Matrix-free H @ x: replace each row of x by its cluster mean."""
-    labels = np.asarray(labels)
-    counts = cluster_counts(labels)
-    x = np.asarray(x, dtype=float)
-    vec_in = x.ndim == 1
-    if vec_in:
-        x = x[:, None]
-    out = cluster_means(labels, x, counts)[labels - 1]
-    return out[:, 0] if vec_in else out

@@ -1,6 +1,5 @@
 """Gaussian mixtures with equal mixing factors: specification, stratified
-sampling, population moments, and a seeded separation/dispersion family for
-simulation sweeps.
+sampling, and a seeded separation/dispersion family for simulation sweeps.
 """
 
 import csv
@@ -61,10 +60,6 @@ class MixtureSpec:
     def d(self) -> int:
         return self.means.shape[1]
 
-    @property
-    def mixing(self) -> np.ndarray:
-        return np.full(self.k, 1.0 / self.k)
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -101,6 +96,10 @@ class LabeledDataset:
         labels = np.asarray(self.labels)
         if self.data.ndim != 2:
             raise ConfigError(f"data must be 2-D, got shape {self.data.shape}")
+        if self.data.shape[1] == 0:
+            raise ConfigError("data has no feature columns")
+        if self.data.shape[0] == 0:
+            raise ConfigError("data has no rows")
         if labels.shape != (self.data.shape[0],):
             raise ConfigError(
                 f"labels shape {labels.shape} does not match {self.data.shape[0]} rows"
@@ -131,10 +130,6 @@ class LabeledDataset:
     @property
     def k(self) -> int:
         return int(self.labels.max())
-
-    @property
-    def per_cluster_n(self) -> np.ndarray:
-        return cluster_counts(self.labels, self.k)
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -175,7 +170,7 @@ class LabeledDataset:
                         f"{where}, column label: {row[d]!r} is not an integer"
                     ) from None
         try:
-            return cls(data=np.asarray(data), labels=np.asarray(labels))
+            return cls(data=np.reshape(data, (len(data), d)), labels=labels)
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from None
 
@@ -186,19 +181,6 @@ def _is_float(text: str) -> bool:
     except ValueError:
         return False
     return True
-
-
-@dataclass(frozen=True)
-class MixtureMoments:
-    """Population grand mean and the within/between covariance split."""
-
-    grand_mean: np.ndarray
-    within: np.ndarray
-    between: np.ndarray
-
-    @property
-    def grand_cov(self) -> np.ndarray:
-        return self.within + self.between
 
 
 def sample(spec: MixtureSpec, n_per_cluster: int, seed) -> LabeledDataset:
@@ -225,21 +207,6 @@ def sample(spec: MixtureSpec, n_per_cluster: int, seed) -> LabeledDataset:
         blocks.append(mean + z @ factor.T)
     labels = np.repeat(np.arange(1, spec.k + 1), n_per_cluster)
     return LabeledDataset(data=np.vstack(blocks), labels=labels)
-
-
-def population_moments(spec: MixtureSpec) -> MixtureMoments:
-    """Exact mixture moments: grand mean is the average of component means;
-    the covariance splits into the average component covariance (within)
-    plus the scatter of the means (between)."""
-    grand_mean = spec.means.mean(axis=0)
-    within = spec.covariances.mean(axis=0)
-    offsets = spec.means - grand_mean
-    between = (offsets.T @ offsets) / spec.k
-    return MixtureMoments(
-        grand_mean=grand_mean,
-        within=symmetrize(within),
-        between=symmetrize(between),
-    )
 
 
 def _simplex_vertices(k: int) -> np.ndarray:
@@ -280,6 +247,8 @@ def make_separation_family(d: int, k: int, separation: float, dispersion: float,
     on `separation`, so the family is monotone: doubling `separation`
     doubles every pairwise mean distance.
     """
+    if k < 1:
+        raise ConfigError(f"need k >= 1, got k = {k}")
     if d <= k - 1:
         raise ConfigError(f"need d > k - 1, got d = {d}, k = {k}")
     if separation < 0:

@@ -147,22 +147,24 @@ def sdist_overlap(spec: MixtureSpec, mc_samples: int = DEFAULT_MC_SAMPLES,
         raise ConfigError(
             f"integral distinctness is defined here for k = 2 only, got k = {spec.k}"
         )
-    if mc_samples < MIN_MC_SAMPLES:
-        raise ConfigError(f"mc_samples must be >= {MIN_MC_SAMPLES}, got {mc_samples}")
-    # scipy.stats costs about a second to import and nothing else needs it
-    from scipy.stats import multivariate_normal
-
+    if not isinstance(mc_samples, (int, np.integer)) or mc_samples < MIN_MC_SAMPLES:
+        raise ConfigError(f"mc_samples must be an int >= {MIN_MC_SAMPLES}, got {mc_samples!r}")
     rng = np.random.default_rng(seed)
     half = mc_samples // 2
-    counts = (half, mc_samples - half)
+    factors = [np.linalg.cholesky(cov) for cov in spec.covariances]
     draws = []
-    for mean, cov, m in zip(spec.means, spec.covariances, counts):
+    for mean, factor, m in zip(spec.means, factors, (half, mc_samples - half)):
         z = rng.standard_normal((m, spec.d))
-        draws.append(mean + z @ np.linalg.cholesky(cov).T)
+        draws.append(mean + z @ factor.T)
     points = np.vstack(draws)
-    log_f1 = multivariate_normal(spec.means[0], spec.covariances[0]).logpdf(points)
-    log_f2 = multivariate_normal(spec.means[1], spec.covariances[1]).logpdf(points)
-    ratio = np.exp(np.minimum(log_f1, log_f2) - np.logaddexp(log_f1, log_f2))
+    # log f_l(x) = -log det L_l - |L_l^{-1}(x - mu_l)|^2 / 2 - (d/2) log(2 pi),
+    # where L_l L_l^T = Sigma_l; the shared constant cancels in the ratio
+    log_f = [-np.log(np.diag(factor)).sum()
+             - 0.5 * np.square(np.linalg.solve(factor, (points - mean).T)).sum(axis=0)
+             for mean, factor in zip(spec.means, factors)]
+    # min(f1, f2) / (f1 + f2) = 1 / (1 + exp|log f1 - log f2|), in a form exp cannot overflow
+    tail = np.exp(-np.abs(log_f[0] - log_f[1]))
+    ratio = tail / (1.0 + tail)
     overlap = float(ratio.mean())
     se = float(ratio.std(ddof=1) / math.sqrt(mc_samples))
     return SdistEstimate(value=1.0 - overlap, std_error=se, n_samples=mc_samples)
@@ -187,10 +189,10 @@ def perturb_eigs_first_order(solution: EigenSolution, delta_k, delta_m) -> np.nd
 def proposition1_bound(n: int, d: int, k: int, alpha: float, lambda_bar_x: float) -> float:
     """Closed-form ceiling on |distinctness(Z) - distinctness(X)|:
     (1/sqrt(n)) * (d/alpha) * (lambda_bar + sqrt(k))."""
-    if min(n, d, k) <= 0 or alpha <= 0:
-        raise ConfigError(
-            f"n, d, k, alpha must all be positive, got n={n}, d={d}, k={k}, alpha={alpha}"
-        )
+    if min(n, d, k) <= 0:
+        raise ConfigError(f"n, d, k must all be positive, got n={n}, d={d}, k={k}")
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ConfigError(f"weighting parameter alpha must be finite and > 0, got {alpha}")
     if not 0.0 <= lambda_bar_x <= 1.0:
         raise ConfigError(f"lambda_bar_x must be in [0, 1], got {lambda_bar_x}")
     return (d / alpha) * (lambda_bar_x + math.sqrt(k)) / math.sqrt(n)

@@ -39,10 +39,6 @@ class IsotropicDataset:
     def d(self) -> int:
         return self.data.shape[1]
 
-    def reproject(self, x) -> np.ndarray:
-        """Apply the stored centering + whitening map to new rows."""
-        return (np.asarray(x, dtype=float) - self.center) @ self.whitener
-
     def as_labeled(self) -> LabeledDataset:
         return LabeledDataset(data=self.data, labels=self.labels)
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,13 @@ class TestGenerate:
     def test_missing_inputs_is_config_error(self, tmp_path):
         code = run_cli("generate", "--n-per-cluster", "20", "--out", str(tmp_path / "x.csv"))
         assert code == 2
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_cluster_count_below_one_is_config_error(self, tmp_path, capsys, k):
+        code = run_cli("generate", "--d", "3", "--k", k, "--n-per-cluster", "20",
+                       "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert f"need k >= 1, got k = {k}" in capsys.readouterr().err
 
     def test_non_spd_spec_is_numerical_error(self, tmp_path):
         spec_path = tmp_path / "bad.json"
@@ -170,6 +178,18 @@ class TestMalformedDataset:
         assert run_cli("analyze", "--data", str(path)) == 2
         assert f"{path}: {where}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["analyze", "transform"])
+    @pytest.mark.parametrize("content,missing", [
+        ("label\n1\n2\n1\n2\n", "data has no feature columns"),
+        ("x1,x2,label\n", "data has no rows"),
+    ], ids=["no-feature-column", "no-data-row"])
+    def test_empty_dataset_exits_2_naming_what_is_missing(self, tmp_path, capsys, content,
+                                                          missing, verb):
+        path = tmp_path / "empty.csv"
+        path.write_text(content)
+        assert run_cli(verb, "--data", str(path), "--out", str(tmp_path / "out")) == 2
+        assert f"{path}: {missing}" in capsys.readouterr().err
+
 
 class TestSweepAndRecipe:
     def test_recipe_then_sweep(self, tmp_path):
@@ -245,17 +265,36 @@ class TestEntryPoints:
             main(["bogus-verb"])
         assert exc.value.code == 2
 
-    def test_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats takes about a second to import; only sdist_overlap uses it
+    def test_import_leaves_scipy_stats_unloaded(self, tmp_path):
+        # the runtime needs numpy only: with scipy blocked, structdr imports,
+        # sdist_overlap runs and every verb succeeds
+        script = textwrap.dedent("""
+            import sys
+            sys.modules["scipy"] = None
+            import numpy as np
+            from structdr import MixtureSpec, sdist_overlap
+            from structdr.cli import main
+            spec = MixtureSpec(means=np.array([[0.0, 0.0], [2.0, 0.0]]),
+                               covariances=np.stack([np.eye(2)] * 2))
+            assert 0.5 < sdist_overlap(spec, 20_000).value < 1.0
+            codes = [
+                main(["generate", "--d", "3", "--k", "2", "--n-per-cluster", "30",
+                      "--out", "data.csv"]),
+                main(["analyze", "--data", "data.csv", "--out", "report.csv"]),
+                main(["transform", "--data", "data.csv", "--out", "stage"]),
+                main(["recipe", "prop1", "--out", "prop1.json"]),
+                main(["sweep", "--config", "prop1.json", "--out", "prop1.csv"]),
+            ]
+            assert codes == [0] * 5, codes
+            print(sorted(name for name in sys.modules if name.startswith("scipy")))
+        """)
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, structdr; print('scipy.stats' in sys.modules)"],
-            capture_output=True, text=True, env=env,
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip().splitlines()[-1] == "['scipy']"
 
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "cfg.json"

@@ -10,14 +10,13 @@ from structdr import (
     MissingClusterError,
     SymmetryError,
     apply_centering,
-    apply_hat,
-    centering_matrix,
     gen_eig,
-    hat_matrix,
     sym_eig,
 )
 from structdr.errors import DefinitenessError
 from structdr.linalg import symmetrize
+
+from oracles import centering_matrix, hat_matrix
 
 
 def random_spd(rng, d, shift=1.0):
@@ -218,18 +217,6 @@ class TestHatMatrix:
         zeros = np.abs(values) < 1e-10
         assert int(ones.sum()) == 2
         assert np.all(ones | zeros)
-
-    def test_apply_replaces_rows_by_cluster_means(self):
-        rng = np.random.default_rng(15)
-        labels = np.array([1, 2, 1, 2, 2])
-        x = rng.standard_normal((5, 3))
-        out = apply_hat(labels, x)
-        np.testing.assert_allclose(out, hat_matrix(labels) @ x, atol=1e-12)
-        np.testing.assert_allclose(out[0], x[[0, 2]].mean(axis=0))
-
-    def test_apply_on_vector(self):
-        labels = np.array([1, 1, 2])
-        np.testing.assert_allclose(apply_hat(labels, np.array([1.0, 3.0, 5.0])), [2.0, 2.0, 5.0])
 
     def test_missing_cluster_rejected(self):
         with pytest.raises(MissingClusterError):

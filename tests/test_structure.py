@@ -5,7 +5,7 @@ and the perturbation predictor with its re-solve convergence check.
 
 import numpy as np
 import pytest
-from scipy.stats import norm, spearmanr
+from scipy.stats import multivariate_normal, norm, spearmanr
 
 from structdr import (
     ConfigError,
@@ -25,7 +25,9 @@ from structdr import (
     sdist_overlap,
     transform_pipeline,
 )
-from structdr.linalg import hat_matrix, symmetrize
+from structdr.linalg import cluster_counts, symmetrize
+
+from oracles import hat_matrix
 
 
 def random_spd(rng, d, shift=1.0):
@@ -55,7 +57,7 @@ class TestScatterMatrices:
         # unsorted labels and unequal cluster sizes
         keep = np.random.default_rng(3).permutation(data.n)[:70]
         data = LabeledDataset(data=data.data[keep], labels=data.labels[keep])
-        assert len(set(data.per_cluster_n)) > 1
+        assert len(set(cluster_counts(data.labels))) > 1
         pair = scatter_matrices(data)
         centered = data.data - data.data.mean(axis=0)
         oracle = centered.T @ hat_matrix(data.labels) @ centered
@@ -199,6 +201,32 @@ class TestSdistOverlap:
         with pytest.raises(ConfigError):
             sdist_overlap(spec, 5_000, seed=0)
 
+    def test_non_integer_sample_count_rejected(self):
+        spec = MixtureSpec(means=np.zeros((2, 2)), covariances=np.stack([np.eye(2)] * 2))
+        with pytest.raises(ConfigError, match="mc_samples must be an int"):
+            sdist_overlap(spec, 10000.5, seed=0)
+
+    @pytest.mark.parametrize("d,separation,dispersion,seed", [
+        (2, 2.0, 1.0, 40), (5, 3.5, 0.7, 41), (20, 4.0, 1.5, 42),
+    ])
+    def test_matches_scipy_logpdf_on_the_same_points(self, d, separation, dispersion, seed):
+        # redraw the estimator's points (per component, in order, from one
+        # PCG64 stream) and average the ratio from scipy's log densities
+        spec = make_separation_family(d, 2, separation, dispersion, seed=seed)
+        mc_samples = 20_001
+        rng = np.random.default_rng(seed)
+        points = np.vstack([
+            mean + rng.standard_normal((m, d)) @ np.linalg.cholesky(cov).T
+            for mean, cov, m in zip(spec.means, spec.covariances,
+                                    (mc_samples // 2, mc_samples - mc_samples // 2))
+        ])
+        log_f1, log_f2 = (multivariate_normal(mean, cov).logpdf(points)
+                          for mean, cov in zip(spec.means, spec.covariances))
+        ratio = np.exp(np.minimum(log_f1, log_f2) - np.logaddexp(log_f1, log_f2))
+        est = sdist_overlap(spec, mc_samples, seed=seed)
+        assert abs(est.value - (1.0 - ratio.mean())) <= 1e-12
+        assert abs(est.std_error - ratio.std(ddof=1) / np.sqrt(mc_samples)) <= 1e-12
+
     def test_comonotone_with_distinctness_over_separation_grid(self):
         # both coefficients rank the same 10 separation levels identically
         seps = np.linspace(0.0, 6.0, 10)
@@ -281,6 +309,9 @@ class TestPropositionBound:
             proposition1_bound(100, 5, 3, -0.5, 0.5)
         with pytest.raises(ConfigError):
             proposition1_bound(100, 5, 3, 0.5, 1.5)
+        for alpha in (np.nan, np.inf):
+            with pytest.raises(ConfigError, match="alpha must be finite and > 0"):
+                proposition1_bound(100, 5, 3, alpha, 0.5)
 
 
 class TestDistinctnessDeltaCheck:
