@@ -136,14 +136,14 @@ def apply_centering(data) -> np.ndarray:
     return data - data.mean(axis=0, keepdims=True)
 
 
-def cluster_counts(labels, k=None) -> np.ndarray:
-    """Counts per cluster for labels in {1..k}; every label must occur."""
+def cluster_counts(labels) -> np.ndarray:
+    """Counts per cluster for labels in {1..k}, where k is the largest
+    label; every label must occur."""
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.size == 0:
         raise MissingClusterError("labels must be a non-empty 1-D array")
-    if k is None:
-        k = int(labels.max())
-    if labels.min() < 1 or labels.max() > k:
+    k = int(labels.max())
+    if labels.min() < 1:
         raise MissingClusterError(
             f"labels must lie in 1..{k}, got range [{labels.min()}, {labels.max()}]"
         )

@@ -29,8 +29,8 @@ class MixtureSpec:
     def __post_init__(self):
         means = np.asarray(self.means, dtype=float)
         covs = np.asarray(self.covariances, dtype=float)
-        if means.ndim != 2:
-            raise ConfigError(f"means must be (k, d), got shape {means.shape}")
+        if means.ndim != 2 or means.shape[0] == 0:
+            raise ConfigError(f"means must be (k, d) with k >= 1, got shape {means.shape}")
         k, d = means.shape
         if covs.shape != (k, d, d):
             raise ConfigError(
@@ -104,9 +104,8 @@ class LabeledDataset:
             raise ConfigError(
                 f"labels shape {labels.shape} does not match {self.data.shape[0]} rows"
             )
-        bad = np.argwhere(~np.isfinite(self.data))
-        if bad.size:
-            row, col = bad[0]
+        if not np.isfinite(self.data).all():
+            row, col = np.argwhere(~np.isfinite(self.data))[0]
             raise ConfigError(
                 f"row {row + 1}, column x{col + 1}: non-finite value {self.data[row, col]}"
             )

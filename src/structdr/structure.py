@@ -25,7 +25,7 @@ from .linalg import (
 )
 from .mixture import LabeledDataset, MixtureSpec
 from .subspace import SubspaceBasis, leading_basis, sss
-from .transform import DEFAULT_ALPHA, IsotropicDataset, apply_weights, check_rows, compute_weights
+from .transform import DEFAULT_ALPHA, IsotropicDataset, check_rows, isotropize, transform_pipeline
 
 MIN_MC_SAMPLES = 10_000
 DEFAULT_MC_SAMPLES = 200_000
@@ -48,9 +48,7 @@ class ScatterPair:
 class FisherSolution:
     """Solution of B v = lambda T v with the derived summary quantities.
 
-    `spectrum` is T's spectral decomposition (its principal axes) and
-    `whitener` the W it gives, with W^T T W = I. `reduced` solves W^T B W,
-    the Fisher problem of the isotropized rows X0 W; W maps it to `eigen`.
+    `spectrum` is T's spectral decomposition (its principal axes).
     distinctness is the mean of the k-1 largest eigenvalues (zeros
     included when fewer are numerically nonzero); fisher_basis spans the
     discriminant subspace.
@@ -60,8 +58,6 @@ class FisherSolution:
     distinctness: float
     fisher_basis: SubspaceBasis
     spectrum: EigenSolution
-    whitener: np.ndarray
-    reduced: EigenSolution
 
 
 @dataclass(frozen=True)
@@ -101,16 +97,10 @@ def _scatter_pair(centered: np.ndarray, labels: np.ndarray, counts: np.ndarray) 
     return ScatterPair(total=total, between=between)
 
 
-def _counts(data: LabeledDataset) -> np.ndarray:
-    """Cluster sizes, once n > d makes a full-rank total scatter possible."""
-    counts = cluster_counts(data.labels)
-    check_rows(data)
-    return counts
-
-
 def scatter_matrices(data: LabeledDataset) -> ScatterPair:
-    """Total and between-cluster scatter of a labeled dataset."""
-    return _scatter_pair(apply_centering(data.data), data.labels, _counts(data))
+    """Total and between-cluster scatter of a labeled dataset with n > d."""
+    check_rows(data)
+    return _scatter_pair(apply_centering(data.data), data.labels, cluster_counts(data.labels))
 
 
 def fisher_solve(s: ScatterPair, k: int) -> FisherSolution:
@@ -127,11 +117,10 @@ def fisher_solve(s: ScatterPair, k: int) -> FisherSolution:
     between = check_symmetric(s.between, name="k_mat")
     spectrum = sym_eig(s.total)
     whitener = total_whitener(spectrum)
-    reduced = sym_eig(symmetrize(whitener.T @ between @ whitener))
-    eigen = unwhiten(whitener, reduced)
+    eigen = unwhiten(whitener, sym_eig(symmetrize(whitener.T @ between @ whitener)))
     distinctness = float(min(max(eigen.values[: k - 1].mean(), 0.0), 1.0))
     basis = SubspaceBasis(columns=eigen.vectors[:, : k - 1])
-    return FisherSolution(eigen, distinctness, basis, spectrum, whitener, reduced)
+    return FisherSolution(eigen, distinctness, basis, spectrum)
 
 
 def sdist_overlap(spec: MixtureSpec, mc_samples: int = DEFAULT_MC_SAMPLES,
@@ -198,24 +187,27 @@ def proposition1_bound(n: int, d: int, k: int, alpha: float, lambda_bar_x: float
     return (d / alpha) * (lambda_bar_x + math.sqrt(k)) / math.sqrt(n)
 
 
-def _report(x: LabeledDataset, alpha: float, x_pair: ScatterPair, x_fisher: FisherSolution,
-            z_pair: ScatterPair, z_fisher: FisherSolution, y: np.ndarray) -> PerturbationReport:
-    """Distinctness shift from X to Z0. The first-order predictions start
-    from Y's Fisher problem, which is X's reduced one: Y's scatter pair is
-    X's whitened by W. y holds the isotropic rows, whose squared norms'
-    spread is reported."""
-    w = x_fisher.whitener
+def _compare(x: LabeledDataset, iso: IsotropicDataset, z0: np.ndarray, alpha: float):
+    """Distinctness shift from the isotropic rows Y = iso.data to the
+    centered weighted rows z0, with Y's and Z0's Fisher solutions. Fisher
+    eigenvalues are affine invariant, so Y's distinctness is X's. The
+    first-order predictions start from Y's Fisher problem and perturb it
+    by the scatter differences; the spread of the squared norms of Y's
+    rows is reported."""
+    counts = cluster_counts(x.labels)
+    y_pair = _scatter_pair(iso.data, x.labels, counts)
+    y_fisher = fisher_solve(y_pair, x.k)
+    z_pair = _scatter_pair(z0, x.labels, counts)
+    z_fisher = fisher_solve(z_pair, x.k)
     predicted = perturb_eigs_first_order(
-        x_fisher.reduced,
-        z_pair.between - symmetrize(w.T @ x_pair.between @ w),
-        z_pair.total - symmetrize(w.T @ x_pair.total @ w),
+        y_fisher.eigen, z_pair.between - y_pair.between, z_pair.total - y_pair.total
     )
-    sqnorms = np.einsum("ij,ij->i", y, y)
-    lambda_x = x_fisher.distinctness
+    sqnorms = np.einsum("ij,ij->i", iso.data, iso.data)
+    lambda_x = y_fisher.distinctness
     lambda_z = z_fisher.distinctness
     bound = proposition1_bound(x.n, x.d, x.k, alpha, lambda_x)
     delta = abs(lambda_z - lambda_x)
-    return PerturbationReport(
+    report = PerturbationReport(
         n=x.n,
         d=x.d,
         k=x.k,
@@ -228,6 +220,7 @@ def _report(x: LabeledDataset, alpha: float, x_pair: ScatterPair, x_fisher: Fish
         predicted_values=predicted,
         empirical_sd_norm=float(sqnorms.std(ddof=0)),
     )
+    return report, y_fisher, z_fisher
 
 
 def distinctness_delta_check(x: LabeledDataset, z0: LabeledDataset, alpha: float,
@@ -240,20 +233,13 @@ def distinctness_delta_check(x: LabeledDataset, z0: LabeledDataset, alpha: float
     recorded, never raised: the bound rests on an unproven assumption
     about the spread of squared row norms, so the empirical standard
     deviation of |y_i|^2 is measured and reported with every run.
-    `isotropic`, when given, is `isotropize(x)` and supplies those rows.
+    `isotropic`, when given, is `isotropize(x)`, which then is not rerun.
     """
     if x.labels.shape != z0.labels.shape or np.any(x.labels != z0.labels):
         raise ShapeError("x and z0 must carry identical labels")
     if x.d != z0.d:
         raise ShapeError(f"x and z0 must have the same columns, got d = {x.d} and {z0.d}")
-    counts = _counts(x)
-    centered = apply_centering(x.data)
-    x_pair = _scatter_pair(centered, x.labels, counts)
-    x_fisher = fisher_solve(x_pair, x.k)
-    z_pair = _scatter_pair(apply_centering(z0.data), z0.labels, counts)
-    z_fisher = fisher_solve(z_pair, x.k)
-    y = isotropic.data if isotropic is not None else centered @ x_fisher.whitener
-    return _report(x, alpha, x_pair, x_fisher, z_pair, z_fisher, y)
+    return _compare(x, isotropic or isotropize(x), apply_centering(z0.data), alpha)[0]
 
 
 @dataclass(frozen=True)
@@ -267,10 +253,9 @@ class Analysis:
     sss_z: float
 
 
-def _pc_similarity(fisher: FisherSolution, n: int, m: int) -> float:
+def _pc_similarity(spectrum: EigenSolution, fisher_basis: SubspaceBasis, n: int, m: int) -> float:
     # the covariance T / n has T's eigenvectors and eigenvalues / n
-    pcs = leading_basis(fisher.spectrum.values / n, fisher.spectrum.vectors, m)
-    return sss(pcs, fisher.fisher_basis)
+    return sss(leading_basis(spectrum.values / n, spectrum.vectors, m), fisher_basis)
 
 
 def analyze(x: LabeledDataset, alpha: float = DEFAULT_ALPHA,
@@ -279,10 +264,9 @@ def analyze(x: LabeledDataset, alpha: float = DEFAULT_ALPHA,
 
     The same numbers as `transform_pipeline` followed by
     `distinctness_delta_check` and `sss(pc_subspace, fisher_subspace)` on
-    X and Z0, computed with one pass over the rows and one `fisher_solve`
-    per dataset: the spectral decomposition of X's total scatter yields
-    the isotropizing whitener, the reduced Fisher problem and X's
-    principal axes, and Y's Fisher problem is X's reduced one.
+    X and Z0, computed with one pass over X's rows and one `fisher_solve`
+    per transformed dataset: X's principal axes come from the spectrum
+    that isotropizes it, and X's Fisher basis is the whitener times Y's.
 
     Raises
     ------
@@ -296,18 +280,10 @@ def analyze(x: LabeledDataset, alpha: float = DEFAULT_ALPHA,
     m = k - 1
     if not 1 <= m < d:
         raise ConfigError(f"need 1 <= m < d, got m = {m}, d = {d}")
-    counts = _counts(x)
-    center = x.data.mean(axis=0)
-    centered = x.data - center
-    x_pair = _scatter_pair(centered, x.labels, counts)
-    x_fisher = fisher_solve(x_pair, k)
-    sss_x = _pc_similarity(x_fisher, n, m)
-    w = x_fisher.whitener
-    iso = IsotropicDataset(data=centered @ w, labels=x.labels, center=center, whitener=w)
-    del centered  # hold no more n x d arrays than the step-by-step pipeline
-    z0 = apply_weights(iso, compute_weights(iso, alpha=alpha, scheme=scheme)).data
-    z_pair = _scatter_pair(z0, x.labels, counts)
-    z_fisher = fisher_solve(z_pair, k)
-    sss_z = _pc_similarity(z_fisher, n, m)
-    report = _report(x, alpha, x_pair, x_fisher, z_pair, z_fisher, iso.data)
+    pipe = transform_pipeline(x, alpha=alpha, scheme=scheme)
+    iso = pipe.isotropic
+    report, y_fisher, z_fisher = _compare(x, iso, pipe.weighted.data, alpha)
+    x_basis = SubspaceBasis(columns=iso.whitener @ y_fisher.fisher_basis.columns)
+    sss_x = _pc_similarity(iso.spectrum, x_basis, n, m)
+    sss_z = _pc_similarity(z_fisher.spectrum, z_fisher.fisher_basis, n, m)
     return Analysis(report=report, sss_x=sss_x, sss_z=sss_z)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .linalg import apply_centering, sym_eig, symmetrize, total_whitener
+from .linalg import EigenSolution, apply_centering, sym_eig, symmetrize, total_whitener
 from .mixture import LabeledDataset
 
 DEFAULT_ALPHA = 0.5
@@ -24,12 +24,15 @@ SCHEMES = ("hyperbolic", "exponential")
 @dataclass(frozen=True)
 class IsotropicDataset:
     """Data in isotropic position (zero column means, Y^T Y = I) plus the
-    affine map that produced it: y = (x - center) @ whitener."""
+    affine map that produced it: y = (x - center) @ whitener. `spectrum`
+    is X0^T X0 = A L A^T, which holds X's principal axes, and
+    whitener = A L^{-1/2}."""
 
     data: np.ndarray
     labels: np.ndarray
     center: np.ndarray
     whitener: np.ndarray
+    spectrum: EigenSolution
 
     @property
     def n(self) -> int:
@@ -81,13 +84,16 @@ def isotropize(x: LabeledDataset) -> IsotropicDataset:
         regularization is attempted).
     """
     check_rows(x)
-    centered = apply_centering(x.data)
-    whitener = total_whitener(sym_eig(symmetrize(centered.T @ centered)))
+    center = x.data.mean(axis=0)
+    centered = x.data - center
+    spectrum = sym_eig(symmetrize(centered.T @ centered))
+    whitener = total_whitener(spectrum)
     return IsotropicDataset(
         data=centered @ whitener,
         labels=x.labels,
-        center=x.data.mean(axis=0),
+        center=center,
         whitener=whitener,
+        spectrum=spectrum,
     )
 
 

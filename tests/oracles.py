@@ -22,7 +22,7 @@ def centering_matrix(n: int) -> np.ndarray:
     return np.eye(n) - np.full((n, n), 1.0 / n)
 
 
-def hat_matrix(labels, k=None) -> np.ndarray:
+def hat_matrix(labels) -> np.ndarray:
     """Materialized hat matrix H = E (E^T E)^{-1} E^T for the cluster
     indicator matrix E.
 
@@ -31,7 +31,7 @@ def hat_matrix(labels, k=None) -> np.ndarray:
     of x by the mean of its cluster.
     """
     labels = np.asarray(labels)
-    counts = cluster_counts(labels, k)
+    counts = cluster_counts(labels)
     n = labels.size
     h = np.zeros((n, n))
     for cluster, count in enumerate(counts, start=1):

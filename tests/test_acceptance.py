@@ -29,7 +29,7 @@ from structdr import (
     transform_pipeline,
 )
 from structdr.cli import main as cli_main
-from structdr.linalg import symmetrize
+from structdr.linalg import sym_eig, symmetrize
 from structdr.mixture import LabeledDataset
 from structdr.transform import IsotropicDataset
 
@@ -137,7 +137,7 @@ def test_criterion_05_weight_formulas():
     rows = np.array([[0.0, 0.0], [np.sqrt(alpha), 0.0]])
     iso = IsotropicDataset(
         data=rows, labels=np.ones(2, dtype=np.int64),
-        center=np.zeros(2), whitener=np.eye(2),
+        center=np.zeros(2), whitener=np.eye(2), spectrum=sym_eig(np.eye(2)),
     )
     hyp = compute_weights(iso, alpha=alpha, scheme="hyperbolic").weights
     exp = compute_weights(iso, alpha=alpha, scheme="exponential").weights

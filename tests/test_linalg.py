@@ -221,5 +221,3 @@ class TestHatMatrix:
     def test_missing_cluster_rejected(self):
         with pytest.raises(MissingClusterError):
             hat_matrix(np.array([1, 1, 3, 3]))
-        with pytest.raises(MissingClusterError):
-            hat_matrix(np.array([1, 2]), k=3)

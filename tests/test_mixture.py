@@ -57,6 +57,10 @@ class TestMixtureSpec:
         with pytest.raises(ConfigError, match=message):
             MixtureSpec.from_json(text)
 
+    def test_no_components_rejected(self):
+        with pytest.raises(ConfigError, match=r"means must be \(k, d\) with k >= 1"):
+            MixtureSpec(means=np.zeros((0, 3)), covariances=np.zeros((0, 3, 3)))
+
     def test_non_finite_covariance_rejected(self):
         covs = np.stack([np.eye(2), np.diag([1.0, np.inf])])
         with pytest.raises(ConfigError, match="must be finite"):

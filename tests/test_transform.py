@@ -21,6 +21,7 @@ from structdr import (
     pc_subspace,
     sample,
     scatter_matrices,
+    sym_eig,
     transform_pipeline,
 )
 
@@ -39,6 +40,7 @@ def synthetic_isotropic(rows):
         labels=np.ones(rows.shape[0], dtype=np.int64),
         center=np.zeros(rows.shape[1]),
         whitener=np.eye(rows.shape[1]),
+        spectrum=sym_eig(np.eye(rows.shape[1])),
     )
 
 
@@ -67,6 +69,16 @@ class TestIsotropize:
         data = random_dataset(seed=5)
         iso = isotropize(data)
         assert np.abs((data.data - iso.center) @ iso.whitener - iso.data).max() < 1e-10
+
+    def test_spectrum_rebuilds_total_scatter(self):
+        # the spectrum holds X's principal axes, and the whitener is A L^{-1/2}
+        data = random_dataset(seed=7, d=5, k=3)
+        iso = isotropize(data)
+        centered = data.data - data.data.mean(axis=0)
+        spectrum = iso.spectrum
+        rebuilt = (spectrum.vectors * spectrum.values) @ spectrum.vectors.T
+        np.testing.assert_allclose(rebuilt, centered.T @ centered, rtol=0, atol=1e-10)
+        assert np.array_equal(iso.whitener, spectrum.vectors / np.sqrt(spectrum.values))
 
     def test_duplicated_column_rejected(self):
         data = random_dataset(seed=6)
