@@ -7,10 +7,11 @@ mixture configuration seed deliberately excludes the per-cluster sample
 size, so cells that differ only in n share the same 50 mixture draws and
 sample-size effects are paired rather than confounded.
 
-Tasks run serially in the calling thread and records are written in
-canonical order (grid-major, replicate-minor), so repeated runs produce
-byte-identical CSV bodies. Wall-clock timings are kept on the in-memory
-records only, never serialized.
+Tasks run in the calling process, or in a pool of forked worker
+processes when more than one is asked for, and records are written in
+canonical order (grid-major, replicate-minor) either way, so repeated runs
+and any worker count produce byte-identical CSV bodies. Wall-clock timings
+are kept on the in-memory records only, never serialized.
 """
 
 import csv
@@ -18,6 +19,7 @@ import itertools
 import json
 import math
 import numbers
+import os
 import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -262,21 +264,37 @@ def run_cell(cell: Cell, replicate: int, master_seed: int) -> ExperimentRecord:
 
 
 def run_sweep(config: ExperimentConfig, out_path=None, threads: int = 1) -> list:
-    """Run every (cell, replicate) pair serially in the calling thread, in
-    canonical order, and write the CSV to out_path if one is given.
+    """Run every (cell, replicate) pair in canonical order and write the CSV
+    to out_path if one is given.
 
-    The output file is opened before any computation so an unwritable
-    path fails fast. threads is accepted for compatibility only: it must
-    be >= 1 and has no other effect.
+    threads is the number of worker processes, capped at the number of
+    pairs and of CPUs this process may use; with one worker the pairs run
+    in the calling thread. Records and CSV are the same for any threads.
+    The output file is opened before any computation so an unwritable path
+    fails fast, and only the calling process writes it.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
+    tasks = [(cell, rep) for cell in config.cells() for rep in range(config.replicates)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(threads, len(tasks), cpus or 1)
     with open(out_path, "w", newline="") if out_path else nullcontext() as fh:
-        records = [
-            run_cell(cell, rep, config.seed)
-            for cell in config.cells()
-            for rep in range(config.replicates)
-        ]
+        if workers > 1:
+            # Forked workers start with numpy and structdr imported; a fresh
+            # import in each would cost more than a short sweep. map returns
+            # results in task order; four chunks per worker even out cells
+            # of unequal cost.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            fork = "fork" in multiprocessing.get_all_start_methods()
+            context = multiprocessing.get_context("fork" if fork else None)
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                records = list(pool.map(
+                    run_cell, *zip(*tasks), itertools.repeat(config.seed),
+                    chunksize=math.ceil(len(tasks) / (4 * workers))))
+        else:
+            records = [run_cell(cell, rep, config.seed) for cell, rep in tasks]
         if fh is not None:
             write_records_csv(fh, records)
     return records

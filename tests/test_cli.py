@@ -296,6 +296,24 @@ class TestEntryPoints:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "['scipy']"
 
+    def test_import_and_serial_sweep_leave_process_pool_unloaded(self):
+        # the pool modules cost about 20 ms to import; neither the import
+        # nor a one-thread sweep loads them
+        script = textwrap.dedent("""
+            import sys
+            from dataclasses import replace
+            import structdr.cli
+            from structdr import recipe, run_sweep
+            run_sweep(replace(recipe("fig3_d7"), clusters=[3, 4], replicates=2), threads=1)
+            print([m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules])
+        """)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "cfg.json"
         proc = subprocess.run(

@@ -2,7 +2,10 @@
 and the canned experiment recipes.
 """
 
+import concurrent.futures
+import functools
 import json
+import os
 import threading
 from dataclasses import asdict
 
@@ -42,6 +45,26 @@ def record_key(record):
     payload = asdict(record)
     payload.pop("elapsed_seconds")
     return payload
+
+
+def assert_same_records(got, want):
+    """Field by field, apart from elapsed_seconds, with types compared too
+    and a failed row's NaN outcomes equal to each other (repr does both)."""
+    assert [repr(record_key(r)) for r in got] == [repr(record_key(r)) for r in want]
+
+
+def available_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def pid_logging_run_cell(log, cell, replicate, master_seed):
+    """run_cell that first appends its process id to `log`. Defined at module
+    level so that a process pool can send it to its workers."""
+    with open(log, "a") as fh:
+        fh.write(f"{os.getpid()}\n")
+    return run_cell(cell, replicate, master_seed)
 
 
 class TestExperimentConfig:
@@ -188,7 +211,7 @@ class TestRunSweep:
         run_sweep(config, out_path=threaded, threads=4)
         assert serial.read_bytes() == threaded.read_bytes()
 
-    def test_every_record_computed_in_calling_thread(self, monkeypatch):
+    def test_one_thread_computes_every_record_in_calling_thread(self, monkeypatch):
         idents = []
 
         def recording_run_cell(cell, replicate, master_seed):
@@ -196,9 +219,52 @@ class TestRunSweep:
             return run_cell(cell, replicate, master_seed)
 
         monkeypatch.setattr(experiment, "run_cell", recording_run_cell)
-        records = run_sweep(small_config(dims=[3, 4], replicates=4), threads=4)
+        records = run_sweep(small_config(dims=[3, 4], replicates=4), threads=1)
         assert len(records) == len(idents) == 8
         assert set(idents) == {threading.get_ident()}
+
+    @pytest.mark.skipif(available_cpus() < 2, reason="needs 2 CPUs for 2 workers")
+    def test_two_threads_compute_records_in_worker_processes(self, monkeypatch, tmp_path):
+        log = tmp_path / "pids"
+        monkeypatch.setattr(experiment, "run_cell", functools.partial(pid_logging_run_cell, log))
+        records = run_sweep(small_config(dims=[3, 4], replicates=4), threads=2)
+        pids = [int(line) for line in log.read_text().split()]
+        assert len(records) == len(pids) == 8
+        assert os.getpid() not in pids
+        assert len(set(pids)) <= 2
+
+    @pytest.mark.parametrize("cpus, pools", [({0}, []), ({0, 1}, [2]), ({0, 1, 2}, [3])])
+    def test_workers_capped_at_available_cpus(self, monkeypatch, cpus, pools):
+        # 8 tasks, so that even a broken cap starts at most 8 processes
+        sizes = []
+
+        class SizeRecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SizeRecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        config = small_config(dims=[3, 4], replicates=4)
+        records = run_sweep(config, threads=64)
+        assert sizes == pools
+        assert_same_records(records, run_sweep(config))
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("overrides", [
+        dict(replicates=8),
+        # n = 60 rows fail the size floor for d=7, so reasons cross processes
+        dict(dims=[3, 7], replicates=3),
+        dict(replicates=2),
+    ], ids=["chunks-split-one-cell", "failed-rows", "fewer-tasks-than-threads"])
+    def test_worker_processes_match_serial(self, tmp_path, overrides, threads):
+        config = small_config(**overrides)
+        serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+        want = run_sweep(config, out_path=serial, threads=1)
+        got = run_sweep(config, out_path=pooled, threads=threads)
+        assert pooled.read_bytes() == serial.read_bytes()
+        assert_same_records(got, want)
+        assert any(r.status == "failed" for r in want) == (7 in config.dims)
 
     def test_threads_below_one_rejected(self):
         with pytest.raises(ConfigError, match="threads must be >= 1, got 0"):

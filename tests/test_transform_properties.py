@@ -1,0 +1,71 @@
+"""Property tests of the two invariants the weighting rests on: isotropic
+rows satisfy Y^T Y = I, and every row weight lies in (0, 1].
+
+Needs hypothesis (the `test` extra); the module is skipped without it.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from structdr import LabeledDataset, compute_weights, isotropize, make_separation_family, sample
+from structdr.transform import SCHEMES
+
+# Entrywise tolerance on Y^T Y - I. The error grows like eps cond(X0)^2:
+# over 1000 draws with cond(A) <= 100 (cond(X0) up to about 250) the worst
+# was 3.5e-11, and with cond(A) <= 1e3 (cond(X0) about 1900) 6.5e-10.
+ATOL = 1e-9
+# singular values of the map lie in [10^-1, 10^1], so its cond <= 100
+LOG10_SPREAD = 1.0
+# Largest |y|^2 / alpha whose weight is a positive double: exp(-t) is 0
+# beyond about 745.13, and sqrt(1 / (1 + t)) only once t overflows.
+REPRESENTABLE = {"exponential": 745.0, "hyperbolic": np.finfo(float).max}
+
+
+def random_orthogonal(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    return q * np.sign(np.diag(r))
+
+
+@st.composite
+def labelled_data(draw):
+    """A mixture sample mapped by x A + b with cond(A) <= 100."""
+    d, k = draw(st.sampled_from([(2, 2), (3, 2), (4, 3), (7, 3), (10, 5)]))
+    n_per_cluster = draw(st.integers(min_value=10 * d, max_value=50 * d))
+    separation = draw(st.floats(min_value=0.5, max_value=10.0))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    data = sample(make_separation_family(d, k, separation, 1.0, seed=seed), n_per_cluster,
+                  seed=seed)
+    singular = 10.0 ** rng.uniform(-LOG10_SPREAD, LOG10_SPREAD, size=d)
+    a = (random_orthogonal(rng, d) * singular) @ random_orthogonal(rng, d).T
+    b = rng.normal(scale=10.0, size=d)
+    return LabeledDataset(data=data.data @ a + b, labels=data.labels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=labelled_data())
+def test_isotropic_rows_are_orthonormal(x):
+    y = isotropize(x).data
+    np.testing.assert_allclose(y.T @ y, np.eye(x.d), rtol=0, atol=ATOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=labelled_data(),
+    alpha=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    scheme=st.sampled_from(SCHEMES),
+)
+def test_weights_lie_in_unit_interval(x, alpha, scheme):
+    iso = isotropize(x)
+    # |y|^2 / alpha overflows for subnormal alpha
+    with np.errstate(over="ignore"):
+        weights = compute_weights(iso, alpha=alpha, scheme=scheme).weights
+        ratio = np.einsum("ij,ij->i", iso.data, iso.data) / alpha
+    assert np.all(weights <= 1.0)
+    # the exact weight is positive; in doubles it is 0 only where it lies
+    # below the smallest subnormal
+    assert np.all(weights[ratio <= REPRESENTABLE[scheme]] > 0.0)
