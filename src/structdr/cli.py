@@ -18,7 +18,13 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .experiment import RECIPE_NAMES, ExperimentConfig, format_value, recipe, run_sweep
-from .mixture import LabeledDataset, MixtureSpec, make_separation_family, sample
+from .mixture import (
+    LabeledDataset,
+    MixtureSpec,
+    make_separation_family,
+    sample,
+    write_labeled_csv,
+)
 from .structure import analyze
 from .transform import DEFAULT_ALPHA, SCHEMES, transform_pipeline
 
@@ -99,11 +105,7 @@ def _cmd_transform(args) -> int:
     weights_path = f"{args.out}_weights.csv"
     pipe.isotropic.as_labeled().to_csv(iso_path)
     pipe.weighted.to_csv(weighted_path)
-    with open(weights_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["weight", "label"])
-        for w, label in zip(pipe.weights.weights, data.labels):
-            writer.writerow([repr(float(w)), int(label)])
+    write_labeled_csv(weights_path, ["weight"], pipe.weights.weights[:, None], data.labels)
     print(f"wrote {iso_path}, {weighted_path}, {weights_path}")
     return EXIT_OK
 

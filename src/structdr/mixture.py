@@ -131,11 +131,7 @@ class LabeledDataset:
         return int(self.labels.max())
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{j + 1}" for j in range(self.d)] + ["label"])
-            for row, label in zip(self.data, self.labels):
-                writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        write_labeled_csv(path, [f"x{j + 1}" for j in range(self.d)], self.data, self.labels)
 
     @classmethod
     def from_csv(cls, path) -> "LabeledDataset":
@@ -152,34 +148,47 @@ class LabeledDataset:
             for row in reader:
                 if not row:
                     continue
-                where = f"{path}: row {len(data) + 1}"
                 if len(row) != d + 1:
-                    raise ConfigError(f"{where} has {len(row)} fields, expected {d + 1}")
-                try:
-                    data.append([float(v) for v in row[:d]])
-                except ValueError:
-                    col = next(j for j, v in enumerate(row[:d]) if not _is_float(v))
                     raise ConfigError(
-                        f"{where}, column {header[col]}: {row[col]!r} is not a number"
-                    ) from None
+                        f"{path}: row {len(data) + 1} has {len(row)} fields, expected {d + 1}"
+                    )
                 try:
-                    labels.append(int(row[d]))
+                    values = list(map(float, row[:d]))
+                    label = int(row[d])
                 except ValueError:
-                    raise ConfigError(
-                        f"{where}, column label: {row[d]!r} is not an integer"
-                    ) from None
+                    raise _field_error(f"{path}: row {len(data) + 1}", header, row) from None
+                data.append(values)
+                labels.append(label)
         try:
             return cls(data=np.reshape(data, (len(data), d)), labels=labels)
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from None
 
 
-def _is_float(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
+def _field_error(where: str, header, row) -> ConfigError:
+    """The error for a row with a field that `float` or `int` rejects:
+    the first bad value column, else the label."""
+    d = len(header) - 1
+    for name, text in zip(header, row[:d]):
+        try:
+            float(text)
+        except ValueError:
+            return ConfigError(f"{where}, column {name}: {text!r} is not a number")
+    return ConfigError(f"{where}, column label: {row[d]!r} is not an integer")
+
+
+def write_labeled_csv(path, names, values, labels):
+    """Write a header `names...,label`, then one line per row of the 2-D
+    float array `values`: each value as Python `repr`, then the row's
+    integer label. Lines end in CRLF, so the bytes are those that
+    `csv.writer` writes. Rows are converted one at a time, so memory does
+    not grow with the file."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(names) + ",label\r\n")
+        fh.writelines(
+            ",".join(map(repr, row.tolist())) + f",{label}\r\n"
+            for row, label in zip(values, labels.tolist())
+        )
 
 
 def sample(spec: MixtureSpec, n_per_cluster: int, seed) -> LabeledDataset:

@@ -103,6 +103,13 @@ def scatter_matrices(data: LabeledDataset) -> ScatterPair:
     return _scatter_pair(apply_centering(data.data), data.labels, cluster_counts(data.labels))
 
 
+def _check_cluster_count(k: int, d: int):
+    """Reject a cluster count with no proper Fisher subspace: k - 1 must
+    lie in [1, d)."""
+    if not 2 <= k <= d:
+        raise ConfigError(f"need 2 <= k <= d, got k = {k} with d = {d}")
+
+
 def fisher_solve(s: ScatterPair, k: int) -> FisherSolution:
     """Solve the generalized Fisher eigenproblem for a k-cluster scatter
     pair and summarize distinctness.
@@ -111,9 +118,7 @@ def fisher_solve(s: ScatterPair, k: int) -> FisherSolution:
     coefficient averages the k-1 largest and is clipped into [0, 1].
     Raises RankError when the total scatter is numerically singular.
     """
-    d = s.total.shape[0]
-    if not 1 <= k - 1 < d:
-        raise ConfigError(f"need 2 <= k <= d, got k = {k} with d = {d}")
+    _check_cluster_count(k, s.total.shape[0])
     between = check_symmetric(s.between, name="k_mat")
     spectrum = sym_eig(s.total)
     whitener = total_whitener(spectrum)
@@ -271,15 +276,14 @@ def analyze(x: LabeledDataset, alpha: float = DEFAULT_ALPHA,
     Raises
     ------
     ConfigError
-        For k < 2, k > d, n <= d, alpha not finite and > 0 or an unknown
-        scheme.
+        For k < 2, k > d, n <= d, alpha not finite and > 0, an unknown
+        scheme or a weight that underflows to 0.
     RankError
         If X's (or Z0's) total scatter is numerically singular.
     """
     n, d, k = x.n, x.d, x.k
     m = k - 1
-    if not 1 <= m < d:
-        raise ConfigError(f"need 1 <= m < d, got m = {m}, d = {d}")
+    _check_cluster_count(k, d)
     pipe = transform_pipeline(x, alpha=alpha, scheme=scheme)
     iso = pipe.isotropic
     report, y_fisher, z_fisher = _compare(x, iso, pipe.weighted.data, alpha)

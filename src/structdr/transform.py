@@ -99,7 +99,12 @@ def isotropize(x: LabeledDataset) -> IsotropicDataset:
 
 def compute_weights(y: IsotropicDataset, alpha: float = DEFAULT_ALPHA,
                     scheme: str = "hyperbolic") -> WeightVector:
-    """Row weights from squared norms of the isotropic data."""
+    """Row weights from squared norms of the isotropic data.
+
+    Raises ConfigError when a weight underflows to 0, which takes
+    |y|^2 / alpha above about 745 (exponential) or beyond the largest
+    double (hyperbolic): a zero-weight row would vanish from Z0 and
+    distort its scatter without a word."""
     if not (np.isfinite(alpha) and alpha > 0):
         raise ConfigError(f"weighting parameter alpha must be finite and > 0, got {alpha}")
     if scheme not in SCHEMES:
@@ -109,6 +114,12 @@ def compute_weights(y: IsotropicDataset, alpha: float = DEFAULT_ALPHA,
         weights = np.sqrt(1.0 / (1.0 + sqnorms / alpha))
     else:
         weights = np.exp(-sqnorms / alpha)
+    if not weights.all():
+        row = int(np.flatnonzero(weights == 0.0)[0])
+        raise ConfigError(
+            f"alpha = {alpha} is too small for {scheme} weights: row {row + 1} "
+            f"(|y|^2 = {sqnorms[row]:.6g}) gets weight 0"
+        )
     return WeightVector(weights=weights, alpha=float(alpha), scheme=scheme)
 
 

@@ -46,10 +46,12 @@ FIELDS = ("lambda_x", "lambda_z", "delta", "bound_rhs", "sss_x", "sss_z",
 def reference(data, alpha, scheme):
     """The record fields and top k-1 predictions, computed step by step."""
     k, m = data.k, data.k - 1
+    # the Fisher solve on X comes first, as in `analyze`, so that a bad
+    # cluster count fails with its message rather than pc_subspace's
+    lambda_x = fisher_solve(scatter_matrices(data), k).distinctness
     sss_x = sss(pc_subspace(apply_centering(data.data), m), fisher_subspace(data))
     pipe = transform_pipeline(data, alpha=alpha, scheme=scheme)
     sss_z = sss(pc_subspace(pipe.weighted.data, m), fisher_subspace(pipe.weighted))
-    lambda_x = fisher_solve(scatter_matrices(data), k).distinctness
     lambda_z = fisher_solve(scatter_matrices(pipe.weighted), k).distinctness
     base_pair = scatter_matrices(pipe.isotropic.as_labeled())
     z_pair = scatter_matrices(pipe.weighted)
@@ -147,7 +149,7 @@ def rank_deficient(data):
     pytest.param(Cell(7, 3, 100, 1e-4, 10.0, 1.0, "exponential"), None,
                  "RankError: total scatter is rank deficient", id="cell1-None-RankError"),
     # one cluster leaves no discriminant subspace
-    (Cell(7, 1, 100, 0.5, 10.0, 1.0, "hyperbolic"), None, "ConfigError: need 1 <= m < d"),
+    (Cell(7, 1, 100, 0.5, 10.0, 1.0, "hyperbolic"), None, "ConfigError: need 2 <= k <= d"),
 ])
 def test_failures_keep_exception_class_and_message(monkeypatch, cell, degrade, error):
     data = cell_data(cell, 0, 0)

@@ -199,6 +199,22 @@ class TestLabeledDatasetCsv:
         np.testing.assert_array_equal(clone.data, data.data)
         np.testing.assert_array_equal(clone.labels, data.labels)
 
+    @pytest.mark.parametrize("body", [
+        'x1,x2,label\r\n"1.5","-2",1\r\n"3e2",4.25,"2"\r\n',
+        "x1,x2,label\r\n 1.5 ,-2 ,1\r\n3e2, 4.25, 2\r\n",
+        "x1,x2,label\n1.5,-2,1\n3e2,4.25,2\n",
+        "x1,x2,label\r\n\r\n1.5,-2,1\r\n\r\n\n3e2,4.25,2\r\n\r\n",
+        "x1,x2,label\n1.5,-2,+1\n3_0_0.0,4.25e0, 2\n",
+    ], ids=["quoted", "spaces", "lf", "blank-lines", "python-number-syntax"])
+    def test_accepted_syntax(self, tmp_path, body):
+        # csv quoting, whitespace Python's float and int strip, bare \n line
+        # ends, blank lines between rows and underscores in numbers
+        path = tmp_path / "data.csv"
+        path.write_bytes(body.encode())
+        data = LabeledDataset.from_csv(path)
+        assert data.data.tolist() == [[1.5, -2.0], [300.0, 4.25]]
+        assert data.labels.tolist() == [1, 2]
+
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")

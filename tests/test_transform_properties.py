@@ -1,8 +1,11 @@
 """Property tests of the two invariants the weighting rests on: isotropic
-rows satisfy Y^T Y = I, and every row weight lies in (0, 1].
+rows satisfy Y^T Y = I, and every row weight lies in (0, 1]. Where a
+weight would underflow to 0, `compute_weights` raises instead.
 
 Needs hypothesis (the `test` extra); the module is skipped without it.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +14,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from structdr import LabeledDataset, compute_weights, isotropize, make_separation_family, sample
+from structdr import (
+    ConfigError,
+    LabeledDataset,
+    compute_weights,
+    isotropize,
+    make_separation_family,
+    sample,
+)
 from structdr.transform import SCHEMES
 
 # Entrywise tolerance on Y^T Y - I. The error grows like eps cond(X0)^2:
@@ -20,9 +30,14 @@ from structdr.transform import SCHEMES
 ATOL = 1e-9
 # singular values of the map lie in [10^-1, 10^1], so its cond <= 100
 LOG10_SPREAD = 1.0
-# Largest |y|^2 / alpha whose weight is a positive double: exp(-t) is 0
-# beyond about 745.13, and sqrt(1 / (1 + t)) only once t overflows.
-REPRESENTABLE = {"exponential": 745.0, "hyperbolic": np.finfo(float).max}
+# Largest |y|^2 / alpha whose weight is a positive double. exp(-t) rounds
+# to 0 once it is at most half the smallest subnormal, 2^-1075, that is
+# from t = 1075 ln 2 (745.13...) on; sqrt(1 / (1 + t)) is 0 only once t
+# overflows.
+REPRESENTABLE = {
+    "exponential": np.nextafter(1075 * np.log(2.0), 0.0),
+    "hyperbolic": np.finfo(float).max,
+}
 
 
 def random_orthogonal(rng, d):
@@ -63,9 +78,14 @@ def test_weights_lie_in_unit_interval(x, alpha, scheme):
     iso = isotropize(x)
     # |y|^2 / alpha overflows for subnormal alpha
     with np.errstate(over="ignore"):
-        weights = compute_weights(iso, alpha=alpha, scheme=scheme).weights
         ratio = np.einsum("ij,ij->i", iso.data, iso.data) / alpha
+        underflows = np.flatnonzero(ratio > REPRESENTABLE[scheme])
+        if underflows.size:
+            # the exact weight of that row lies below the smallest subnormal
+            message = f"alpha = {alpha} is too small for {scheme} weights: row {underflows[0] + 1} "
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                compute_weights(iso, alpha=alpha, scheme=scheme)
+            return
+        weights = compute_weights(iso, alpha=alpha, scheme=scheme).weights
+    assert np.all(weights > 0.0)
     assert np.all(weights <= 1.0)
-    # the exact weight is positive; in doubles it is 0 only where it lies
-    # below the smallest subnormal
-    assert np.all(weights[ratio <= REPRESENTABLE[scheme]] > 0.0)
