@@ -7,6 +7,13 @@ mixture configuration seed deliberately excludes the per-cluster sample
 size, so cells that differ only in n share the same 50 mixture draws and
 sample-size effects are paired rather than confounded.
 
+A sweep builds each mixture spec once: `run_sweep` keeps the specs it has
+built, by the arguments of `make_separation_family`, so cells that differ
+only in n_per_cluster or alpha share one spec (and its Cholesky factors).
+It drops them when the (d, k) pair changes, since in canonical order an
+earlier pair never recurs, and when it returns or raises. Nothing is
+cached across sweeps, and a `run_cell` outside a sweep builds its spec.
+
 Tasks run in the calling process, or in a pool of forked worker
 processes when more than one is asked for, and records are written in
 canonical order (grid-major, replicate-minor) either way, so repeated runs
@@ -34,6 +41,9 @@ from .transform import SCHEMES
 
 CSV_SCHEMA_LINE = "# schema=1"
 MAX_CLUSTER_CAP = 10
+# The mixture specs the running sweep has built, by the arguments of
+# make_separation_family; None outside run_sweep.
+_specs = None
 
 # Pilot-calibrated at d=7, 300 rows per cluster, unit dispersion: smallest
 # mean separation for which the weighted-data principal subspace tracks the
@@ -230,6 +240,20 @@ def derive_seeds(master_seed: int, cell: Cell, replicate: int) -> tuple:
     return int(spec_seed), int(data_seed)
 
 
+def _mixture(cell: Cell, spec_seed: int):
+    """The cell's mixture spec: built by `make_separation_family`, or
+    reused from the running sweep's specs."""
+    args = (cell.d, cell.k, cell.separation, cell.dispersion, spec_seed)
+    specs = _specs
+    if specs is None:
+        return make_separation_family(*args)
+    if args not in specs:
+        if specs and next(iter(specs))[:2] != args[:2]:
+            specs.clear()  # a new (d, k) pair: no earlier key recurs
+        specs[args] = make_separation_family(*args)
+    return specs[args]
+
+
 def run_cell(cell: Cell, replicate: int, master_seed: int) -> ExperimentRecord:
     """Execute one replicate of one grid cell.
 
@@ -242,9 +266,7 @@ def run_cell(cell: Cell, replicate: int, master_seed: int) -> ExperimentRecord:
     record = ExperimentRecord(*cell, replicate=replicate, seed=data_seed)
     start = time.perf_counter()
     try:
-        spec = make_separation_family(
-            cell.d, cell.k, cell.separation, cell.dispersion, seed=spec_seed
-        )
+        spec = _mixture(cell, spec_seed)
         data = sample(spec, cell.n_per_cluster, seed=data_seed)
         result = analyze(data, alpha=cell.alpha, scheme=cell.scheme)
         report = result.report
@@ -271,30 +293,37 @@ def run_sweep(config: ExperimentConfig, out_path=None, threads: int = 1) -> list
     pairs and of CPUs this process may use; with one worker the pairs run
     in the calling thread. Records and CSV are the same for any threads.
     The output file is opened before any computation so an unwritable path
-    fails fast, and only the calling process writes it.
+    fails fast, and only the calling process writes it. Mixture specs are
+    kept for the length of the call (see the module docstring); forked
+    workers start with none and keep their own.
     """
+    global _specs
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     tasks = [(cell, rep) for cell in config.cells() for rep in range(config.replicates)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(threads, len(tasks), cpus or 1)
     with open(out_path, "w", newline="") if out_path else nullcontext() as fh:
-        if workers > 1:
-            # Forked workers start with numpy and structdr imported; a fresh
-            # import in each would cost more than a short sweep. map returns
-            # results in task order; four chunks per worker even out cells
-            # of unequal cost.
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
+        _specs = {}
+        try:
+            if workers > 1:
+                # Forked workers start with numpy and structdr imported; a
+                # fresh import in each would cost more than a short sweep.
+                # map returns results in task order; four chunks per worker
+                # even out cells of unequal cost.
+                import multiprocessing
+                from concurrent.futures import ProcessPoolExecutor
 
-            fork = "fork" in multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context("fork" if fork else None)
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                records = list(pool.map(
-                    run_cell, *zip(*tasks), itertools.repeat(config.seed),
-                    chunksize=math.ceil(len(tasks) / (4 * workers))))
-        else:
-            records = [run_cell(cell, rep, config.seed) for cell, rep in tasks]
+                fork = "fork" in multiprocessing.get_all_start_methods()
+                context = multiprocessing.get_context("fork" if fork else None)
+                with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                    records = list(pool.map(
+                        run_cell, *zip(*tasks), itertools.repeat(config.seed),
+                        chunksize=math.ceil(len(tasks) / (4 * workers))))
+            else:
+                records = [run_cell(cell, rep, config.seed) for cell, rep in tasks]
+        finally:
+            _specs = None
         if fh is not None:
             write_records_csv(fh, records)
     return records

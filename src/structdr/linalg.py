@@ -1,5 +1,6 @@
 """Dense symmetric linear algebra: spectral and generalized-symmetric
-eigenproblems, column centering and per-cluster counts and means.
+eigenproblems, column centering, per-cluster counts and the cluster
+indicator matrix.
 
 Eigenvectors follow a deterministic sign convention (largest-magnitude
 entry positive) so downstream subspace comparisons are reproducible.
@@ -154,9 +155,9 @@ def cluster_counts(labels) -> np.ndarray:
     return counts
 
 
-def cluster_means(labels, x, counts) -> np.ndarray:
-    """(k, d) per-cluster means of the rows of x for labels in {1..k} with
-    the given cluster sizes, from the indicator-matrix product E^T x."""
-    indicator = np.zeros((labels.size, counts.size))
+def cluster_indicator(labels, k: int) -> np.ndarray:
+    """(n, k) indicator matrix E of labels in {1..k}: E[i, l-1] = 1 when
+    row i is in cluster l, else 0. E^T x sums the rows of x per cluster."""
+    indicator = np.zeros((labels.size, k))
     indicator[np.arange(labels.size), labels - 1] = 1.0
-    return (indicator.T @ x) / counts[:, None]
+    return indicator

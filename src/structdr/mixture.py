@@ -4,7 +4,7 @@ sampling, and a seeded separation/dispersion family for simulation sweeps.
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,11 +20,14 @@ class MixtureSpec:
     """k-component Gaussian mixture with mixing factors fixed at 1/k.
 
     means: (k, d) component means; covariances: (k, d, d) SPD matrices.
-    Requires d > k - 1 so there is room to reduce dimension.
+    Requires d > k - 1 so there is room to reduce dimension. factors holds
+    the lower Cholesky factor L_l of each covariance, computed once when
+    the covariances are validated and used by every draw.
     """
 
     means: np.ndarray
     covariances: np.ndarray
+    factors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         means = np.asarray(self.means, dtype=float)
@@ -40,17 +43,19 @@ class MixtureSpec:
             raise ConfigError(f"need dimension d > k - 1, got d = {d}, k = {k}")
         if not (np.isfinite(means).all() and np.isfinite(covs).all()):
             raise ConfigError("means and covariances must be finite")
+        factors = np.empty_like(covs)
         for l, cov in enumerate(covs):
             if np.abs(cov - cov.T).max() > 1e-10 * max(1.0, np.abs(cov).max()):
                 raise ConfigError(f"covariance {l} is not symmetric")
             try:
-                np.linalg.cholesky(cov)
+                factors[l] = np.linalg.cholesky(cov)
             except np.linalg.LinAlgError:
                 raise DefinitenessError(
                     f"covariance {l} is not positive definite (Cholesky failed)"
                 ) from None
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covariances", covs)
+        object.__setattr__(self, "factors", factors)
 
     @property
     def k(self) -> int:
@@ -59,6 +64,21 @@ class MixtureSpec:
     @property
     def d(self) -> int:
         return self.means.shape[1]
+
+    def draw(self, counts, rng) -> np.ndarray:
+        """counts[l] rows from component l, in component order: the rows
+        mu_l + z @ L_l^T for i.i.d. standard normal z. All the z come from
+        one draw, which is the same PCG64 stream as one draw per component,
+        and each block's product is written in place, so no block is copied."""
+        z = rng.standard_normal((sum(counts), self.d))
+        rows = np.empty_like(z)
+        start = 0
+        for mean, factor, count in zip(self.means, self.factors, counts):
+            block = slice(start, start + count)
+            np.matmul(z[block], factor.T, out=rows[block])
+            rows[block] += mean
+            start += count
+        return rows
 
     def to_json(self) -> str:
         return json.dumps(
@@ -135,15 +155,20 @@ class LabeledDataset:
 
     @classmethod
     def from_csv(cls, path) -> "LabeledDataset":
-        """Read a CSV with header x1,...,xd,label. Malformed content raises
-        ConfigError naming the file, the data row (from 1, blank lines
-        skipped) and the column."""
+        """Read a CSV with header exactly x1,...,xd,label, d >= 1. Another
+        header raises ConfigError naming the file and quoting the header;
+        malformed content raises ConfigError naming the file, the data row
+        (from 1, blank lines skipped) and the column."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if not header or header[-1] != "label":
-                raise ConfigError(f"{path}: expected header x1,...,xd,label")
+            header = next(reader, None) or []
             d = len(header) - 1
+            if d < 1 or header != [f"x{j + 1}" for j in range(d)] + ["label"]:
+                empty = "data has no feature columns: " if header == ["label"] else ""
+                raise ConfigError(
+                    f"{path}: {empty}expected header x1,...,xd,label with d >= 1, "
+                    f"found {','.join(header)!r}"
+                )
             data, labels = [], []
             for row in reader:
                 if not row:
@@ -196,8 +221,8 @@ def sample(spec: MixtureSpec, n_per_cluster: int, seed) -> LabeledDataset:
 
     Stratified (exact-count) sampling keeps cluster sizes balanced in every
     finite sample. Rows for component l are mu_l + z @ chol(Sigma_l)^T with
-    z i.i.d. standard normal from a PCG64 stream, so output is bit
-    reproducible for a fixed seed.
+    z i.i.d. standard normal from a PCG64 stream (`MixtureSpec.draw`), so
+    output is bit reproducible for a fixed seed.
     """
     if n_per_cluster < 1:
         raise ConfigError(f"n_per_cluster must be >= 1, got {n_per_cluster}")
@@ -207,14 +232,9 @@ def sample(spec: MixtureSpec, n_per_cluster: int, seed) -> LabeledDataset:
             f"sample too small: n = {n} but need n >= {MIN_ROWS_PER_DIM}*d = "
             f"{MIN_ROWS_PER_DIM * spec.d} for d = {spec.d}"
         )
-    rng = np.random.default_rng(seed)
-    blocks = []
-    for mean, cov in zip(spec.means, spec.covariances):
-        factor = np.linalg.cholesky(cov)
-        z = rng.standard_normal((n_per_cluster, spec.d))
-        blocks.append(mean + z @ factor.T)
+    rows = spec.draw((n_per_cluster,) * spec.k, np.random.default_rng(seed))
     labels = np.repeat(np.arange(1, spec.k + 1), n_per_cluster)
-    return LabeledDataset(data=np.vstack(blocks), labels=labels)
+    return LabeledDataset(data=rows, labels=labels)
 
 
 def _simplex_vertices(k: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from .linalg import (
     apply_centering,
     check_symmetric,
     cluster_counts,
-    cluster_means,
+    cluster_indicator,
     sym_eig,
     symmetrize,
     total_whitener,
@@ -88,11 +88,11 @@ class PerturbationReport:
     empirical_sd_norm: float
 
 
-def _scatter_pair(centered: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> ScatterPair:
+def _scatter_pair(centered: np.ndarray, indicator: np.ndarray, counts: np.ndarray) -> ScatterPair:
     """Scatter pair of already-centered rows: one pass over the rows for T
-    and one indicator product for the cluster sums."""
+    and one product with the (n, k) cluster indicator for the cluster sums."""
     total = symmetrize(centered.T @ centered)
-    offsets = cluster_means(labels, centered, counts)  # cluster means of the centered data
+    offsets = (indicator.T @ centered) / counts[:, None]  # cluster means of the centered data
     between = symmetrize((offsets * counts[:, None]).T @ offsets)
     return ScatterPair(total=total, between=between)
 
@@ -100,7 +100,9 @@ def _scatter_pair(centered: np.ndarray, labels: np.ndarray, counts: np.ndarray) 
 def scatter_matrices(data: LabeledDataset) -> ScatterPair:
     """Total and between-cluster scatter of a labeled dataset with n > d."""
     check_rows(data)
-    return _scatter_pair(apply_centering(data.data), data.labels, cluster_counts(data.labels))
+    counts = cluster_counts(data.labels)
+    indicator = cluster_indicator(data.labels, counts.size)
+    return _scatter_pair(apply_centering(data.data), indicator, counts)
 
 
 def _check_cluster_count(k: int, d: int):
@@ -143,19 +145,13 @@ def sdist_overlap(spec: MixtureSpec, mc_samples: int = DEFAULT_MC_SAMPLES,
         )
     if not isinstance(mc_samples, (int, np.integer)) or mc_samples < MIN_MC_SAMPLES:
         raise ConfigError(f"mc_samples must be an int >= {MIN_MC_SAMPLES}, got {mc_samples!r}")
-    rng = np.random.default_rng(seed)
     half = mc_samples // 2
-    factors = [np.linalg.cholesky(cov) for cov in spec.covariances]
-    draws = []
-    for mean, factor, m in zip(spec.means, factors, (half, mc_samples - half)):
-        z = rng.standard_normal((m, spec.d))
-        draws.append(mean + z @ factor.T)
-    points = np.vstack(draws)
+    points = spec.draw((half, mc_samples - half), np.random.default_rng(seed))
     # log f_l(x) = -log det L_l - |L_l^{-1}(x - mu_l)|^2 / 2 - (d/2) log(2 pi),
     # where L_l L_l^T = Sigma_l; the shared constant cancels in the ratio
     log_f = [-np.log(np.diag(factor)).sum()
              - 0.5 * np.square(np.linalg.solve(factor, (points - mean).T)).sum(axis=0)
-             for mean, factor in zip(spec.means, factors)]
+             for mean, factor in zip(spec.means, spec.factors)]
     # min(f1, f2) / (f1 + f2) = 1 / (1 + exp|log f1 - log f2|), in a form exp cannot overflow
     tail = np.exp(-np.abs(log_f[0] - log_f[1]))
     ratio = tail / (1.0 + tail)
@@ -200,14 +196,14 @@ def _compare(x: LabeledDataset, iso: IsotropicDataset, z0: np.ndarray, alpha: fl
     by the scatter differences; the spread of the squared norms of Y's
     rows is reported."""
     counts = cluster_counts(x.labels)
-    y_pair = _scatter_pair(iso.data, x.labels, counts)
+    indicator = cluster_indicator(x.labels, counts.size)
+    y_pair = _scatter_pair(iso.data, indicator, counts)
     y_fisher = fisher_solve(y_pair, x.k)
-    z_pair = _scatter_pair(z0, x.labels, counts)
+    z_pair = _scatter_pair(z0, indicator, counts)
     z_fisher = fisher_solve(z_pair, x.k)
     predicted = perturb_eigs_first_order(
         y_fisher.eigen, z_pair.between - y_pair.between, z_pair.total - y_pair.total
     )
-    sqnorms = np.einsum("ij,ij->i", iso.data, iso.data)
     lambda_x = y_fisher.distinctness
     lambda_z = z_fisher.distinctness
     bound = proposition1_bound(x.n, x.d, x.k, alpha, lambda_x)
@@ -223,7 +219,7 @@ def _compare(x: LabeledDataset, iso: IsotropicDataset, z0: np.ndarray, alpha: fl
         bound_rhs=bound,
         bound_satisfied=bool(delta <= bound),
         predicted_values=predicted,
-        empirical_sd_norm=float(sqnorms.std(ddof=0)),
+        empirical_sd_norm=float(iso.sqnorms.std(ddof=0)),
     )
     return report, y_fisher, z_fisher
 

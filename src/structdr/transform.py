@@ -10,11 +10,12 @@ variation among peripheral rows.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .linalg import EigenSolution, apply_centering, sym_eig, symmetrize, total_whitener
+from .linalg import EigenSolution, sym_eig, symmetrize, total_whitener
 from .mixture import LabeledDataset
 
 DEFAULT_ALPHA = 0.5
@@ -41,6 +42,12 @@ class IsotropicDataset:
     @property
     def d(self) -> int:
         return self.data.shape[1]
+
+    @cached_property
+    def sqnorms(self) -> np.ndarray:
+        """Squared row norms |y_i|^2, computed on first use: the weights
+        and the analysis's norm spread read the same array."""
+        return np.einsum("ij,ij->i", self.data, self.data)
 
     def as_labeled(self) -> LabeledDataset:
         return LabeledDataset(data=self.data, labels=self.labels)
@@ -109,7 +116,7 @@ def compute_weights(y: IsotropicDataset, alpha: float = DEFAULT_ALPHA,
         raise ConfigError(f"weighting parameter alpha must be finite and > 0, got {alpha}")
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown weighting scheme {scheme!r}; expected one of {SCHEMES}")
-    sqnorms = np.einsum("ij,ij->i", y.data, y.data)
+    sqnorms = y.sqnorms
     if scheme == "hyperbolic":
         weights = np.sqrt(1.0 / (1.0 + sqnorms / alpha))
     else:
@@ -129,7 +136,8 @@ def apply_weights(y: IsotropicDataset, w: WeightVector) -> LabeledDataset:
         raise ShapeError(
             f"weight vector has length {w.weights.shape[0]}, dataset has {y.n} rows"
         )
-    weighted = apply_centering(w.weights[:, None] * y.data)
+    weighted = w.weights[:, None] * y.data
+    weighted -= weighted.mean(axis=0)
     return LabeledDataset(data=weighted, labels=y.labels)
 
 

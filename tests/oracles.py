@@ -1,6 +1,7 @@
 """Dense reference implementations that the tests compare the library
-against: the materialized centering and hat operators, and the exact
-population moments of an equal-weight Gaussian mixture.
+against: the materialized centering and hat operators, the exact
+population moments of an equal-weight Gaussian mixture, and mixture
+draws made one component at a time.
 
 None of them runs on a production path; they are kept here, next to the
 tests, as independent oracles.
@@ -8,9 +9,11 @@ tests, as independent oracles.
 
 from dataclasses import dataclass
 
+import math
+
 import numpy as np
 
-from structdr import MissingClusterError, MixtureSpec
+from structdr import LabeledDataset, MissingClusterError, MixtureSpec
 from structdr.linalg import cluster_counts, symmetrize
 
 
@@ -66,3 +69,34 @@ def population_moments(spec: MixtureSpec) -> MixtureMoments:
         within=symmetrize(within),
         between=symmetrize(between),
     )
+
+
+def blockwise_draw(spec: MixtureSpec, counts, rng) -> np.ndarray:
+    """counts[l] rows from component l: one standard-normal draw and one
+    fresh Cholesky factor per component, the blocks stacked at the end."""
+    blocks = []
+    for mean, cov, count in zip(spec.means, spec.covariances, counts):
+        factor = np.linalg.cholesky(cov)
+        z = rng.standard_normal((count, spec.d))
+        blocks.append(mean + z @ factor.T)
+    return np.vstack(blocks)
+
+
+def blockwise_sample(spec: MixtureSpec, n_per_cluster: int, seed) -> LabeledDataset:
+    """`sample` drawn one component at a time."""
+    rows = blockwise_draw(spec, (n_per_cluster,) * spec.k, np.random.default_rng(seed))
+    return LabeledDataset(data=rows, labels=np.repeat(np.arange(1, spec.k + 1), n_per_cluster))
+
+
+def blockwise_sdist_overlap(spec: MixtureSpec, mc_samples: int, seed) -> tuple:
+    """(value, std_error) of `sdist_overlap`, from a blockwise draw and
+    Cholesky factors computed afresh."""
+    half = mc_samples // 2
+    points = blockwise_draw(spec, (half, mc_samples - half), np.random.default_rng(seed))
+    factors = [np.linalg.cholesky(cov) for cov in spec.covariances]
+    log_f = [-np.log(np.diag(factor)).sum()
+             - 0.5 * np.square(np.linalg.solve(factor, (points - mean).T)).sum(axis=0)
+             for mean, factor in zip(spec.means, factors)]
+    tail = np.exp(-np.abs(log_f[0] - log_f[1]))
+    ratio = tail / (1.0 + tail)
+    return 1.0 - float(ratio.mean()), float(ratio.std(ddof=1) / math.sqrt(mc_samples))

@@ -190,6 +190,17 @@ class TestMalformedDataset:
         assert run_cli(verb, "--data", str(path), "--out", str(tmp_path / "out")) == 2
         assert f"{path}: {missing}" in capsys.readouterr().err
 
+    def test_transform_weights_file_is_not_a_dataset(self, tmp_path, capsys):
+        data = Path(__file__).resolve().parent / "data" / "gen_d4_k2_n30_s1.csv"
+        assert run_cli("transform", "--data", str(data), "--out", str(tmp_path / "stage")) == 0
+        weights = tmp_path / "stage_weights.csv"
+        capsys.readouterr()
+        assert run_cli("analyze", "--data", str(weights)) == 2
+        assert capsys.readouterr().err == (
+            f"structdr: configuration error: {weights}: expected header "
+            "x1,...,xd,label with d >= 1, found 'weight,label'\n"
+        )
+
 
 class TestSweepAndRecipe:
     def test_recipe_then_sweep(self, tmp_path):

@@ -67,6 +67,36 @@ def pid_logging_run_cell(log, cell, replicate, master_seed):
     return run_cell(cell, replicate, master_seed)
 
 
+def specs_logging_run_cell(log, cell, replicate, master_seed):
+    """run_cell that first appends its process id and the number of specs
+    the sweep has kept in this process to `log`."""
+    with open(log, "a") as fh:
+        fh.write(f"{os.getpid()} {len(experiment._specs)}\n")
+    return run_cell(cell, replicate, master_seed)
+
+
+def reuse_config(**overrides):
+    """Several sample sizes and alphas per mixture, over two (d, k) pairs."""
+    base = dict(dims=[3, 4], clusters=[2, 3], n_per_cluster=[30, 45], alphas=[0.5, 2.0],
+                separations=[2.0, 3.0])
+    return small_config(**{**base, **overrides})
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The argument tuples of every make_separation_family call that
+    experiment makes."""
+    calls = []
+    build = experiment.make_separation_family
+
+    def counting_build(*args, **kwargs):
+        calls.append(args + tuple(kwargs.values()))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "make_separation_family", counting_build)
+    return calls
+
+
 class TestExperimentConfig:
     def test_grid_pair_validation(self):
         with pytest.raises(ConfigError, match="d > k - 1"):
@@ -284,6 +314,80 @@ class TestRunSweep:
         assert (7, "failed") in statuses
         parsed = read_records_csv(tmp_path / "mixed.csv")
         assert [r.status for r in parsed] == [r.status for r in records]
+
+
+class TestSpecReuse:
+    def test_sweep_records_equal_fresh_run_cell(self):
+        config = reuse_config()
+        fresh = [run_cell(cell, rep, config.seed)
+                 for cell in config.cells() for rep in range(config.replicates)]
+        assert_same_records(run_sweep(config), fresh)
+
+    def test_one_build_per_mixture(self, builds, monkeypatch):
+        kept = []
+
+        def kept_logging_run_cell(cell, replicate, master_seed):
+            record = run_cell(cell, replicate, master_seed)
+            kept.append(len(experiment._specs))
+            return record
+
+        monkeypatch.setattr(experiment, "run_cell", kept_logging_run_cell)
+        config = reuse_config()
+        run_sweep(config, threads=1)
+        # the specs of one (d, k) pair at most: separations x replicates
+        assert max(kept) == 2 * config.replicates
+        # (d, k) pairs x separations x dispersions x replicates; n and alpha
+        # share the spec
+        assert len(builds) == 4 * 2 * 1 * config.replicates
+        assert len(set(builds)) == len(builds)
+        assert {b[:4] for b in builds} == {
+            (c.d, c.k, c.separation, c.dispersion) for c in config.cells()}
+
+    def test_every_sweep_builds_its_own(self, builds):
+        config = reuse_config()
+        run_sweep(config)
+        first = list(builds)
+        run_sweep(config)
+        assert builds == first + first
+
+    def test_bare_run_cell_builds_fresh(self, builds):
+        cell = Cell(3, 2, 30, 0.5, 3.0, 1.0, "hyperbolic")
+        run_cell(cell, 0, 7)
+        run_cell(cell._replace(n_per_cluster=45), 0, 7)
+        assert len(builds) == 2 and builds[0] == builds[1]
+        assert experiment._specs is None
+
+    def test_no_specs_left_after_return_or_raise(self, monkeypatch, tmp_path):
+        assert experiment._specs is None
+        run_sweep(reuse_config(), out_path=tmp_path / "out.csv")
+        assert experiment._specs is None
+        with pytest.raises(OSError):
+            run_sweep(reuse_config(), out_path=tmp_path / "missing" / "out.csv")
+        assert experiment._specs is None
+
+        def failing_run_cell(cell, replicate, master_seed):
+            if cell.k == 3:
+                raise RuntimeError("interrupted")
+            return run_cell(cell, replicate, master_seed)
+
+        monkeypatch.setattr(experiment, "run_cell", failing_run_cell)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run_sweep(reuse_config())
+        assert experiment._specs is None
+
+    @pytest.mark.skipif(available_cpus() < 2, reason="needs 2 CPUs for 2 workers")
+    def test_workers_start_with_no_specs(self, monkeypatch, tmp_path):
+        serial = run_sweep(reuse_config())
+        log = tmp_path / "specs"
+        monkeypatch.setattr(experiment, "run_cell",
+                            functools.partial(specs_logging_run_cell, log))
+        assert_same_records(run_sweep(reuse_config(), threads=2), serial)
+        first = {}
+        for line in log.read_text().splitlines():
+            pid, kept = map(int, line.split())
+            first.setdefault(pid, kept)
+        assert os.getpid() not in first
+        assert set(first.values()) == {0}
 
 
 class TestRecipes:

@@ -1,18 +1,26 @@
-"""Golden sweep CSV: the `prop1` recipe at 3 replicates and seed 0 must
-reproduce `tests/data/prop1_r3.csv` under the benchmark's reference rule
-(`perfbench/gate.py::compare_reference`). Coordinates, seed, status,
-reason and bound_satisfied must be identical, and float columns must agree
-within its FLOAT_ATOL (1e-9).
+"""Golden sweep CSVs, all at seed 0.
+
+The `prop1` recipe at 3 replicates must reproduce `tests/data/prop1_r3.csv`
+under the benchmark's reference rule (`perfbench/gate.py::compare_reference`).
+Coordinates, seed, status, reason and bound_satisfied must be identical,
+and float columns must agree within its FLOAT_ATOL (1e-9).
+
+`fig3_d20_largen` at 1 replicate (up to 20000 x 20 rows, the large row
+kernel) and `fig3_d7` at 2 replicates must reproduce their goldens byte
+for byte, on one worker process and on two.
 """
 
 import importlib.util
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from structdr import recipe, run_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = Path(__file__).resolve().parent / "data" / "prop1_r3.csv"
+DATA = Path(__file__).resolve().parent / "data"
+GOLDEN = DATA / "prop1_r3.csv"
 
 
 def load_gate():
@@ -27,3 +35,12 @@ def test_prop1_sweep_matches_golden_csv(tmp_path):
     run_sweep(replace(recipe("prop1"), replicates=3, seed=0), out_path=out)
     ok, detail = load_gate().compare_reference(out, GOLDEN)
     assert ok, detail
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name,replicates", [("fig3_d20_largen", 1), ("fig3_d7", 2)])
+def test_sweep_writes_golden_bytes(tmp_path, name, replicates, threads):
+    out = tmp_path / f"{name}.csv"
+    run_sweep(replace(recipe(name), replicates=replicates, seed=0), out_path=out,
+              threads=threads)
+    assert out.read_bytes() == (DATA / f"{name}_r{replicates}.csv").read_bytes()

@@ -18,7 +18,7 @@ from structdr import (
 from structdr.errors import DefinitenessError
 from structdr.linalg import cluster_counts
 
-from oracles import population_moments
+from oracles import blockwise_sample, blockwise_sdist_overlap, population_moments
 
 
 def two_component_spec(sep=2.0):
@@ -97,6 +97,23 @@ class TestSample:
         spec = make_separation_family(5, 2, 2.0, 1.0, seed=0)
         with pytest.raises(ConfigError, match="too small"):
             sample(spec, 10, seed=0)  # n = 20 < 10 * d = 50
+
+    @pytest.mark.parametrize("d,k,n_per", [
+        (2, 2, 100), (3, 2, 17), (7, 3, 100), (7, 7, 300), (13, 4, 33), (20, 10, 301),
+    ])
+    def test_one_draw_equals_blockwise_draws(self, d, k, n_per):
+        # one standard-normal draw for all rows is the same PCG64 stream as
+        # one draw per component, and the cached factors are the fresh ones
+        for seed in range(3):
+            spec = make_separation_family(d, k, 3.0, 1.5, seed=seed)
+            got, want = sample(spec, n_per, seed=seed + 10), blockwise_sample(spec, n_per, seed + 10)
+            assert got.data.tobytes() == want.data.tobytes()
+            np.testing.assert_array_equal(got.labels, want.labels)
+
+    def test_cached_factors_are_the_cholesky_factors(self):
+        spec = make_separation_family(6, 4, 2.0, 1.3, seed=3)
+        for cov, factor in zip(spec.covariances, spec.factors):
+            assert factor.tobytes() == np.linalg.cholesky(cov).tobytes()
 
     def test_row_permutation_preserves_unlabeled_statistics(self):
         spec = make_separation_family(3, 2, 3.0, 1.0, seed=2)
@@ -180,6 +197,12 @@ class TestSeparationFamily:
         est = sdist_overlap(spec, 200_000, seed=1)
         assert est.value > 0.95
 
+    @pytest.mark.parametrize("d,mc_samples,seed", [(2, 10_000, 0), (4, 20_001, 1), (9, 30_000, 7)])
+    def test_overlap_estimate_unchanged_by_one_draw(self, d, mc_samples, seed):
+        spec = make_separation_family(d, 2, 3.0, 1.0, seed=seed)
+        est = sdist_overlap(spec, mc_samples, seed=seed + 1)
+        assert (est.value, est.std_error) == blockwise_sdist_overlap(spec, mc_samples, seed + 1)
+
     def test_invalid_parameters(self):
         with pytest.raises(ConfigError):
             make_separation_family(2, 3, 1.0, 1.0, seed=0)
@@ -220,6 +243,18 @@ class TestLabeledDatasetCsv:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ConfigError):
             LabeledDataset.from_csv(path)
+
+    @pytest.mark.parametrize("header", [
+        "a,b,label", "x2,x1,label", "x1,x3,label", "X1,label", "x1,x2", "weight,label", "",
+    ])
+    def test_header_must_be_x1_to_xd_then_label(self, tmp_path, header):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n1.0,2.0,1\n3.0,4.0,2\n")
+        with pytest.raises(ConfigError) as caught:
+            LabeledDataset.from_csv(path)
+        assert str(caught.value) == (
+            f"{path}: expected header x1,...,xd,label with d >= 1, found {header!r}"
+        )
 
     def test_labels_must_cover_range(self):
         with pytest.raises(Exception):
