@@ -7,18 +7,14 @@ mixture configuration seed deliberately excludes the per-cluster sample
 size, so cells that differ only in n share the same 50 mixture draws and
 sample-size effects are paired rather than confounded.
 
-A sweep builds each mixture spec once: `run_sweep` keeps the specs it has
-built, by the arguments of `make_separation_family`, so cells that differ
-only in n_per_cluster or alpha share one spec (and its Cholesky factors).
-It drops them when the (d, k) pair changes, since in canonical order an
-earlier pair never recurs, and when it returns or raises. Nothing is
-cached across sweeps, and a `run_cell` outside a sweep builds its spec.
-
-Tasks run in the calling process, or in a pool of forked worker
-processes when more than one is asked for, and records are written in
-canonical order (grid-major, replicate-minor) either way, so repeated runs
-and any worker count produce byte-identical CSV bodies. Wall-clock timings
-are kept on the in-memory records only, never serialized.
+A sweep's unit of work is one replicate of the cells that share a
+geometry (d, k, separation, dispersion): it builds that mixture once and
+runs every (n_per_cluster, alpha) cell on it. Units run in the calling
+process, or in a pool of forked worker processes when more than one is
+asked for, and records are put back in canonical order (grid-major,
+replicate-minor) either way, so repeated runs and any worker count produce
+byte-identical CSV bodies. Wall-clock timings are kept on the in-memory
+records only, never serialized.
 """
 
 import csv
@@ -41,9 +37,6 @@ from .transform import SCHEMES
 
 CSV_SCHEMA_LINE = "# schema=1"
 MAX_CLUSTER_CAP = 10
-# The mixture specs the running sweep has built, by the arguments of
-# make_separation_family; None outside run_sweep.
-_specs = None
 
 # Pilot-calibrated at d=7, 300 rows per cluster, unit dispersion: smallest
 # mean separation for which the weighted-data principal subspace tracks the
@@ -222,6 +215,11 @@ def _float_bits(value: float) -> int:
     return int(np.float64(value).view(np.uint64))
 
 
+def _geometry(cell: Cell) -> tuple:
+    """The coordinates that fix a cell's mixture, floats by their bits."""
+    return (cell.d, cell.k, _float_bits(cell.separation), _float_bits(cell.dispersion))
+
+
 def derive_seeds(master_seed: int, cell: Cell, replicate: int) -> tuple:
     """Deterministic (mixture_seed, data_seed) for one replicate.
 
@@ -229,10 +227,7 @@ def derive_seeds(master_seed: int, cell: Cell, replicate: int) -> tuple:
     replicate but not on n_per_cluster or alpha, so the same mixture
     configurations recur across sample sizes and weighting strengths.
     """
-    base = (
-        int(master_seed), cell.d, cell.k,
-        _float_bits(cell.separation), _float_bits(cell.dispersion), int(replicate),
-    )
+    base = (int(master_seed), *_geometry(cell), int(replicate))
     spec_seed = np.random.SeedSequence(base + (1,)).generate_state(1, np.uint64)[0]
     data_seed = np.random.SeedSequence(base + (2, cell.n_per_cluster)).generate_state(
         1, np.uint64
@@ -240,33 +235,22 @@ def derive_seeds(master_seed: int, cell: Cell, replicate: int) -> tuple:
     return int(spec_seed), int(data_seed)
 
 
-def _mixture(cell: Cell, spec_seed: int):
-    """The cell's mixture spec: built by `make_separation_family`, or
-    reused from the running sweep's specs."""
-    args = (cell.d, cell.k, cell.separation, cell.dispersion, spec_seed)
-    specs = _specs
-    if specs is None:
-        return make_separation_family(*args)
-    if args not in specs:
-        if specs and next(iter(specs))[:2] != args[:2]:
-            specs.clear()  # a new (d, k) pair: no earlier key recurs
-        specs[args] = make_separation_family(*args)
-    return specs[args]
-
-
-def run_cell(cell: Cell, replicate: int, master_seed: int) -> ExperimentRecord:
+def run_cell(cell: Cell, replicate: int, master_seed: int, spec=None) -> ExperimentRecord:
     """Execute one replicate of one grid cell.
 
-    Pipeline: draw a mixture and a sample, then `analyze` it: subspace
-    similarity on the raw and the weighted data, and the distinctness
-    shift against the closed-form bound. Module errors mark the record
-    failed instead of aborting the sweep.
+    Pipeline: draw a mixture (unless `spec` is given, the one already
+    built) and a sample, then `analyze` it: subspace similarity on the raw
+    and the weighted data, and the distinctness shift against the
+    closed-form bound. Module errors mark the record failed instead of
+    aborting the sweep.
     """
     spec_seed, data_seed = derive_seeds(master_seed, cell, replicate)
     record = ExperimentRecord(*cell, replicate=replicate, seed=data_seed)
     start = time.perf_counter()
     try:
-        spec = _mixture(cell, spec_seed)
+        if spec is None:
+            spec = make_separation_family(
+                cell.d, cell.k, cell.separation, cell.dispersion, spec_seed)
         data = sample(spec, cell.n_per_cluster, seed=data_seed)
         result = analyze(data, alpha=cell.alpha, scheme=cell.scheme)
         report = result.report
@@ -285,45 +269,58 @@ def run_cell(cell: Cell, replicate: int, master_seed: int) -> ExperimentRecord:
     return record
 
 
+def _run_geometry(cells: list, replicate: int, master_seed: int) -> list:
+    """One replicate of cells that share a geometry, all run on one build
+    of their mixture. A failed build is retried and recorded per cell."""
+    c = cells[0]
+    spec_seed, _ = derive_seeds(master_seed, c, replicate)
+    try:
+        spec = make_separation_family(c.d, c.k, c.separation, c.dispersion, spec_seed)
+    except StructdrError:
+        spec = None
+    return [run_cell(cell, replicate, master_seed, spec) for cell in cells]
+
+
 def run_sweep(config: ExperimentConfig, out_path=None, threads: int = 1) -> list:
-    """Run every (cell, replicate) pair in canonical order and write the CSV
-    to out_path if one is given.
+    """Run every (cell, replicate) pair and write the CSV to out_path if
+    one is given.
 
     threads is the number of worker processes, capped at the number of
-    pairs and of CPUs this process may use; with one worker the pairs run
-    in the calling thread. Records and CSV are the same for any threads.
-    The output file is opened before any computation so an unwritable path
-    fails fast, and only the calling process writes it. Mixture specs are
-    kept for the length of the call (see the module docstring); forked
-    workers start with none and keep their own.
+    units (one replicate of a geometry, see the module docstring) and of
+    CPUs this process may use; with one worker the units run in the
+    calling thread. Records and CSV are the same for any threads. The
+    output file is opened before any computation so an unwritable path
+    fails fast, and only the calling process writes it.
     """
-    global _specs
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
-    tasks = [(cell, rep) for cell in config.cells() for rep in range(config.replicates)]
+    cells = config.cells()
+    groups = {}
+    for i, cell in enumerate(cells):
+        groups.setdefault(_geometry(cell), []).append(i)
+    units = [(indices, rep) for indices in groups.values() for rep in range(config.replicates)]
+    tasks = [([cells[i] for i in indices], rep) for indices, rep in units]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(threads, len(tasks), cpus or 1)
+    workers = min(threads, len(units), cpus or 1)
     with open(out_path, "w", newline="") if out_path else nullcontext() as fh:
-        _specs = {}
-        try:
-            if workers > 1:
-                # Forked workers start with numpy and structdr imported; a
-                # fresh import in each would cost more than a short sweep.
-                # map returns results in task order; four chunks per worker
-                # even out cells of unequal cost.
-                import multiprocessing
-                from concurrent.futures import ProcessPoolExecutor
+        if workers > 1:
+            # Forked workers start with numpy and structdr imported; a
+            # fresh import in each would cost more than a short sweep.
+            # map returns results in unit order; four chunks per worker
+            # even out units of unequal cost.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-                fork = "fork" in multiprocessing.get_all_start_methods()
-                context = multiprocessing.get_context("fork" if fork else None)
-                with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                    records = list(pool.map(
-                        run_cell, *zip(*tasks), itertools.repeat(config.seed),
-                        chunksize=math.ceil(len(tasks) / (4 * workers))))
-            else:
-                records = [run_cell(cell, rep, config.seed) for cell, rep in tasks]
-        finally:
-            _specs = None
+            fork = "fork" in multiprocessing.get_all_start_methods()
+            context = multiprocessing.get_context("fork" if fork else None)
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                results = list(pool.map(
+                    _run_geometry, *zip(*tasks), itertools.repeat(config.seed),
+                    chunksize=math.ceil(len(units) / (4 * workers))))
+        else:
+            results = [_run_geometry(group, rep, config.seed) for group, rep in tasks]
+        order = [i * config.replicates + rep for indices, rep in units for i in indices]
+        records = [record for _, record in sorted(zip(order, itertools.chain(*results)))]
         if fh is not None:
             write_records_csv(fh, records)
     return records

@@ -283,6 +283,8 @@ def make_separation_family(d: int, k: int, separation: float, dispersion: float,
         raise ConfigError(f"separation must be >= 0, got {separation}")
     if dispersion <= 0:
         raise ConfigError(f"dispersion must be > 0, got {dispersion}")
+    if dispersion > np.sqrt(np.finfo(float).max / COVARIANCE_CONDITION_CAP):
+        raise ConfigError(f"dispersion = {dispersion} is too large: the covariances overflow")
     rng = np.random.default_rng(seed)
     frame = _random_orthogonal(rng, d)[:, : k - 1]
     means = separation * (_simplex_vertices(k) @ frame.T)

@@ -67,6 +67,12 @@ class TestGenerate:
         assert code == 2
         assert f"need k >= 1, got k = {k}" in capsys.readouterr().err
 
+    def test_dispersion_whose_covariances_overflow_is_config_error(self, tmp_path, capsys):
+        code = run_cli("generate", "--d", "3", "--k", "2", "--dispersion", "1e200",
+                       "--n-per-cluster", "20", "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "dispersion = 1e+200 is too large: the covariances overflow" in capsys.readouterr().err
+
     def test_non_spd_spec_is_numerical_error(self, tmp_path):
         spec_path = tmp_path / "bad.json"
         spec_path.write_text(

@@ -7,7 +7,7 @@ import functools
 import json
 import os
 import threading
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -24,6 +24,7 @@ from structdr import (
 )
 from structdr import experiment
 from structdr.experiment import derive_seeds, write_records_csv
+from structdr.mixture import make_separation_family
 
 
 def small_config(**overrides):
@@ -59,20 +60,27 @@ def available_cpus():
     return os.cpu_count() or 1
 
 
-def pid_logging_run_cell(log, cell, replicate, master_seed):
+def pid_logging_run_cell(log, cell, replicate, master_seed, spec=None):
     """run_cell that first appends its process id to `log`. Defined at module
     level so that a process pool can send it to its workers."""
     with open(log, "a") as fh:
         fh.write(f"{os.getpid()}\n")
-    return run_cell(cell, replicate, master_seed)
+    return run_cell(cell, replicate, master_seed, spec)
 
 
-def specs_logging_run_cell(log, cell, replicate, master_seed):
-    """run_cell that first appends its process id and the number of specs
-    the sweep has kept in this process to `log`."""
-    with open(log, "a") as fh:
-        fh.write(f"{os.getpid()} {len(experiment._specs)}\n")
-    return run_cell(cell, replicate, master_seed)
+def logged_builds(monkeypatch, log):
+    """Make experiment's make_separation_family append its process id and
+    arguments to `log`, in this process and in the workers it forks; returns
+    a function that reads the log as (pid, arguments) pairs."""
+
+    def logging_build(*args):
+        with open(log, "a") as fh:
+            fh.write(json.dumps([os.getpid(), args]) + "\n")
+        return make_separation_family(*args)
+
+    monkeypatch.setattr(experiment, "make_separation_family", logging_build)
+    return lambda: [(pid, tuple(args))
+                    for pid, args in map(json.loads, log.read_text().splitlines())]
 
 
 def reuse_config(**overrides):
@@ -244,9 +252,9 @@ class TestRunSweep:
     def test_one_thread_computes_every_record_in_calling_thread(self, monkeypatch):
         idents = []
 
-        def recording_run_cell(cell, replicate, master_seed):
+        def recording_run_cell(cell, replicate, master_seed, spec=None):
             idents.append(threading.get_ident())
-            return run_cell(cell, replicate, master_seed)
+            return run_cell(cell, replicate, master_seed, spec)
 
         monkeypatch.setattr(experiment, "run_cell", recording_run_cell)
         records = run_sweep(small_config(dims=[3, 4], replicates=4), threads=1)
@@ -315,6 +323,37 @@ class TestRunSweep:
         parsed = read_records_csv(tmp_path / "mixed.csv")
         assert [r.status for r in parsed] == [r.status for r in records]
 
+    @pytest.mark.parametrize("dispersion, reason", [
+        (1e200, "ConfigError: dispersion = 1e+200 is too large: the covariances overflow"),
+        (1e-200, "DefinitenessError: covariance 0 is not positive definite (Cholesky failed)"),
+    ], ids=["covariances-overflow", "not-positive-definite"])
+    def test_failed_mixture_builds_give_failed_rows(self, tmp_path, dispersion, reason):
+        config = small_config(n_per_cluster=[30, 45], dispersions=[dispersion, 1.0],
+                              replicates=2)
+        outs = []
+        for threads in (1, 2, 3):
+            outs.append(tmp_path / f"threads{threads}.csv")
+            records = run_sweep(config, out_path=outs[-1], threads=threads)
+            assert len(records) == 8
+            assert {(r.dispersion, r.status, r.reason) for r in records} == {
+                (dispersion, "failed", reason), (1.0, "ok", "")}
+        assert outs[1].read_bytes() == outs[0].read_bytes() == outs[2].read_bytes()
+
+    @pytest.mark.parametrize("overrides", [
+        dict(alphas=[0.5, 0.5]),
+        dict(n_per_cluster=[30, 30], dims=[3, 3]),
+        # equal as numbers, but the mixture seed reads the sign bit
+        dict(separations=[0.0, -0.0]),
+    ], ids=["alphas", "n-and-dims", "signed-zero-separations"])
+    def test_duplicate_axis_values_keep_every_row(self, tmp_path, overrides):
+        config = small_config(replicates=2, **overrides)
+        fresh = [run_cell(cell, rep, config.seed)
+                 for cell in config.cells() for rep in range(config.replicates)]
+        outs = [tmp_path / "threads1.csv", tmp_path / "threads2.csv"]
+        for threads, out in zip((1, 2), outs):
+            assert_same_records(run_sweep(config, out_path=out, threads=threads), fresh)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
 
 class TestSpecReuse:
     def test_sweep_records_equal_fresh_run_cell(self):
@@ -326,22 +365,27 @@ class TestSpecReuse:
     def test_one_build_per_mixture(self, builds, monkeypatch):
         kept = []
 
-        def kept_logging_run_cell(cell, replicate, master_seed):
-            record = run_cell(cell, replicate, master_seed)
-            kept.append(len(experiment._specs))
-            return record
+        def kept_logging_run_cell(cell, replicate, master_seed, spec=None):
+            geometry = (cell.d, cell.k, cell.separation, cell.dispersion)
+            kept.append(((geometry, replicate), len(builds), spec is not None))
+            return run_cell(cell, replicate, master_seed, spec)
 
         monkeypatch.setattr(experiment, "run_cell", kept_logging_run_cell)
         config = reuse_config()
         run_sweep(config, threads=1)
-        # the specs of one (d, k) pair at most: separations x replicates
-        assert max(kept) == 2 * config.replicates
         # (d, k) pairs x separations x dispersions x replicates; n and alpha
         # share the spec
         assert len(builds) == 4 * 2 * 1 * config.replicates
         assert len(set(builds)) == len(builds)
         assert {b[:4] for b in builds} == {
             (c.d, c.k, c.separation, c.dispersion) for c in config.cells()}
+        # every record gets a spec, and the records of one mixture all get
+        # the one build made for it, with no build between them
+        assert all(given for *_, given in kept)
+        built = {}
+        for unit, count, _ in kept:
+            assert built.setdefault(unit, count) == count
+        assert sorted(built.values()) == list(range(1, len(builds) + 1))
 
     def test_every_sweep_builds_its_own(self, builds):
         config = reuse_config()
@@ -352,42 +396,58 @@ class TestSpecReuse:
 
     def test_bare_run_cell_builds_fresh(self, builds):
         cell = Cell(3, 2, 30, 0.5, 3.0, 1.0, "hyperbolic")
-        run_cell(cell, 0, 7)
+        record = run_cell(cell, 0, 7)
         run_cell(cell._replace(n_per_cluster=45), 0, 7)
         assert len(builds) == 2 and builds[0] == builds[1]
-        assert experiment._specs is None
+        # a spec passed in is used as it is, not built again
+        assert_same_records([run_cell(cell, 0, 7, make_separation_family(*builds[0]))],
+                            [record])
+        assert len(builds) == 2
 
-    def test_no_specs_left_after_return_or_raise(self, monkeypatch, tmp_path):
-        assert experiment._specs is None
-        run_sweep(reuse_config(), out_path=tmp_path / "out.csv")
-        assert experiment._specs is None
+    def test_no_specs_left_after_return_or_raise(self, builds, monkeypatch, tmp_path):
+        config = reuse_config()
+        run_sweep(config, out_path=tmp_path / "out.csv")
+        first = list(builds)
         with pytest.raises(OSError):
-            run_sweep(reuse_config(), out_path=tmp_path / "missing" / "out.csv")
-        assert experiment._specs is None
+            run_sweep(config, out_path=tmp_path / "missing" / "out.csv")
+        assert builds == first
 
-        def failing_run_cell(cell, replicate, master_seed):
+        def failing_run_cell(cell, replicate, master_seed, spec=None):
             if cell.k == 3:
                 raise RuntimeError("interrupted")
-            return run_cell(cell, replicate, master_seed)
+            return run_cell(cell, replicate, master_seed, spec)
 
         monkeypatch.setattr(experiment, "run_cell", failing_run_cell)
         with pytest.raises(RuntimeError, match="interrupted"):
-            run_sweep(reuse_config())
-        assert experiment._specs is None
+            run_sweep(config)
+        monkeypatch.setattr(experiment, "run_cell", run_cell)
+        # the sweeps after a return and after a raise build every spec again
+        del builds[:]
+        run_sweep(config)
+        assert builds == first
 
     @pytest.mark.skipif(available_cpus() < 2, reason="needs 2 CPUs for 2 workers")
     def test_workers_start_with_no_specs(self, monkeypatch, tmp_path):
-        serial = run_sweep(reuse_config())
-        log = tmp_path / "specs"
-        monkeypatch.setattr(experiment, "run_cell",
-                            functools.partial(specs_logging_run_cell, log))
-        assert_same_records(run_sweep(reuse_config(), threads=2), serial)
-        first = {}
-        for line in log.read_text().splitlines():
-            pid, kept = map(int, line.split())
-            first.setdefault(pid, kept)
-        assert os.getpid() not in first
-        assert set(first.values()) == {0}
+        config = reuse_config()
+        serial = run_sweep(config)
+        builds = logged_builds(monkeypatch, tmp_path / "builds")
+        assert_same_records(run_sweep(config, threads=2), serial)
+        pids = [pid for pid, _ in builds()]
+        # the workers build every spec, though the calling process built
+        # them all just before
+        assert os.getpid() not in pids
+        assert len(pids) == 4 * 2 * config.replicates
+
+    @pytest.mark.skipif(available_cpus() < 2, reason="needs 2 CPUs for 2 workers")
+    def test_one_build_per_mixture_across_workers(self, monkeypatch, tmp_path):
+        config = replace(recipe("fig3_d7"), replicates=5)
+        builds = logged_builds(monkeypatch, tmp_path / "builds")
+        run_sweep(config, threads=2)
+        args = [args for _, args in builds()]
+        # one build per (d, k, separation, dispersion, replicate): 5 k x 5
+        assert len(args) == len(set(args)) == 25
+        assert {a[:4] for a in args} == {
+            (c.d, c.k, c.separation, c.dispersion) for c in config.cells()}
 
 
 class TestRecipes:
