@@ -23,7 +23,8 @@ class MissingClusterError(ConfigError):
 
 
 class NumericalError(StructdrError, ArithmeticError):
-    """Numerical failure: asymmetry, indefiniteness, rank deficiency."""
+    """Numerical failure: asymmetry, indefiniteness, rank deficiency,
+    overflow."""
 
 
 class SymmetryError(NumericalError):

@@ -17,6 +17,7 @@ byte-identical CSV bodies. Wall-clock timings are kept on the in-memory
 records only, never serialized.
 """
 
+import copy
 import csv
 import itertools
 import json
@@ -25,7 +26,7 @@ import numbers
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -44,7 +45,6 @@ MAX_CLUSTER_CAP = 10
 # the raw data) for every k in 3..5. Baseline mean distinctness there is
 # about 0.93 for k=3.
 DEFAULT_SEPARATION = 10.0
-RECIPE_NAMES = ("fig1", "fig2", "fig3_d7", "fig3_d20", "fig3_d20_largen", "prop1")
 
 
 def _is_number(value, kind=int) -> bool:
@@ -373,85 +373,80 @@ def read_records_csv(path) -> list:
     return records
 
 
-def recipe(name: str) -> ExperimentConfig:
-    """Canned sweep configurations for the reference experiments.
+# The canned sweeps for the reference experiments, each declared as its
+# changes to the fig3_d7 grid, which keeps ExperimentConfig's defaults (50
+# replicates, seed 0, hyperbolic). Grids the source material leaves
+# unspecified are reconstructions, flagged in each config's metadata.
+_FIG3_D7 = {
+    "dims": [7],
+    "clusters": [3, 4, 5, 6, 7],
+    "n_per_cluster": [100, 300, 500],
+    "alphas": [0.5],
+    "separations": [DEFAULT_SEPARATION],
+    "dispersions": [1.0],
+    "metadata": {
+        "separation_note": (
+            f"default separation {DEFAULT_SEPARATION} is a reconstruction calibrated "
+            "by pilot run: the smallest value where the weighted-data similarity "
+            "stays above 0.9 with a positive margin over raw data for k=3..5 at "
+            "d=7, 300 rows per cluster (baseline distinctness about 0.93 at k=3)"
+        ),
+        "pc_note": (
+            "principal components are extracted from the centered weighted data "
+            "(Z0), not the uncentered weighted data"
+        ),
+    },
+}
+_RECIPES = {
+    "fig1": {
+        "dims": [2],
+        "clusters": [2],
+        "n_per_cluster": [250],
+        "separations": [4.0],
+        "replicates": 1,
+        "metadata": {
+            "grid_note": "two well-separated plane clusters for the three-panel "
+            "original/isotropic/weighted illustration",
+        },
+    },
+    "fig2": {
+        "dims": [2],
+        "clusters": [2],
+        "n_per_cluster": [100],
+        "separations": [round(v, 10) for v in np.linspace(0.0, 6.0, 10)],
+        "dispersions": [round(v, 10) for v in np.linspace(1.0, 4.0, 10)],
+        "replicates": 20,
+        "metadata": {
+            "grid_note": (
+                "separation and dispersion grids are reconstructions; the "
+                "distinctness-vs-separation sweep is the dispersion=1.0 slice and "
+                "the dispersion sweep is the separation=4.0 slice"
+            ),
+        },
+    },
+    "fig3_d7": {},
+    "fig3_d20": {"dims": [20], "clusters": list(range(3, 11))},
+    "fig3_d20_largen": {
+        "dims": [20],
+        "clusters": list(range(3, 11)),
+        "n_per_cluster": [1500, 2000],
+        "metadata": {
+            **_FIG3_D7["metadata"],
+            "grid_note": "large-sample variant: per-cluster sizes where the "
+            "similarity drop at moderate k is reported to disappear",
+        },
+    },
+    "prop1": {"clusters": [3], "n_per_cluster": [300]},
+}
+RECIPE_NAMES = tuple(_RECIPES)
 
-    Mixture geometry parameters the source material leaves unspecified
-    (separation and dispersion grids, per-cluster sizes for the
-    two-dimensional runs) are reconstructions; each config notes that in
-    its metadata.
-    """
-    if name not in RECIPE_NAMES:
+
+def recipe(name: str) -> ExperimentConfig:
+    """The canned sweep configuration `name`, one of RECIPE_NAMES: the
+    fig3_d7 grid with the recipe's changes, copied, so that no two configs
+    share a list or dict."""
+    if name not in _RECIPES:
         raise ConfigError(
             f"unknown recipe {name!r}; valid names: {', '.join(RECIPE_NAMES)}"
         )
-    base = ExperimentConfig(
-        dims=[7],
-        clusters=[3, 4, 5, 6, 7],
-        n_per_cluster=[100, 300, 500],
-        alphas=[0.5],
-        separations=[DEFAULT_SEPARATION],
-        dispersions=[1.0],
-        replicates=50,
-        seed=0,
-        scheme="hyperbolic",
-        metadata={
-            "separation_note": (
-                f"default separation {DEFAULT_SEPARATION} is a reconstruction calibrated "
-                "by pilot run: the smallest value where the weighted-data similarity "
-                "stays above 0.9 with a positive margin over raw data for k=3..5 at "
-                "d=7, 300 rows per cluster (baseline distinctness about 0.93 at k=3)"
-            ),
-            "pc_note": (
-                "principal components are extracted from the centered weighted data "
-                "(Z0), not the uncentered weighted data"
-            ),
-        },
-    )
-    if name == "fig1":
-        return replace(
-            base,
-            dims=[2],
-            clusters=[2],
-            n_per_cluster=[250],
-            separations=[4.0],
-            replicates=1,
-            metadata={
-                "grid_note": "two well-separated plane clusters for the three-panel "
-                "original/isotropic/weighted illustration",
-            },
-        )
-    if name == "fig2":
-        return replace(
-            base,
-            dims=[2],
-            clusters=[2],
-            n_per_cluster=[100],
-            separations=[round(v, 10) for v in np.linspace(0.0, 6.0, 10)],
-            dispersions=[round(v, 10) for v in np.linspace(1.0, 4.0, 10)],
-            replicates=20,
-            metadata={
-                "grid_note": (
-                    "separation and dispersion grids are reconstructions; the "
-                    "distinctness-vs-separation sweep is the dispersion=1.0 slice and "
-                    "the dispersion sweep is the separation=4.0 slice"
-                ),
-            },
-        )
-    if name == "fig3_d7":
-        return base
-    if name == "fig3_d20":
-        return replace(base, dims=[20], clusters=list(range(3, 11)))
-    if name == "fig3_d20_largen":
-        return replace(
-            base,
-            dims=[20],
-            clusters=list(range(3, 11)),
-            n_per_cluster=[1500, 2000],
-            metadata={
-                **base.metadata,
-                "grid_note": "large-sample variant: per-cluster sizes where the "
-                "similarity drop at moderate k is reported to disappear",
-            },
-        )
-    return replace(base, clusters=[3], n_per_cluster=[300])
+    return ExperimentConfig(**copy.deepcopy({**_FIG3_D7, **_RECIPES[name]}))

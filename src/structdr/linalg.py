@@ -35,11 +35,15 @@ def check_symmetric(m, name="matrix"):
 
     Tolerance scales with the largest entry magnitude so matrices built from
     large cross-products are not rejected for harmless rounding asymmetry.
+    A NaN or infinite entry is rejected.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise SymmetryError(f"{name} must be square, got shape {m.shape}")
-    scale = max(1.0, float(np.abs(m).max())) if m.size else 1.0
+    largest = float(np.abs(m).max()) if m.size else 0.0
+    if not np.isfinite(largest):
+        raise SymmetryError(f"{name} has a non-finite entry (max |entry| = {largest})")
+    scale = max(1.0, largest)
     dev = float(np.abs(m - m.T).max()) if m.size else 0.0
     if dev > SYM_ATOL * scale:
         raise SymmetryError(
@@ -81,15 +85,14 @@ def definite_whitener(m_sol: EigenSolution, error=DefinitenessError,
     W^T M W = I.
 
     Raises `error` (message prefixed by `what`) when M is not numerically
-    positive definite: its smallest eigenvalue is <= RANK_RTOL times its
-    largest.
+    positive definite: its smallest eigenvalue is not > RANK_RTOL times its
+    largest, which a NaN eigenvalue never is.
     """
     largest = float(m_sol.values[0])
     smallest = float(m_sol.values[-1])
-    if largest <= 0.0 or smallest <= RANK_RTOL * largest:
-        bad = int(m_sol.values.size - 1)
+    if not (largest > 0.0 and smallest > RANK_RTOL * largest):
         raise error(
-            f"{what}: eigenvalue[{bad}] = {smallest:.6e} "
+            f"{what}: eigenvalue[{m_sol.values.size - 1}] = {smallest:.6e} "
             f"(largest = {largest:.6e}, required > {RANK_RTOL:g} * largest)"
         )
     return m_sol.vectors / np.sqrt(m_sol.values)

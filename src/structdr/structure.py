@@ -254,11 +254,6 @@ class Analysis:
     sss_z: float
 
 
-def _pc_similarity(spectrum: EigenSolution, fisher_basis: SubspaceBasis, n: int, m: int) -> float:
-    # the covariance T / n has T's eigenvectors and eigenvalues / n
-    return sss(leading_basis(spectrum.values / n, spectrum.vectors, m), fisher_basis)
-
-
 def analyze(x: LabeledDataset, alpha: float = DEFAULT_ALPHA,
             scheme: str = "hyperbolic") -> Analysis:
     """Analyze a dataset before and after isotropization and weighting.
@@ -277,13 +272,13 @@ def analyze(x: LabeledDataset, alpha: float = DEFAULT_ALPHA,
     RankError
         If X's (or Z0's) total scatter is numerically singular.
     """
-    n, d, k = x.n, x.d, x.k
-    m = k - 1
-    _check_cluster_count(k, d)
+    m = x.k - 1
+    _check_cluster_count(x.k, x.d)
     pipe = transform_pipeline(x, alpha=alpha, scheme=scheme)
     iso = pipe.isotropic
     report, y_fisher, z_fisher = _compare(x, iso, pipe.weighted.data, alpha)
     x_basis = SubspaceBasis(columns=iso.whitener @ y_fisher.fisher_basis.columns)
-    sss_x = _pc_similarity(iso.spectrum, x_basis, n, m)
-    sss_z = _pc_similarity(z_fisher.spectrum, z_fisher.fisher_basis, n, m)
+    sss_x = sss(leading_basis(iso.spectrum.values, iso.spectrum.vectors, m), x_basis)
+    sss_z = sss(leading_basis(z_fisher.spectrum.values, z_fisher.spectrum.vectors, m),
+                z_fisher.fisher_basis)
     return Analysis(report=report, sss_x=sss_x, sss_z=sss_z)

@@ -1,7 +1,9 @@
 """Subspace extraction (principal-component and Fisher discriminant bases)
 and the similarity coefficient between two subspaces: the mean squared
 cosine of their principal angles, a value in [0, 1] that is invariant to
-the choice of basis within each subspace.
+the choice of basis within each subspace. Every degeneracy test here is
+relative to the size of what it tests, as `linalg`'s rank rule is, so
+scaling the data changes no basis, verdict or warning.
 """
 
 from dataclasses import dataclass, field
@@ -9,12 +11,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, RankError, ShapeError
-from .linalg import sym_eig, symmetrize
+from .linalg import RANK_RTOL, sym_eig, symmetrize
 from .mixture import LabeledDataset
 
-INDEPENDENCE_TOL = 1e-10
 CONDITIONING_WARN_TOL = 1e-6
-AMBIGUITY_TOL = 1e-10
 CENTERED_TOL = 1e-8
 
 
@@ -24,8 +24,9 @@ class SubspaceBasis:
 
     Columns need not be orthonormal (Fisher bases are orthonormal in the
     total-scatter metric instead). Construction rejects numerically
-    dependent columns and attaches a conditioning warning when the
-    smallest singular value is merely borderline.
+    dependent columns, whose smallest singular value is <= RANK_RTOL times
+    the largest, and attaches a conditioning warning when it is merely
+    below CONDITIONING_WARN_TOL times the largest.
     """
 
     columns: np.ndarray
@@ -38,15 +39,17 @@ class SubspaceBasis:
         d, m = cols.shape
         if not 1 <= m < d:
             raise ConfigError(f"need 1 <= m < d for a proper subspace, got m = {m}, d = {d}")
-        smallest = float(np.linalg.svd(cols, compute_uv=False)[-1])
-        if smallest <= INDEPENDENCE_TOL:
+        largest, smallest = np.linalg.svd(cols, compute_uv=False)[[0, -1]]
+        if not smallest > RANK_RTOL * largest:
             raise RankError(
-                f"basis columns numerically dependent: smallest singular value {smallest:.3e}"
+                f"basis columns numerically dependent: smallest singular value "
+                f"{smallest:.3e} (largest = {largest:.3e}, required > {RANK_RTOL:g} * largest)"
             )
         warnings = tuple(self.warnings)
-        if smallest < CONDITIONING_WARN_TOL:
+        if smallest < CONDITIONING_WARN_TOL * largest:
             warnings = warnings + (
-                f"near-dependent basis: smallest singular value {smallest:.3e}",
+                f"near-dependent basis: smallest singular value {smallest:.3e} "
+                f"(largest = {largest:.3e})",
             )
         object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "warnings", warnings)
@@ -67,10 +70,10 @@ class SubspaceBasis:
 def pc_subspace(data, m: int) -> SubspaceBasis:
     """Span of the m leading principal components of centered data.
 
-    The caller centers; a nonzero column mean is rejected. When the m-th
-    and (m+1)-th covariance eigenvalues coincide the leading subspace is
-    not unique, so an ambiguity warning is attached to the (still
-    returned) result.
+    The caller centers; a column mean above CENTERED_TOL times the
+    largest |entry| is rejected. When the m-th and (m+1)-th covariance
+    eigenvalues coincide the leading subspace is not unique, so an
+    ambiguity warning is attached to the (still returned) result.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
@@ -79,7 +82,7 @@ def pc_subspace(data, m: int) -> SubspaceBasis:
     if not 1 <= m < d:
         raise ConfigError(f"need 1 <= m < d, got m = {m}, d = {d}")
     max_mean = float(np.abs(data.mean(axis=0)).max())
-    if max_mean >= CENTERED_TOL:
+    if max_mean > CENTERED_TOL * float(np.abs(data).max()):
         raise ConfigError(
             f"data must be centered before PC extraction (max |column mean| = {max_mean:.3e})"
         )
@@ -89,13 +92,13 @@ def pc_subspace(data, m: int) -> SubspaceBasis:
 
 
 def leading_basis(values, vectors, m: int) -> SubspaceBasis:
-    """Span of the m leading eigenvectors of a covariance matrix, given its
-    eigenvalues (non-increasing) and eigenvectors. When the m-th and
-    (m+1)-th eigenvalues coincide the subspace is not unique, and an
-    ambiguity warning is attached."""
+    """Span of the m leading eigenvectors of a covariance or scatter matrix,
+    given its eigenvalues (non-increasing) and eigenvectors. When the m-th
+    and (m+1)-th eigenvalues coincide (gap <= RANK_RTOL times the largest)
+    the subspace is not unique, and an ambiguity warning is attached."""
     warnings = ()
     gap = float(values[m - 1] - values[m])
-    if gap <= AMBIGUITY_TOL * max(1.0, float(values[0])):
+    if gap <= RANK_RTOL * float(values[0]):
         warnings = (
             f"leading {m}-dimensional subspace is ambiguous: eigenvalue {m} and "
             f"{m + 1} differ by {gap:.3e}",

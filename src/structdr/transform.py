@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericalError, ShapeError
 from .linalg import EigenSolution, sym_eig, symmetrize, total_whitener
 from .mixture import LabeledDataset
 
@@ -86,14 +86,24 @@ def isotropize(x: LabeledDataset) -> IsotropicDataset:
     ------
     ConfigError
         If n <= d.
+    NumericalError
+        If the total scatter, or its symmetrization, overflows.
     RankError
         If the total scatter is numerically rank deficient (no silent
         regularization is attempted).
     """
     check_rows(x)
-    center = x.data.mean(axis=0)
-    centered = x.data - center
-    spectrum = sym_eig(symmetrize(centered.T @ centered))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, by name
+        center = x.data.mean(axis=0)
+        centered = x.data - center
+        total = centered.T @ centered
+    largest = float(np.abs(total).max())
+    limit = np.finfo(float).max / 2  # larger entries overflow when symmetrized
+    if not largest <= limit:
+        raise NumericalError(
+            f"total scatter overflows: max |entry| = {largest:.3e} (limit {limit:.3e})"
+        )
+    spectrum = sym_eig(symmetrize(total))
     whitener = total_whitener(spectrum)
     return IsotropicDataset(
         data=centered @ whitener,

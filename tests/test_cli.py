@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,9 @@ import pytest
 
 from structdr import LabeledDataset, read_records_csv
 from structdr.cli import main
+
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(*argv):
@@ -169,6 +173,30 @@ class TestAnalyze:
         fields = row.split(",")
         assert fields[0] == "60"
         assert fields[9] in ("true", "false")
+
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e9, 1e12])
+    def test_report_does_not_depend_on_units(self, tmp_path, capsys, scale):
+        golden = LabeledDataset.from_csv(DATA / "gen_d4_k2_n30_s1.csv")
+        scaled = tmp_path / "scaled.csv"
+        LabeledDataset(data=scale * golden.data, labels=golden.labels).to_csv(scaled)
+        assert run_cli("analyze", "--data", str(DATA / "gen_d4_k2_n30_s1.csv")) == 0
+        want = capsys.readouterr().out
+        assert run_cli("analyze", "--data", str(scaled)) == 0
+        assert capsys.readouterr().out == want
+
+    # at 1e153 times the golden data X0^T X0 overflows; with entries near
+    # 1.5e308 the column means and the centering already do
+    @pytest.mark.parametrize("largest", [None, 1.5e308])
+    def test_overflowing_total_scatter_exits_3(self, tmp_path, capsys, largest):
+        golden = LabeledDataset.from_csv(DATA / "gen_d4_k2_n30_s1.csv")
+        scale = 1e153 if largest is None else largest / np.abs(golden.data).max()
+        huge = tmp_path / "huge.csv"
+        LabeledDataset(data=scale * golden.data, labels=golden.labels).to_csv(huge)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("analyze", "--data", str(huge)) == 3
+        assert "numerical error: total scatter overflows" in capsys.readouterr().err
 
 
 class TestMalformedDataset:

@@ -7,6 +7,7 @@ import functools
 import json
 import os
 import threading
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -200,6 +201,16 @@ class TestRunCell:
         record = run_cell(cell, replicate=0, master_seed=1)
         assert record.status == "failed"
         assert "too small" in record.reason
+
+    def test_overflowing_total_scatter_named_without_numpy_warnings(self):
+        # the data is finite, but X0^T X0 exceeds half the largest double, so
+        # symmetrizing it would overflow
+        cell = Cell(3, 2, 30, 0.5, 2.0, 1e153, "hyperbolic")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            record = run_cell(cell, replicate=0, master_seed=0)
+        assert record.status == "failed"
+        assert record.reason.startswith("NumericalError: total scatter overflows: max |entry| = ")
 
     def test_bound_violations_only_with_large_norm_spread(self):
         for rep in range(5):
@@ -480,8 +491,28 @@ class TestRecipes:
             assert any("reconstruct" in v for v in recipe(name).metadata.values())
 
     def test_unknown_name_lists_valid_ones(self):
-        with pytest.raises(ConfigError, match="fig3_d7"):
+        with pytest.raises(ConfigError, match="fig3_d7") as exc:
             recipe("fig9")
+        assert str(exc.value) == (
+            "unknown recipe 'fig9'; valid names: "
+            "fig1, fig2, fig3_d7, fig3_d20, fig3_d20_largen, prop1")
+
+    def test_recipes_share_no_list_or_dict(self):
+        configs = [recipe(name) for name in experiment.RECIPE_NAMES * 2]
+        values = [v for c in configs for v in vars(c).values() if isinstance(v, (list, dict))]
+        assert len({id(v) for v in values}) == len(values)
+        largen = recipe("fig3_d20_largen")
+        largen.metadata["grid_note"] = "changed"
+        largen.dims.append(30)
+        assert "grid_note" not in recipe("fig3_d7").metadata
+        assert recipe("fig3_d20_largen").dims == [20]
+
+    def test_prop1_and_largen_grids(self):
+        prop1 = recipe("prop1")
+        assert (prop1.dims, prop1.clusters, prop1.n_per_cluster) == ([7], [3], [300])
+        largen = recipe("fig3_d20_largen")
+        assert largen.n_per_cluster == [1500, 2000]
+        assert list(largen.metadata) == ["separation_note", "pc_note", "grid_note"]
 
     def test_recipes_validate(self):
         for name in ("fig1", "fig2", "fig3_d7", "fig3_d20", "fig3_d20_largen", "prop1"):

@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 
 from structdr import (
+    EigenSolution,
     MissingClusterError,
+    RankError,
     SymmetryError,
     apply_centering,
     gen_eig,
     sym_eig,
 )
 from structdr.errors import DefinitenessError
-from structdr.linalg import symmetrize
+from structdr.linalg import check_symmetric, symmetrize, total_whitener
 
 from oracles import centering_matrix, hat_matrix
 
@@ -78,6 +80,25 @@ class TestSymEig:
     def test_asymmetric_rejected(self):
         with pytest.raises(SymmetryError):
             sym_eig(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        # nan > tol is False, so a NaN asymmetry would pass a plain comparison
+        m = np.eye(3)
+        m[0, 0] = bad
+        with pytest.raises(SymmetryError, match="non-finite"):
+            check_symmetric(m, name="t")
+        m[0, 0], m[1, 2] = 1.0, bad
+        with pytest.raises(SymmetryError, match="non-finite"):
+            check_symmetric(m, name="t")
+
+
+class TestTotalWhitener:
+    @pytest.mark.parametrize("values", [[np.nan, np.nan], [2.0, np.nan], [np.nan, 1.0]])
+    def test_nan_spectrum_rejected(self, values):
+        spectrum = EigenSolution(values=np.array(values), vectors=np.eye(2), kind="standard")
+        with pytest.raises(RankError, match="total scatter is rank deficient"):
+            total_whitener(spectrum)
 
 
 class TestGenEig:

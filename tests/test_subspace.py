@@ -132,6 +132,49 @@ class TestFisherSubspace:
         )
 
 
+def warning_kinds(basis):
+    """A basis's warnings without their numbers, which scale with the input."""
+    return [w.split(":")[0] for w in basis.warnings]
+
+
+class TestScale:
+    # every degeneracy test is relative to the size of what it tests, so
+    # scaling the input changes no basis, no verdict and no warning
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e9, 1e12])
+    def test_basis_verdicts(self, scale):
+        col = np.arange(1.0, 5.0)[:, None]
+        with pytest.raises(RankError, match=r"largest = .*, required > 1e-10 \* largest"):
+            SubspaceBasis(columns=scale * np.column_stack([col, 2.0 * col]))
+        e = np.eye(4)
+        near = SubspaceBasis(columns=scale * np.column_stack([e[:, 0], e[:, 0] + 1e-8 * e[:, 1]]))
+        assert warning_kinds(near) == ["near-dependent basis"]
+        assert SubspaceBasis(columns=scale * e[:, :2]).warnings == ()
+
+    def test_pc_subspace(self):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((500, 4)) * np.sqrt([4.0, 3.0, 2.0, 1.0])
+        x -= x.mean(axis=0)
+        base, scaled = pc_subspace(x, 2), pc_subspace(1e9 * x, 2)
+        np.testing.assert_allclose(scaled.columns, base.columns, rtol=0, atol=1e-12)
+        assert base.warnings == scaled.warnings == ()
+        # isotropic rows: every eigenvalue ties, at any scale
+        iso = isotropize(sample(make_separation_family(4, 2, 3.0, 1.0, seed=2), 40, seed=3))
+        kinds = [warning_kinds(pc_subspace(c * iso.data, 1)) for c in (1.0, 1e9)]
+        assert kinds == [["leading 1-dimensional subspace is ambiguous"]] * 2
+        with pytest.raises(ConfigError, match="centered"):
+            pc_subspace(1e9 * (x + 1e-6), 2)
+
+    def test_fisher_subspace(self):
+        data = sample(make_separation_family(6, 3, 3.0, 1.0, seed=7), 60, seed=8)
+        base = fisher_subspace(data)
+        scaled = fisher_subspace(LabeledDataset(data=1e9 * data.data, labels=data.labels))
+        # Fisher vectors are total-scatter orthonormal, so they shrink by the scale
+        np.testing.assert_allclose(1e9 * scaled.columns, base.columns,
+                                   rtol=0, atol=1e-9 * np.abs(base.columns).max())
+        assert base.warnings == scaled.warnings == ()
+
+
 class TestSss:
     def test_identical_subspaces(self):
         rng = np.random.default_rng(12)
