@@ -9,7 +9,9 @@ sample-size effects are paired rather than confounded.
 
 A sweep's unit of work is one replicate of the cells that share a
 geometry (d, k, separation, dispersion): it builds that mixture once and
-runs every (n_per_cluster, alpha) cell on it. Units run in the calling
+runs every (n_per_cluster, alpha) cell on it, in two phases. Each cell in
+turn is sampled and reduced to its d x d row summary, and then one
+stacked d x d pass analyzes every summary of the unit. Units run in the
 process, or in a pool of forked worker processes when more than one is
 asked for, and records are put back in canonical order (grid-major,
 replicate-minor) either way, so repeated runs and any worker count produce
@@ -33,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, StructdrError
 from .mixture import make_separation_family, sample
-from .structure import analyze
+from .structure import analyze_stack, row_pass
 from .transform import SCHEMES
 
 CSV_SCHEMA_LINE = "# schema=1"
@@ -45,6 +47,8 @@ MAX_CLUSTER_CAP = 10
 # the raw data) for every k in 3..5. Baseline mean distinctness there is
 # about 0.93 for k=3.
 DEFAULT_SEPARATION = 10.0
+# The errors that mark a record failed.
+FAILURES = (StructdrError, np.linalg.LinAlgError)
 
 
 def _is_number(value, kind=int) -> bool:
@@ -235,24 +239,25 @@ def derive_seeds(master_seed: int, cell: Cell, replicate: int) -> tuple:
     return int(spec_seed), int(data_seed)
 
 
-def run_cell(cell: Cell, replicate: int, master_seed: int, spec=None) -> ExperimentRecord:
-    """Execute one replicate of one grid cell.
+def _fail(record: ExperimentRecord, exc: Exception):
+    record.status = "failed"
+    record.reason = f"{type(exc).__name__}: {exc}"
 
-    Pipeline: draw a mixture (unless `spec` is given, the one already
-    built) and a sample, then `analyze` it: subspace similarity on the raw
-    and the weighted data, and the distinctness shift against the
-    closed-form bound. Module errors mark the record failed instead of
-    aborting the sweep.
-    """
-    spec_seed, data_seed = derive_seeds(master_seed, cell, replicate)
-    record = ExperimentRecord(*cell, replicate=replicate, seed=data_seed)
-    start = time.perf_counter()
+
+def _analyze_rows(pending: list):
+    """Phase 2 of a unit: fill in each (record, RowSummary) pair's record
+    from one stacked d x d pass. When the stack fails, each pair is rerun
+    as a stack of one, so that a failing record gets its own error."""
     try:
-        if spec is None:
-            spec = make_separation_family(
-                cell.d, cell.k, cell.separation, cell.dispersion, spec_seed)
-        data = sample(spec, cell.n_per_cluster, seed=data_seed)
-        result = analyze(data, alpha=cell.alpha, scheme=cell.scheme)
+        analyses = analyze_stack([summary for _, summary in pending])
+    except FAILURES as exc:
+        if len(pending) == 1:
+            _fail(pending[0][0], exc)
+        else:
+            for item in pending:
+                _analyze_rows([item])
+        return
+    for (record, _), result in zip(pending, analyses):
         report = result.report
         record.sss_x = result.sss_x
         record.sss_z = result.sss_z
@@ -262,23 +267,44 @@ def run_cell(cell: Cell, replicate: int, master_seed: int, spec=None) -> Experim
         record.bound_rhs = report.bound_rhs
         record.bound_satisfied = report.bound_satisfied
         record.empirical_sd_norm = report.empirical_sd_norm
-    except (StructdrError, np.linalg.LinAlgError) as exc:
-        record.status = "failed"
-        record.reason = f"{type(exc).__name__}: {exc}"
-    record.elapsed_seconds = time.perf_counter() - start
-    return record
 
 
 def _run_geometry(cells: list, replicate: int, master_seed: int) -> list:
-    """One replicate of cells that share a geometry, all run on one build
-    of their mixture. A failed build is retried and recorded per cell."""
-    c = cells[0]
-    spec_seed, _ = derive_seeds(master_seed, c, replicate)
-    try:
-        spec = make_separation_family(c.d, c.k, c.separation, c.dispersion, spec_seed)
-    except StructdrError:
-        spec = None
-    return [run_cell(cell, replicate, master_seed, spec) for cell in cells]
+    """One replicate of cells that share a geometry, run on one build of
+    their mixture in two phases: each cell's row pass in turn, so that no
+    two cells' rows are held at once, then one stacked d x d pass. A
+    failed build is retried per cell. Module errors mark a record failed
+    instead of aborting the sweep; each record's elapsed_seconds is an
+    equal share of the unit's time."""
+    start = time.perf_counter()
+    records, pending, spec = [], [], None
+    for cell in cells:
+        spec_seed, data_seed = derive_seeds(master_seed, cell, replicate)
+        record = ExperimentRecord(*cell, replicate=replicate, seed=data_seed)
+        records.append(record)
+        try:
+            if spec is None:
+                spec = make_separation_family(
+                    cell.d, cell.k, cell.separation, cell.dispersion, spec_seed)
+            summary = row_pass(sample(spec, cell.n_per_cluster, seed=data_seed),
+                               alpha=cell.alpha, scheme=cell.scheme)
+            pending.append((record, summary))
+        except FAILURES as exc:
+            _fail(record, exc)
+    if pending:
+        _analyze_rows(pending)
+    elapsed = (time.perf_counter() - start) / len(records)
+    for record in records:
+        record.elapsed_seconds = elapsed
+    return records
+
+
+def run_cell(cell: Cell, replicate: int, master_seed: int) -> ExperimentRecord:
+    """Execute one replicate of one grid cell, as the one-cell unit of a
+    sweep: draw a mixture and a sample, then `analyze` it, which gives the
+    subspace similarity on the raw and the weighted data and the
+    distinctness shift against the closed-form bound."""
+    return _run_geometry([cell], replicate, master_seed)[0]
 
 
 def run_sweep(config: ExperimentConfig, out_path=None, threads: int = 1) -> list:

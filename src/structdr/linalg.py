@@ -4,14 +4,16 @@ indicator matrix.
 
 Eigenvectors follow a deterministic sign convention (largest-magnitude
 entry positive) so downstream subspace comparisons are reproducible.
-All functions are pure; none mutate their inputs.
+The checks and eigensolvers also take stacks (..., d, d) of matrices and
+treat each matrix as they treat a single one. All functions are pure;
+none mutate their inputs.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DefinitenessError, MissingClusterError, RankError, SymmetryError
+from .errors import DefinitenessError, MissingClusterError, NumericalError, RankError, SymmetryError
 
 SYM_ATOL = 1e-12
 RANK_RTOL = 1e-10
@@ -30,43 +32,66 @@ class EigenSolution:
     kind: str
 
 
-def check_symmetric(m, name="matrix"):
-    """Validate m is square and symmetric to tolerance; return it as float64.
+def raise_first(ok, error):
+    """Raise error(i) for the first matrix i, counted flat, of a stack that
+    fails a check (ok is False there). Each message formats the failing
+    matrix's own values, so a stack of one fails as a single matrix does."""
+    flags = ok.ravel().tolist()
+    if False in flags:
+        raise error(flags.index(False))
 
-    Tolerance scales with the largest entry magnitude so matrices built from
-    large cross-products are not rejected for harmless rounding asymmetry.
-    A NaN or infinite entry is rejected.
+
+def check_symmetric(m, name="matrix"):
+    """Validate m, a square matrix or a stack (..., d, d) of them, as
+    symmetric to tolerance; return it as float64.
+
+    The tolerance is relative to each matrix's largest entry magnitude, so
+    rounding asymmetry in large cross-products passes and the verdict does
+    not depend on the data's units. A NaN or infinite entry is rejected.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise SymmetryError(f"{name} must be square, got shape {m.shape}")
-    largest = float(np.abs(m).max()) if m.size else 0.0
-    if not np.isfinite(largest):
-        raise SymmetryError(f"{name} has a non-finite entry (max |entry| = {largest})")
-    scale = max(1.0, largest)
-    dev = float(np.abs(m - m.T).max()) if m.size else 0.0
-    if dev > SYM_ATOL * scale:
-        raise SymmetryError(
-            f"{name} not symmetric: max |m - m^T| = {dev:.3e} exceeds {SYM_ATOL * scale:.3e}"
-        )
+    largest = np.abs(m).max(axis=(-2, -1), initial=0.0)
+    raise_first(np.isfinite(largest), lambda i: SymmetryError(
+        f"{name} has a non-finite entry (max |entry| = {float(largest.flat[i])})"))
+    dev = np.abs(m - np.swapaxes(m, -1, -2)).max(axis=(-2, -1), initial=0.0)
+    raise_first(dev <= SYM_ATOL * largest, lambda i: SymmetryError(
+        f"{name} not symmetric: max |m - m^T| = {dev.flat[i]:.3e} "
+        f"exceeds {SYM_ATOL * largest.flat[i]:.3e}"))
     return m
 
 
 def symmetrize(m) -> np.ndarray:
     """(m + m^T) / 2, for products that are symmetric in exact arithmetic."""
     m = np.asarray(m, dtype=float)
-    return (m + m.T) / 2.0
+    return (m + np.swapaxes(m, -1, -2)) / 2.0
+
+
+def total_scatter(centered: np.ndarray) -> np.ndarray:
+    """Total scatter X0^T X0 of centered rows, symmetrized. Raises
+    NumericalError when it, or its symmetrization, overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, by name
+        total = centered.T @ centered
+    largest = float(np.abs(total).max())
+    limit = np.finfo(float).max / 2  # larger entries overflow when symmetrized
+    if not largest <= limit:
+        raise NumericalError(
+            f"total scatter overflows: max |entry| = {largest:.3e} (limit {limit:.3e})"
+        )
+    return symmetrize(total)
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    idx = np.abs(vectors).argmax(axis=0)
-    signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
+    idx = np.abs(vectors).argmax(axis=-2)
+    signs = np.sign(np.take_along_axis(vectors, idx[..., None, :], axis=-2))
     signs[signs == 0] = 1.0
     return vectors * signs
 
 
 def sym_eig(m) -> EigenSolution:
-    """Spectral decomposition of a symmetric matrix.
+    """Spectral decomposition of a symmetric matrix, or of each matrix of a
+    stack (..., d, d).
 
     Returns eigenvalues sorted non-increasing with orthonormal column
     eigenvectors. Raises SymmetryError for inputs asymmetric beyond
@@ -74,28 +99,31 @@ def sym_eig(m) -> EigenSolution:
     """
     m = check_symmetric(m)
     vals, vecs = np.linalg.eigh(m)
-    # stable sort on -values keeps the solver's order among exact ties
-    order = np.argsort(-vals, kind="stable")
-    return EigenSolution(values=vals[order], vectors=_fix_signs(vecs[:, order]), kind="standard")
+    # eigh's values ascend; a stable sort on -values keeps the solver's
+    # order among exact ties
+    order = np.argsort(-vals, axis=-1, kind="stable")
+    # gathered as rows of the transpose, so that each matrix's vectors are
+    # in Fortran order, as 2-D fancy indexing leaves them: BLAS picks its
+    # kernels by layout, and another kernel moves the last bits of products
+    rows = np.take_along_axis(np.swapaxes(vecs, -1, -2), order[..., None], axis=-2)
+    return EigenSolution(values=vals[..., ::-1].copy(),
+                         vectors=_fix_signs(np.swapaxes(rows, -1, -2)), kind="standard")
 
 
 def definite_whitener(m_sol: EigenSolution, error=DefinitenessError,
                       what="metric matrix not positive definite") -> np.ndarray:
     """Whitener A L^{-1/2} of a symmetric matrix M = A L A^T, so that
-    W^T M W = I.
+    W^T M W = I; a stack of them for a stack of decompositions.
 
     Raises `error` (message prefixed by `what`) when M is not numerically
     positive definite: its smallest eigenvalue is not > RANK_RTOL times its
     largest, which a NaN eigenvalue never is.
     """
-    largest = float(m_sol.values[0])
-    smallest = float(m_sol.values[-1])
-    if not (largest > 0.0 and smallest > RANK_RTOL * largest):
-        raise error(
-            f"{what}: eigenvalue[{m_sol.values.size - 1}] = {smallest:.6e} "
-            f"(largest = {largest:.6e}, required > {RANK_RTOL:g} * largest)"
-        )
-    return m_sol.vectors / np.sqrt(m_sol.values)
+    largest, smallest = m_sol.values[..., 0], m_sol.values[..., -1]
+    raise_first((largest > 0.0) & (smallest > RANK_RTOL * largest), lambda i: error(
+        f"{what}: eigenvalue[{m_sol.values.shape[-1] - 1}] = {smallest.flat[i]:.6e} "
+        f"(largest = {largest.flat[i]:.6e}, required > {RANK_RTOL:g} * largest)"))
+    return m_sol.vectors / np.sqrt(m_sol.values)[..., None, :]
 
 
 def total_whitener(total: EigenSolution) -> np.ndarray:
@@ -103,9 +131,11 @@ def total_whitener(total: EigenSolution) -> np.ndarray:
     return definite_whitener(total, error=RankError, what="total scatter is rank deficient")
 
 
-def unwhiten(whitener: np.ndarray, reduced: EigenSolution) -> EigenSolution:
-    """Generalized solution of K v = lambda M v from the standard solution
-    of the reduced matrix W^T K W, where W is M's whitener."""
+def unwhiten(whitener: np.ndarray, k_mat) -> EigenSolution:
+    """Generalized solution of K v = lambda M v, where W is M's whitener:
+    the standard solution of the reduced matrix W^T K W, mapped back
+    through W. Stacks map matrix by matrix."""
+    reduced = sym_eig(symmetrize(np.swapaxes(whitener, -1, -2) @ k_mat @ whitener))
     vectors = _fix_signs(whitener @ reduced.vectors)
     return EigenSolution(values=reduced.values, vectors=vectors, kind="generalized")
 
@@ -129,8 +159,7 @@ def gen_eig(k_mat, m_mat) -> EigenSolution:
         If M has an eigenvalue <= RANK_RTOL times its largest.
     """
     k_mat = check_symmetric(k_mat, name="k_mat")
-    whitener = definite_whitener(sym_eig(m_mat))
-    return unwhiten(whitener, sym_eig(symmetrize(whitener.T @ k_mat @ whitener)))
+    return unwhiten(definite_whitener(sym_eig(m_mat)), k_mat)
 
 
 def apply_centering(data) -> np.ndarray:

@@ -2,8 +2,11 @@
 and its distinctness coefficient, a Monte-Carlo overlap measure for
 two-component mixtures, first-order perturbation tooling with the
 closed-form bound on how much weighting can move the distinctness, and
-`analyze`, the one-pass analysis of a dataset before and after the
-transform that sweeps and the CLI share.
+`analyze`, the analysis of a dataset before and after the transform that
+sweeps and the CLI share. It runs in two phases: `row_pass` reduces a
+dataset's rows to the d x d results of a `RowSummary`, and
+`analyze_stack` runs the d x d steps on a stack of summaries, one numpy
+call per step; `analyze` is the stack of one.
 """
 
 import math
@@ -20,6 +23,7 @@ from .linalg import (
     cluster_indicator,
     sym_eig,
     symmetrize,
+    total_scatter,
     total_whitener,
     unwhiten,
 )
@@ -91,7 +95,7 @@ class PerturbationReport:
 def _scatter_pair(centered: np.ndarray, indicator: np.ndarray, counts: np.ndarray) -> ScatterPair:
     """Scatter pair of already-centered rows: one pass over the rows for T
     and one product with the (n, k) cluster indicator for the cluster sums."""
-    total = symmetrize(centered.T @ centered)
+    total = total_scatter(centered)
     offsets = (indicator.T @ centered) / counts[:, None]  # cluster means of the centered data
     between = symmetrize((offsets * counts[:, None]).T @ offsets)
     return ScatterPair(total=total, between=between)
@@ -114,19 +118,19 @@ def _check_cluster_count(k: int, d: int):
 
 def fisher_solve(s: ScatterPair, k: int) -> FisherSolution:
     """Solve the generalized Fisher eigenproblem for a k-cluster scatter
-    pair and summarize distinctness.
+    pair, or for each pair of a stack (..., d, d), and summarize
+    distinctness.
 
     The eigenvalues lie in [0, 1] up to roundoff; the distinctness
     coefficient averages the k-1 largest and is clipped into [0, 1].
     Raises RankError when the total scatter is numerically singular.
     """
-    _check_cluster_count(k, s.total.shape[0])
+    _check_cluster_count(k, s.total.shape[-1])
     between = check_symmetric(s.between, name="k_mat")
     spectrum = sym_eig(s.total)
-    whitener = total_whitener(spectrum)
-    eigen = unwhiten(whitener, sym_eig(symmetrize(whitener.T @ between @ whitener)))
-    distinctness = float(min(max(eigen.values[: k - 1].mean(), 0.0), 1.0))
-    basis = SubspaceBasis(columns=eigen.vectors[:, : k - 1])
+    eigen = unwhiten(total_whitener(spectrum), between)
+    distinctness = np.clip(eigen.values[..., : k - 1].mean(axis=-1), 0.0, 1.0)
+    basis = SubspaceBasis(columns=eigen.vectors[..., : k - 1])
     return FisherSolution(eigen, distinctness, basis, spectrum)
 
 
@@ -167,12 +171,13 @@ def perturb_eigs_first_order(solution: EigenSolution, delta_k, delta_m) -> np.nd
     Given the base solution of K0 a = lambda M0 a with M0-orthonormal
     eigenvectors, the perturbed eigenvalues are approximated by
     lambda_j + a_j^T (dK - lambda_j dM) a_j. Eigenvectors are not updated.
+    Stacked solutions and perturbations give stacked predictions.
     """
     delta_k = check_symmetric(delta_k, name="delta_k")
     delta_m = check_symmetric(delta_m, name="delta_m")
     a = solution.vectors
-    quad_k = np.einsum("ij,ij->j", a, delta_k @ a)
-    quad_m = np.einsum("ij,ij->j", a, delta_m @ a)
+    quad_k = np.einsum("...ij,...ij->...j", a, delta_k @ a)
+    quad_m = np.einsum("...ij,...ij->...j", a, delta_m @ a)
     return solution.values + quad_k - solution.values * quad_m
 
 
@@ -188,40 +193,74 @@ def proposition1_bound(n: int, d: int, k: int, alpha: float, lambda_bar_x: float
     return (d / alpha) * (lambda_bar_x + math.sqrt(k)) / math.sqrt(n)
 
 
-def _compare(x: LabeledDataset, iso: IsotropicDataset, z0: np.ndarray, alpha: float):
-    """Distinctness shift from the isotropic rows Y = iso.data to the
-    centered weighted rows z0, with Y's and Z0's Fisher solutions. Fisher
-    eigenvalues are affine invariant, so Y's distinctness is X's. The
-    first-order predictions start from Y's Fisher problem and perturb it
-    by the scatter differences; the spread of the squared norms of Y's
-    rows is reported."""
+@dataclass(frozen=True)
+class RowSummary:
+    """All that the d x d pass needs of one dataset's rows: the scatter
+    pairs of Y and Z0, X's spectrum and whitener, and the spread of the
+    squared norms of Y's rows."""
+
+    n: int
+    k: int
+    alpha: float
+    y_pair: ScatterPair
+    z_pair: ScatterPair
+    sd_norm: float
+    spectrum: EigenSolution
+    whitener: np.ndarray
+
+
+def _summarize(x: LabeledDataset, iso: IsotropicDataset, z0: np.ndarray,
+               alpha: float) -> RowSummary:
+    """The row summary of X, given its isotropic rows Y = iso.data and the
+    centered weighted rows z0."""
     counts = cluster_counts(x.labels)
     indicator = cluster_indicator(x.labels, counts.size)
-    y_pair = _scatter_pair(iso.data, indicator, counts)
-    y_fisher = fisher_solve(y_pair, x.k)
-    z_pair = _scatter_pair(z0, indicator, counts)
-    z_fisher = fisher_solve(z_pair, x.k)
+    return RowSummary(x.n, x.k, alpha, _scatter_pair(iso.data, indicator, counts),
+                      _scatter_pair(z0, indicator, counts), float(iso.sqnorms.std(ddof=0)),
+                      iso.spectrum, iso.whitener)
+
+
+def row_pass(x: LabeledDataset, alpha: float = DEFAULT_ALPHA,
+             scheme: str = "hyperbolic") -> RowSummary:
+    """The pass over a dataset's rows that `analyze` starts with."""
+    _check_cluster_count(x.k, x.d)
+    pipe = transform_pipeline(x, alpha=alpha, scheme=scheme)
+    return _summarize(x, pipe.isotropic, pipe.weighted.data, alpha)
+
+
+def _compare(rows: list):
+    """Distinctness reports of row summaries with one d and k, and the Fisher
+    solution of the stack (len(rows), 2, d, d) of their Y and Z0 scatter
+    pairs. Fisher eigenvalues are affine invariant, so Y's distinctness is
+    X's. The first-order predictions start from Y's Fisher problem and
+    perturb it by the scatter differences."""
+    k, d = rows[0].k, rows[0].y_pair.total.shape[-1]
+    if any((r.k, r.y_pair.total.shape[-1]) != (k, d) for r in rows):
+        raise ShapeError("row summaries of one stack must share d and k")
+    total = np.array([(r.y_pair.total, r.z_pair.total) for r in rows])
+    between = np.array([(r.y_pair.between, r.z_pair.between) for r in rows])
+    fisher = fisher_solve(ScatterPair(total=total, between=between), k)
+    y_eigen = EigenSolution(fisher.eigen.values[:, 0], fisher.eigen.vectors[:, 0], "generalized")
     predicted = perturb_eigs_first_order(
-        y_fisher.eigen, z_pair.between - y_pair.between, z_pair.total - y_pair.total
-    )
-    lambda_x = y_fisher.distinctness
-    lambda_z = z_fisher.distinctness
-    bound = proposition1_bound(x.n, x.d, x.k, alpha, lambda_x)
-    delta = abs(lambda_z - lambda_x)
-    report = PerturbationReport(
-        n=x.n,
-        d=x.d,
-        k=x.k,
-        alpha=float(alpha),
-        lambda_bar_x=lambda_x,
-        lambda_bar_z=lambda_z,
-        observed_delta=delta,
-        bound_rhs=bound,
-        bound_satisfied=bool(delta <= bound),
-        predicted_values=predicted,
-        empirical_sd_norm=float(iso.sqnorms.std(ddof=0)),
-    )
-    return report, y_fisher, z_fisher
+        y_eigen, between[:, 1] - between[:, 0], total[:, 1] - total[:, 0])
+    reports = []
+    for r, (lambda_x, lambda_z), values in zip(rows, fisher.distinctness.tolist(), predicted):
+        bound = proposition1_bound(r.n, d, k, r.alpha, lambda_x)
+        delta = abs(lambda_z - lambda_x)
+        reports.append(PerturbationReport(
+            n=r.n,
+            d=d,
+            k=k,
+            alpha=float(r.alpha),
+            lambda_bar_x=lambda_x,
+            lambda_bar_z=lambda_z,
+            observed_delta=delta,
+            bound_rhs=bound,
+            bound_satisfied=bool(delta <= bound),
+            predicted_values=values,
+            empirical_sd_norm=r.sd_norm,
+        ))
+    return reports, fisher
 
 
 def distinctness_delta_check(x: LabeledDataset, z0: LabeledDataset, alpha: float,
@@ -240,7 +279,8 @@ def distinctness_delta_check(x: LabeledDataset, z0: LabeledDataset, alpha: float
         raise ShapeError("x and z0 must carry identical labels")
     if x.d != z0.d:
         raise ShapeError(f"x and z0 must have the same columns, got d = {x.d} and {z0.d}")
-    return _compare(x, isotropic or isotropize(x), apply_centering(z0.data), alpha)[0]
+    iso = isotropic or isotropize(x)
+    return _compare([_summarize(x, iso, apply_centering(z0.data), alpha)])[0][0]
 
 
 @dataclass(frozen=True)
@@ -254,15 +294,32 @@ class Analysis:
     sss_z: float
 
 
+def analyze_stack(rows: list) -> list:
+    """The d x d pass of `analyze` over row summaries with one d and k, one
+    numpy call per step: their Analyses, each equal to the one its dataset
+    gets alone. X's principal axes come from the spectrum that isotropized
+    it, and X's Fisher basis is its whitener times Y's; the bases of X and
+    Z0 are compared as one stack (len(rows), 2, d, k - 1)."""
+    reports, fisher = _compare(rows)
+    columns = fisher.fisher_basis.columns
+    # stacked as transposes, so that each whitener keeps the Fortran order
+    # that sym_eig gave it (see there)
+    whiteners = np.swapaxes(np.array([r.whitener.T for r in rows]), -1, -2)
+    bases = SubspaceBasis(columns=np.stack([whiteners @ columns[:, 0], columns[:, 1]], axis=1))
+    values = np.stack([[r.spectrum.values for r in rows], fisher.spectrum.values[:, 1]], axis=1)
+    vectors = np.stack([[r.spectrum.vectors for r in rows], fisher.spectrum.vectors[:, 1]], axis=1)
+    similarity = sss(leading_basis(values, vectors, rows[0].k - 1), bases).tolist()
+    return [Analysis(report, *pair) for report, pair in zip(reports, similarity)]
+
+
 def analyze(x: LabeledDataset, alpha: float = DEFAULT_ALPHA,
             scheme: str = "hyperbolic") -> Analysis:
     """Analyze a dataset before and after isotropization and weighting.
 
     The same numbers as `transform_pipeline` followed by
     `distinctness_delta_check` and `sss(pc_subspace, fisher_subspace)` on
-    X and Z0, computed with one pass over X's rows and one `fisher_solve`
-    per transformed dataset: X's principal axes come from the spectrum
-    that isotropizes it, and X's Fisher basis is the whitener times Y's.
+    X and Z0, computed with one pass over X's rows (`row_pass`) and then
+    the d x d pass (`analyze_stack`) as a stack of one.
 
     Raises
     ------
@@ -272,13 +329,4 @@ def analyze(x: LabeledDataset, alpha: float = DEFAULT_ALPHA,
     RankError
         If X's (or Z0's) total scatter is numerically singular.
     """
-    m = x.k - 1
-    _check_cluster_count(x.k, x.d)
-    pipe = transform_pipeline(x, alpha=alpha, scheme=scheme)
-    iso = pipe.isotropic
-    report, y_fisher, z_fisher = _compare(x, iso, pipe.weighted.data, alpha)
-    x_basis = SubspaceBasis(columns=iso.whitener @ y_fisher.fisher_basis.columns)
-    sss_x = sss(leading_basis(iso.spectrum.values, iso.spectrum.vectors, m), x_basis)
-    sss_z = sss(leading_basis(z_fisher.spectrum.values, z_fisher.spectrum.vectors, m),
-                z_fisher.fisher_basis)
-    return Analysis(report=report, sss_x=sss_x, sss_z=sss_z)
+    return analyze_stack([row_pass(x, alpha, scheme)])[0]

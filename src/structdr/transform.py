@@ -14,8 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, ShapeError
-from .linalg import EigenSolution, sym_eig, symmetrize, total_whitener
+from .errors import ConfigError, ShapeError
+from .linalg import EigenSolution, sym_eig, total_scatter, total_whitener
 from .mixture import LabeledDataset
 
 DEFAULT_ALPHA = 0.5
@@ -93,17 +93,10 @@ def isotropize(x: LabeledDataset) -> IsotropicDataset:
         regularization is attempted).
     """
     check_rows(x)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below, by name
+    with np.errstate(over="ignore", invalid="ignore"):  # total_scatter reports it
         center = x.data.mean(axis=0)
         centered = x.data - center
-        total = centered.T @ centered
-    largest = float(np.abs(total).max())
-    limit = np.finfo(float).max / 2  # larger entries overflow when symmetrized
-    if not largest <= limit:
-        raise NumericalError(
-            f"total scatter overflows: max |entry| = {largest:.3e} (limit {limit:.3e})"
-        )
-    spectrum = sym_eig(symmetrize(total))
+    spectrum = sym_eig(total_scatter(centered))
     whitener = total_whitener(spectrum)
     return IsotropicDataset(
         data=centered @ whitener,

@@ -6,6 +6,8 @@ first-order predictions from the isotropic data's own scatter pair, and
 including the exception a failing dataset raises.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from structdr import (
     ConfigError,
     LabeledDataset,
     RankError,
+    ShapeError,
     analyze,
     apply_centering,
     distinctness_delta_check,
@@ -24,6 +27,7 @@ from structdr import (
     pc_subspace,
     perturb_eigs_first_order,
     proposition1_bound,
+    recipe,
     run_cell,
     sample,
     scatter_matrices,
@@ -32,6 +36,7 @@ from structdr import (
 )
 from structdr import experiment
 from structdr.experiment import derive_seeds
+from structdr.structure import analyze_stack, row_pass
 
 # Reordered floating-point sums (indicator product against scattered adds,
 # Y's scatter derived through the whitener against summed over its rows)
@@ -165,3 +170,40 @@ def test_failures_keep_exception_class_and_message(monkeypatch, cell, degrade, e
         analyze(data, alpha=cell.alpha, scheme=cell.scheme)
     assert f"{type(caught.value).__name__}: {caught.value}" == want
 
+
+
+def recorded_warnings(run):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        results = run()
+    return results, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("name,k", [("fig3_d7", 4), ("fig3_d20", 6)])
+def test_stack_equals_each_dataset_alone(name, k):
+    # one sweep unit: the cells of one geometry, which differ in n; d=20 is
+    # where BLAS's choice of kernel by memory layout shows in the bits
+    config = recipe(name)
+    cells = [cell for cell in config.cells() if cell.k == k]
+    assert len(cells) == 3
+    datasets = [cell_data(cell, 1, config.seed) for cell in cells]
+    stacked, stacked_warnings = recorded_warnings(lambda: analyze_stack(
+        [row_pass(x, cell.alpha, cell.scheme) for x, cell in zip(datasets, cells)]))
+    alone, alone_warnings = recorded_warnings(lambda: [
+        analyze(x, cell.alpha, cell.scheme) for x, cell in zip(datasets, cells)])
+    assert stacked_warnings == alone_warnings
+    for got, want in zip(stacked, alone):
+        assert repr(analysis_values(got)) == repr(analysis_values(want))
+        for field in ("n", "d", "k", "alpha", "bound_satisfied"):
+            assert repr(getattr(got.report, field)) == repr(getattr(want.report, field))
+        assert np.array_equal(got.report.predicted_values, want.report.predicted_values)
+
+
+@pytest.mark.parametrize("other", [Cell(8, 3, 100, 0.5, 10.0, 1.0, "hyperbolic"),
+                                   Cell(7, 4, 100, 0.5, 10.0, 1.0, "hyperbolic")],
+                         ids=["d", "k"])
+def test_stack_rejects_summaries_of_another_shape(other):
+    cell = Cell(7, 3, 100, 0.5, 10.0, 1.0, "hyperbolic")
+    rows = [row_pass(cell_data(c, 0, 0)) for c in (cell, other)]
+    with pytest.raises(ShapeError, match="must share d and k"):
+        analyze_stack(rows)

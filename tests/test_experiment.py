@@ -61,12 +61,17 @@ def available_cpus():
     return os.cpu_count() or 1
 
 
-def pid_logging_run_cell(log, cell, replicate, master_seed, spec=None):
-    """run_cell that first appends its process id to `log`. Defined at module
-    level so that a process pool can send it to its workers."""
+# The sweep's unit function, which the tests below wrap as a per-record hook.
+run_geometry = experiment._run_geometry
+
+
+def pid_logging_run_geometry(log, cells, replicate, master_seed):
+    """The unit function, appending its process id to `log` once per record
+    first. Defined at module level so that a process pool can send it to
+    its workers."""
     with open(log, "a") as fh:
-        fh.write(f"{os.getpid()}\n")
-    return run_cell(cell, replicate, master_seed, spec)
+        fh.write(f"{os.getpid()}\n" * len(cells))
+    return run_geometry(cells, replicate, master_seed)
 
 
 def logged_builds(monkeypatch, log):
@@ -263,11 +268,11 @@ class TestRunSweep:
     def test_one_thread_computes_every_record_in_calling_thread(self, monkeypatch):
         idents = []
 
-        def recording_run_cell(cell, replicate, master_seed, spec=None):
-            idents.append(threading.get_ident())
-            return run_cell(cell, replicate, master_seed, spec)
+        def recording_run_geometry(cells, replicate, master_seed):
+            idents.extend([threading.get_ident()] * len(cells))
+            return run_geometry(cells, replicate, master_seed)
 
-        monkeypatch.setattr(experiment, "run_cell", recording_run_cell)
+        monkeypatch.setattr(experiment, "_run_geometry", recording_run_geometry)
         records = run_sweep(small_config(dims=[3, 4], replicates=4), threads=1)
         assert len(records) == len(idents) == 8
         assert set(idents) == {threading.get_ident()}
@@ -275,7 +280,8 @@ class TestRunSweep:
     @pytest.mark.skipif(available_cpus() < 2, reason="needs 2 CPUs for 2 workers")
     def test_two_threads_compute_records_in_worker_processes(self, monkeypatch, tmp_path):
         log = tmp_path / "pids"
-        monkeypatch.setattr(experiment, "run_cell", functools.partial(pid_logging_run_cell, log))
+        monkeypatch.setattr(experiment, "_run_geometry",
+                            functools.partial(pid_logging_run_geometry, log))
         records = run_sweep(small_config(dims=[3, 4], replicates=4), threads=2)
         pids = [int(line) for line in log.read_text().split()]
         assert len(records) == len(pids) == 8
@@ -365,6 +371,25 @@ class TestRunSweep:
             assert_same_records(run_sweep(config, out_path=out, threads=threads), fresh)
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    def test_units_with_failing_cells_match_fresh_run_cell(self):
+        # exponential weights: at alpha 1e-5 a weight underflows in a cell's
+        # row pass; at 1e-3 some Z0 scatters are singular, so the stacked
+        # pass fails and its cells are rerun one at a time
+        config = ExperimentConfig(dims=[7, 20], clusters=[3, 5], n_per_cluster=[100, 300],
+                                  alphas=[1e-5, 1e-3, 0.5], separations=[10.0],
+                                  dispersions=[1.0], replicates=2, scheme="exponential")
+        fresh = [run_cell(cell, rep, config.seed)
+                 for cell in config.cells() for rep in range(config.replicates)]
+        failed = [r for r in fresh if r.status == "failed"]
+        assert len(fresh) == 48 and len(failed) == 18
+        assert {r.reason.split(":")[0] for r in failed} == {"ConfigError", "RankError"}
+        units = {}
+        for r in fresh:
+            units.setdefault((r.d, r.k, r.replicate), set()).add(r.status)
+        assert all(units[r.d, r.k, r.replicate] == {"ok", "failed"} for r in failed)
+        for threads in (1, 2):
+            assert_same_records(run_sweep(config, threads=threads), fresh)
+
 
 class TestSpecReuse:
     def test_sweep_records_equal_fresh_run_cell(self):
@@ -376,12 +401,15 @@ class TestSpecReuse:
     def test_one_build_per_mixture(self, builds, monkeypatch):
         kept = []
 
-        def kept_logging_run_cell(cell, replicate, master_seed, spec=None):
-            geometry = (cell.d, cell.k, cell.separation, cell.dispersion)
-            kept.append(((geometry, replicate), len(builds), spec is not None))
-            return run_cell(cell, replicate, master_seed, spec)
+        def kept_logging_run_geometry(cells, replicate, master_seed):
+            before = len(builds)
+            records = run_geometry(cells, replicate, master_seed)
+            for cell in cells:
+                geometry = (cell.d, cell.k, cell.separation, cell.dispersion)
+                kept.append(((geometry, replicate), len(builds), len(builds) == before + 1))
+            return records
 
-        monkeypatch.setattr(experiment, "run_cell", kept_logging_run_cell)
+        monkeypatch.setattr(experiment, "_run_geometry", kept_logging_run_geometry)
         config = reuse_config()
         run_sweep(config, threads=1)
         # (d, k) pairs x separations x dispersions x replicates; n and alpha
@@ -390,8 +418,8 @@ class TestSpecReuse:
         assert len(set(builds)) == len(builds)
         assert {b[:4] for b in builds} == {
             (c.d, c.k, c.separation, c.dispersion) for c in config.cells()}
-        # every record gets a spec, and the records of one mixture all get
-        # the one build made for it, with no build between them
+        # every record's unit makes one build, and the records of one mixture
+        # all get the one build made for it, with no build between them
         assert all(given for *_, given in kept)
         built = {}
         for unit, count, _ in kept:
@@ -407,13 +435,9 @@ class TestSpecReuse:
 
     def test_bare_run_cell_builds_fresh(self, builds):
         cell = Cell(3, 2, 30, 0.5, 3.0, 1.0, "hyperbolic")
-        record = run_cell(cell, 0, 7)
+        run_cell(cell, 0, 7)
         run_cell(cell._replace(n_per_cluster=45), 0, 7)
         assert len(builds) == 2 and builds[0] == builds[1]
-        # a spec passed in is used as it is, not built again
-        assert_same_records([run_cell(cell, 0, 7, make_separation_family(*builds[0]))],
-                            [record])
-        assert len(builds) == 2
 
     def test_no_specs_left_after_return_or_raise(self, builds, monkeypatch, tmp_path):
         config = reuse_config()
@@ -423,15 +447,15 @@ class TestSpecReuse:
             run_sweep(config, out_path=tmp_path / "missing" / "out.csv")
         assert builds == first
 
-        def failing_run_cell(cell, replicate, master_seed, spec=None):
-            if cell.k == 3:
+        def failing_run_geometry(cells, replicate, master_seed):
+            if cells[0].k == 3:
                 raise RuntimeError("interrupted")
-            return run_cell(cell, replicate, master_seed, spec)
+            return run_geometry(cells, replicate, master_seed)
 
-        monkeypatch.setattr(experiment, "run_cell", failing_run_cell)
+        monkeypatch.setattr(experiment, "_run_geometry", failing_run_geometry)
         with pytest.raises(RuntimeError, match="interrupted"):
             run_sweep(config)
-        monkeypatch.setattr(experiment, "run_cell", run_cell)
+        monkeypatch.setattr(experiment, "_run_geometry", run_geometry)
         # the sweeps after a return and after a raise build every spec again
         del builds[:]
         run_sweep(config)

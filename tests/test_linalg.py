@@ -93,6 +93,35 @@ class TestSymEig:
             check_symmetric(m, name="t")
 
 
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+    def test_symmetry_verdict_does_not_depend_on_units(self, scale):
+        with pytest.raises(SymmetryError, match="not symmetric"):
+            check_symmetric(scale * np.array([[0.0, 1.0], [0.0, 0.0]]))
+        m = random_spd(np.random.default_rng(3), 4)
+        m[0, 1] *= 1.0 + 1e-14
+        assert np.array_equal(check_symmetric(scale * m), scale * m)
+
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(4)
+        stack = np.array([[symmetrize(rng.standard_normal((5, 5))) for _ in range(2)]
+                          for _ in range(3)])
+        sol = sym_eig(stack)
+        for index in np.ndindex(stack.shape[:-2]):
+            alone = sym_eig(stack[index])
+            assert np.array_equal(sol.values[index], alone.values)
+            assert np.array_equal(sol.vectors[index], alone.vectors)
+            # BLAS picks its kernels by layout, so each slice keeps the 2-D one
+            assert sol.vectors[index].strides == alone.vectors.strides
+
+    def test_stack_fails_as_its_first_failing_matrix(self):
+        bad = np.array([[0.0, 1.0], [2.0, 0.0]])
+        with pytest.raises(SymmetryError) as alone:
+            check_symmetric(bad)
+        with pytest.raises(SymmetryError) as stacked:
+            check_symmetric(np.array([np.eye(2), bad, 3.0 * bad]))
+        assert str(stacked.value) == str(alone.value)
+
+
 class TestTotalWhitener:
     @pytest.mark.parametrize("values", [[np.nan, np.nan], [2.0, np.nan], [np.nan, 1.0]])
     def test_nan_spectrum_rejected(self, values):

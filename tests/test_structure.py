@@ -3,6 +3,9 @@ the Monte-Carlo overlap estimate against closed-form normal-CDF oracles,
 and the perturbation predictor with its re-solve convergence check.
 """
 
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal, norm, spearmanr
@@ -11,11 +14,13 @@ from structdr import (
     ConfigError,
     LabeledDataset,
     MixtureSpec,
+    NumericalError,
     RankError,
     ScatterPair,
     ShapeError,
     distinctness_delta_check,
     fisher_solve,
+    fisher_subspace,
     gen_eig,
     make_separation_family,
     perturb_eigs_first_order,
@@ -28,6 +33,8 @@ from structdr import (
 from structdr.linalg import cluster_counts, symmetrize
 
 from oracles import hat_matrix
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def random_spd(rng, d, shift=1.0):
@@ -77,6 +84,17 @@ class TestScatterMatrices:
         data = LabeledDataset(data=np.zeros((3, 3)) + np.eye(3), labels=np.array([1, 1, 2]))
         with pytest.raises(ConfigError, match="n > d"):
             scatter_matrices(data)
+
+
+    def test_overflowing_total_scatter_is_numerical_error(self):
+        # x 1e153 takes the total scatter past the largest double; the
+        # overflow is reported by name, with no numpy warning on the way
+        golden = LabeledDataset.from_csv(DATA / "gen_d4_k2_n30_s1.csv")
+        huge = LabeledDataset(data=1e153 * golden.data, labels=golden.labels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="total scatter overflows: max"):
+                fisher_subspace(huge)
 
 
 class TestFisherSolve:
