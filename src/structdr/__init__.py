@@ -60,7 +60,6 @@ from .subspace import SubspaceBasis, fisher_subspace, pc_subspace, sss
 from .transform import (
     IsotropicDataset,
     PipelineResult,
-    WeightVector,
     apply_weights,
     compute_weights,
     isotropize,
@@ -92,7 +91,6 @@ __all__ = [
     "StructdrError",
     "SubspaceBasis",
     "SymmetryError",
-    "WeightVector",
     "analyze",
     "apply_centering",
     "apply_weights",

@@ -105,7 +105,7 @@ def _cmd_transform(args) -> int:
     weights_path = f"{args.out}_weights.csv"
     pipe.isotropic.as_labeled().to_csv(iso_path)
     pipe.weighted.to_csv(weighted_path)
-    write_labeled_csv(weights_path, ["weight"], pipe.weights.weights[:, None], data.labels)
+    write_labeled_csv(weights_path, ["weight"], pipe.weights[:, None], data.labels)
     print(f"wrote {iso_path}, {weighted_path}, {weights_path}")
     return EXIT_OK
 

@@ -291,8 +291,7 @@ def _run_geometry(cells: list, replicate: int, master_seed: int) -> list:
             pending.append((record, summary))
         except FAILURES as exc:
             _fail(record, exc)
-    if pending:
-        _analyze_rows(pending)
+    _analyze_rows(pending)
     elapsed = (time.perf_counter() - start) / len(records)
     for record in records:
         record.elapsed_seconds = elapsed

@@ -21,15 +21,12 @@ RANK_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class EigenSolution:
-    """Eigenvalues in non-increasing order with paired column eigenvectors.
-
-    kind is "standard" (orthonormal vectors) or "generalized" (vectors
-    orthonormal in the metric of the defining problem).
-    """
+    """Eigenvalues in non-increasing order with paired column eigenvectors:
+    orthonormal for a standard problem (`sym_eig`), orthonormal in the
+    metric of the defining problem for a generalized one (`unwhiten`)."""
 
     values: np.ndarray
     vectors: np.ndarray
-    kind: str
 
 
 def raise_first(ok, error):
@@ -107,7 +104,7 @@ def sym_eig(m) -> EigenSolution:
     # kernels by layout, and another kernel moves the last bits of products
     rows = np.take_along_axis(np.swapaxes(vecs, -1, -2), order[..., None], axis=-2)
     return EigenSolution(values=vals[..., ::-1].copy(),
-                         vectors=_fix_signs(np.swapaxes(rows, -1, -2)), kind="standard")
+                         vectors=_fix_signs(np.swapaxes(rows, -1, -2)))
 
 
 def definite_whitener(m_sol: EigenSolution, error=DefinitenessError,
@@ -137,7 +134,7 @@ def unwhiten(whitener: np.ndarray, k_mat) -> EigenSolution:
     through W. Stacks map matrix by matrix."""
     reduced = sym_eig(symmetrize(np.swapaxes(whitener, -1, -2) @ k_mat @ whitener))
     vectors = _fix_signs(whitener @ reduced.vectors)
-    return EigenSolution(values=reduced.values, vectors=vectors, kind="generalized")
+    return EigenSolution(values=reduced.values, vectors=vectors)
 
 
 def gen_eig(k_mat, m_mat) -> EigenSolution:

@@ -45,7 +45,7 @@ class MixtureSpec:
             raise ConfigError("means and covariances must be finite")
         factors = np.empty_like(covs)
         for l, cov in enumerate(covs):
-            if np.abs(cov - cov.T).max() > 1e-10 * max(1.0, np.abs(cov).max()):
+            if np.abs(cov - cov.T).max() > 1e-10 * np.abs(cov).max():
                 raise ConfigError(f"covariance {l} is not symmetric")
             try:
                 factors[l] = np.linalg.cholesky(cov)

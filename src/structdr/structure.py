@@ -6,7 +6,8 @@ closed-form bound on how much weighting can move the distinctness, and
 sweeps and the CLI share. It runs in two phases: `row_pass` reduces a
 dataset's rows to the d x d results of a `RowSummary`, and
 `analyze_stack` runs the d x d steps on a stack of summaries, one numpy
-call per step; `analyze` is the stack of one.
+call per step; `analyze` and `distinctness_delta_check` each run it as a
+stack of one.
 """
 
 import math
@@ -43,10 +44,6 @@ class ScatterPair:
     total: np.ndarray
     between: np.ndarray
 
-    @property
-    def within(self) -> np.ndarray:
-        return self.total - self.between
-
 
 @dataclass(frozen=True)
 class FisherSolution:
@@ -54,13 +51,12 @@ class FisherSolution:
 
     `spectrum` is T's spectral decomposition (its principal axes).
     distinctness is the mean of the k-1 largest eigenvalues (zeros
-    included when fewer are numerically nonzero); fisher_basis spans the
-    discriminant subspace.
+    included when fewer are numerically nonzero); the first k-1 columns of
+    eigen.vectors span the discriminant subspace.
     """
 
     eigen: EigenSolution
     distinctness: float
-    fisher_basis: SubspaceBasis
     spectrum: EigenSolution
 
 
@@ -130,8 +126,7 @@ def fisher_solve(s: ScatterPair, k: int) -> FisherSolution:
     spectrum = sym_eig(s.total)
     eigen = unwhiten(total_whitener(spectrum), between)
     distinctness = np.clip(eigen.values[..., : k - 1].mean(axis=-1), 0.0, 1.0)
-    basis = SubspaceBasis(columns=eigen.vectors[..., : k - 1])
-    return FisherSolution(eigen, distinctness, basis, spectrum)
+    return FisherSolution(eigen, distinctness, spectrum)
 
 
 def sdist_overlap(spec: MixtureSpec, mc_samples: int = DEFAULT_MC_SAMPLES,
@@ -228,41 +223,6 @@ def row_pass(x: LabeledDataset, alpha: float = DEFAULT_ALPHA,
     return _summarize(x, pipe.isotropic, pipe.weighted.data, alpha)
 
 
-def _compare(rows: list):
-    """Distinctness reports of row summaries with one d and k, and the Fisher
-    solution of the stack (len(rows), 2, d, d) of their Y and Z0 scatter
-    pairs. Fisher eigenvalues are affine invariant, so Y's distinctness is
-    X's. The first-order predictions start from Y's Fisher problem and
-    perturb it by the scatter differences."""
-    k, d = rows[0].k, rows[0].y_pair.total.shape[-1]
-    if any((r.k, r.y_pair.total.shape[-1]) != (k, d) for r in rows):
-        raise ShapeError("row summaries of one stack must share d and k")
-    total = np.array([(r.y_pair.total, r.z_pair.total) for r in rows])
-    between = np.array([(r.y_pair.between, r.z_pair.between) for r in rows])
-    fisher = fisher_solve(ScatterPair(total=total, between=between), k)
-    y_eigen = EigenSolution(fisher.eigen.values[:, 0], fisher.eigen.vectors[:, 0], "generalized")
-    predicted = perturb_eigs_first_order(
-        y_eigen, between[:, 1] - between[:, 0], total[:, 1] - total[:, 0])
-    reports = []
-    for r, (lambda_x, lambda_z), values in zip(rows, fisher.distinctness.tolist(), predicted):
-        bound = proposition1_bound(r.n, d, k, r.alpha, lambda_x)
-        delta = abs(lambda_z - lambda_x)
-        reports.append(PerturbationReport(
-            n=r.n,
-            d=d,
-            k=k,
-            alpha=float(r.alpha),
-            lambda_bar_x=lambda_x,
-            lambda_bar_z=lambda_z,
-            observed_delta=delta,
-            bound_rhs=bound,
-            bound_satisfied=bool(delta <= bound),
-            predicted_values=values,
-            empirical_sd_norm=r.sd_norm,
-        ))
-    return reports, fisher
-
-
 def distinctness_delta_check(x: LabeledDataset, z0: LabeledDataset, alpha: float,
                              isotropic=None) -> PerturbationReport:
     """Compare distinctness before and after the weighting transform.
@@ -280,7 +240,7 @@ def distinctness_delta_check(x: LabeledDataset, z0: LabeledDataset, alpha: float
     if x.d != z0.d:
         raise ShapeError(f"x and z0 must have the same columns, got d = {x.d} and {z0.d}")
     iso = isotropic or isotropize(x)
-    return _compare([_summarize(x, iso, apply_centering(z0.data), alpha)])[0][0]
+    return analyze_stack([_summarize(x, iso, apply_centering(z0.data), alpha)])[0].report
 
 
 @dataclass(frozen=True)
@@ -297,19 +257,52 @@ class Analysis:
 def analyze_stack(rows: list) -> list:
     """The d x d pass of `analyze` over row summaries with one d and k, one
     numpy call per step: their Analyses, each equal to the one its dataset
-    gets alone. X's principal axes come from the spectrum that isotropized
-    it, and X's Fisher basis is its whitener times Y's; the bases of X and
-    Z0 are compared as one stack (len(rows), 2, d, k - 1)."""
-    reports, fisher = _compare(rows)
-    columns = fisher.fisher_basis.columns
+    gets alone. The Fisher problems of Y and Z0 are solved as one stack
+    (len(rows), 2, d, d); Fisher eigenvalues are affine invariant, so Y's
+    distinctness is X's. The first-order predictions perturb Y's Fisher
+    problem by the scatter differences. X's principal axes come from the
+    spectrum that isotropized it, and X's Fisher basis is its whitener
+    times Y's; the bases of X and Z0 are checked and compared as one stack
+    (len(rows), 2, d, k - 1). Y's and Z0's Fisher eigenvectors W U, with U
+    orthonormal, need no check: `total_whitener` has bounded cond(W) by 1e5."""
+    if not rows:
+        return []
+    k, d = rows[0].k, rows[0].y_pair.total.shape[-1]
+    if any((r.k, r.y_pair.total.shape[-1]) != (k, d) for r in rows):
+        raise ShapeError("row summaries of one stack must share d and k")
+    total = np.array([(r.y_pair.total, r.z_pair.total) for r in rows])
+    between = np.array([(r.y_pair.between, r.z_pair.between) for r in rows])
+    fisher = fisher_solve(ScatterPair(total=total, between=between), k)
+    y_eigen = EigenSolution(fisher.eigen.values[:, 0], fisher.eigen.vectors[:, 0])
+    predicted = perturb_eigs_first_order(
+        y_eigen, between[:, 1] - between[:, 0], total[:, 1] - total[:, 0])
+    columns = fisher.eigen.vectors[..., : k - 1]
     # stacked as transposes, so that each whitener keeps the Fortran order
     # that sym_eig gave it (see there)
     whiteners = np.swapaxes(np.array([r.whitener.T for r in rows]), -1, -2)
     bases = SubspaceBasis(columns=np.stack([whiteners @ columns[:, 0], columns[:, 1]], axis=1))
     values = np.stack([[r.spectrum.values for r in rows], fisher.spectrum.values[:, 1]], axis=1)
     vectors = np.stack([[r.spectrum.vectors for r in rows], fisher.spectrum.vectors[:, 1]], axis=1)
-    similarity = sss(leading_basis(values, vectors, rows[0].k - 1), bases).tolist()
-    return [Analysis(report, *pair) for report, pair in zip(reports, similarity)]
+    similarity = sss(leading_basis(values, vectors, k - 1), bases).tolist()
+    analyses = []
+    for r, (lambda_x, lambda_z), predictions, (sss_x, sss_z) in zip(
+            rows, fisher.distinctness.tolist(), predicted, similarity):
+        bound = proposition1_bound(r.n, d, k, r.alpha, lambda_x)
+        delta = abs(lambda_z - lambda_x)
+        analyses.append(Analysis(PerturbationReport(
+            n=r.n,
+            d=d,
+            k=k,
+            alpha=float(r.alpha),
+            lambda_bar_x=lambda_x,
+            lambda_bar_z=lambda_z,
+            observed_delta=delta,
+            bound_rhs=bound,
+            bound_satisfied=bool(delta <= bound),
+            predicted_values=predictions,
+            empirical_sd_norm=r.sd_norm,
+        ), sss_x, sss_z))
+    return analyses
 
 
 def analyze(x: LabeledDataset, alpha: float = DEFAULT_ALPHA,

@@ -111,11 +111,12 @@ def leading_basis(values, vectors, m: int) -> SubspaceBasis:
 def fisher_subspace(data: LabeledDataset) -> SubspaceBasis:
     """Span of the k-1 leading generalized eigenvectors of the
     (between, total) scatter pair."""
-    # structure builds its Fisher bases from this module, so it is
-    # imported here rather than at module level
+    # structure builds its Fisher bases from this module, so it is imported
+    # here until this function moves into structure (ROADMAP items A and I)
     from .structure import fisher_solve, scatter_matrices
 
-    return fisher_solve(scatter_matrices(data), data.k).fisher_basis
+    vectors = fisher_solve(scatter_matrices(data), data.k).eigen.vectors
+    return SubspaceBasis(columns=vectors[:, : data.k - 1])
 
 
 def sss(v: SubspaceBasis, a: SubspaceBasis) -> float:

@@ -54,18 +54,9 @@ class IsotropicDataset:
 
 
 @dataclass(frozen=True)
-class WeightVector:
-    """Per-observation shrink factors in (0, 1]."""
-
-    weights: np.ndarray
-    alpha: float
-    scheme: str
-
-
-@dataclass(frozen=True)
 class PipelineResult:
     isotropic: IsotropicDataset
-    weights: WeightVector
+    weights: np.ndarray
     weighted: LabeledDataset
 
 
@@ -108,8 +99,9 @@ def isotropize(x: LabeledDataset) -> IsotropicDataset:
 
 
 def compute_weights(y: IsotropicDataset, alpha: float = DEFAULT_ALPHA,
-                    scheme: str = "hyperbolic") -> WeightVector:
-    """Row weights from squared norms of the isotropic data.
+                    scheme: str = "hyperbolic") -> np.ndarray:
+    """Row weights in (0, 1], an (n,) array, from the squared norms of the
+    isotropic data.
 
     Raises ConfigError when a weight underflows to 0, which takes
     |y|^2 / alpha above about 745 (exponential) or beyond the largest
@@ -130,16 +122,14 @@ def compute_weights(y: IsotropicDataset, alpha: float = DEFAULT_ALPHA,
             f"alpha = {alpha} is too small for {scheme} weights: row {row + 1} "
             f"(|y|^2 = {sqnorms[row]:.6g}) gets weight 0"
         )
-    return WeightVector(weights=weights, alpha=float(alpha), scheme=scheme)
+    return weights
 
 
-def apply_weights(y: IsotropicDataset, w: WeightVector) -> LabeledDataset:
+def apply_weights(y: IsotropicDataset, weights: np.ndarray) -> LabeledDataset:
     """Scale each row by its weight and re-center: Z0 = F diag(w) Y."""
-    if w.weights.shape != (y.n,):
-        raise ShapeError(
-            f"weight vector has length {w.weights.shape[0]}, dataset has {y.n} rows"
-        )
-    weighted = w.weights[:, None] * y.data
+    if weights.shape != (y.n,):
+        raise ShapeError(f"weights have shape {weights.shape}, dataset has {y.n} rows")
+    weighted = weights[:, None] * y.data
     weighted -= weighted.mean(axis=0)
     return LabeledDataset(data=weighted, labels=y.labels)
 

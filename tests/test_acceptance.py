@@ -117,7 +117,7 @@ def test_criterion_04_operator_identities():
     spec = make_separation_family(5, 3, 3.0, 1.0, seed=8)
     data = sample(spec, 1700, seed=9)
     pipe = transform_pipeline(data, alpha=0.5)
-    y, w = pipe.isotropic.data, pipe.weights.weights
+    y, w = pipe.isotropic.data, pipe.weights
     fw = centering_matrix(y.shape[0])
     hw = hat_matrix(data.labels)
     t_form = (y * w[:, None]).T @ fw @ (y * w[:, None])
@@ -139,8 +139,8 @@ def test_criterion_05_weight_formulas():
         data=rows, labels=np.ones(2, dtype=np.int64),
         center=np.zeros(2), whitener=np.eye(2), spectrum=sym_eig(np.eye(2)),
     )
-    hyp = compute_weights(iso, alpha=alpha, scheme="hyperbolic").weights
-    exp = compute_weights(iso, alpha=alpha, scheme="exponential").weights
+    hyp = compute_weights(iso, alpha=alpha, scheme="hyperbolic")
+    exp = compute_weights(iso, alpha=alpha, scheme="exponential")
     errs = [
         abs(hyp[0] - 1.0),
         abs(exp[0] - 1.0),

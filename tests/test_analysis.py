@@ -17,6 +17,7 @@ from structdr import (
     LabeledDataset,
     RankError,
     ShapeError,
+    SubspaceBasis,
     analyze,
     apply_centering,
     distinctness_delta_check,
@@ -207,3 +208,33 @@ def test_stack_rejects_summaries_of_another_shape(other):
     rows = [row_pass(cell_data(c, 0, 0)) for c in (cell, other)]
     with pytest.raises(ShapeError, match="must share d and k"):
         analyze_stack(rows)
+
+
+def test_empty_stack_gives_no_analyses():
+    assert analyze_stack([]) == []
+
+
+def test_stacked_pass_checks_each_basis_once(monkeypatch):
+    # the X and Z0 Fisher bases are checked as one stack, the principal
+    # bases as another, and sss makes the third SVD; the Fisher solve's
+    # eigenvectors are not checked apart
+    config = recipe("fig3_d7")
+    cells = [cell for cell in config.cells() if cell.k == 3]
+    assert len(cells) == 3
+    rows = [row_pass(cell_data(cell, 0, config.seed), cell.alpha, cell.scheme)
+            for cell in cells]
+    counts = {"basis": 0, "svd": 0}
+    check, svd = SubspaceBasis.__post_init__, np.linalg.svd
+
+    def counting_check(self):
+        counts["basis"] += 1
+        check(self)
+
+    def counting_svd(*args, **kwargs):
+        counts["svd"] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(SubspaceBasis, "__post_init__", counting_check)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    assert len(analyze_stack(rows)) == 3
+    assert counts == {"basis": 2, "svd": 3}

@@ -1,5 +1,6 @@
 """CLI verbs, file formats, and exit-code contract."""
 
+import ast
 import json
 import os
 import subprocess
@@ -107,6 +108,19 @@ class TestGenerate:
         )
         assert code == 2
         assert message in capsys.readouterr().err
+
+    def test_tiny_asymmetric_covariance_exits_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "bad.json"
+        spec_path.write_text(json.dumps({
+            "means": [[0.0, 0.0], [5.0, 0.0]],
+            "covariances": [np.eye(2).tolist(), (1e-13 * np.array([[1.0, 0.5], [0.4, 1.0]])).tolist()],
+        }))
+        code = run_cli(
+            "generate", "--spec", str(spec_path), "--n-per-cluster", "20",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert "covariance 1 is not symmetric" in capsys.readouterr().err
 
     def test_missing_spec_file_is_io_error(self, tmp_path):
         code = run_cli(
@@ -358,6 +372,27 @@ class TestEntryPoints:
                               env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_function_level_imports_are_only_the_known_ones(self):
+        # a new import cycle or lazy import shows up here: the pool modules
+        # are imported only when a sweep forks workers, and fisher_subspace
+        # imports structure, which imports subspace, until it moves there
+        found = []
+        for path in sorted((Path(__file__).resolve().parents[1] / "src" / "structdr").glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for func in ast.walk(tree):
+                if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    for node in ast.walk(func):
+                        if isinstance(node, ast.Import):
+                            found += [(path.stem, func.name, a.name) for a in node.names]
+                        elif isinstance(node, ast.ImportFrom):
+                            module = "." * node.level + (node.module or "")
+                            found.append((path.stem, func.name, module))
+        assert sorted(found) == [
+            ("experiment", "run_sweep", "concurrent.futures"),
+            ("experiment", "run_sweep", "multiprocessing"),
+            ("subspace", "fisher_subspace", ".structure"),
+        ]
 
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "cfg.json"

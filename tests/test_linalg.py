@@ -125,7 +125,7 @@ class TestSymEig:
 class TestTotalWhitener:
     @pytest.mark.parametrize("values", [[np.nan, np.nan], [2.0, np.nan], [np.nan, 1.0]])
     def test_nan_spectrum_rejected(self, values):
-        spectrum = EigenSolution(values=np.array(values), vectors=np.eye(2), kind="standard")
+        spectrum = EigenSolution(values=np.array(values), vectors=np.eye(2))
         with pytest.raises(RankError, match="total scatter is rank deficient"):
             total_whitener(spectrum)
 
@@ -170,10 +170,6 @@ class TestGenEig:
         singular = np.diag([1.0, 0.0])
         with pytest.raises(DefinitenessError, match="eigenvalue"):
             gen_eig(np.eye(2), singular)
-
-    def test_kind_label(self):
-        rng = np.random.default_rng(8)
-        assert gen_eig(random_spd(rng, 3), random_spd(rng, 3)).kind == "generalized"
 
 
 class TestScatterPairEigenvalues:

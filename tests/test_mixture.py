@@ -61,6 +61,15 @@ class TestMixtureSpec:
         with pytest.raises(ConfigError, match=r"means must be \(k, d\) with k >= 1"):
             MixtureSpec(means=np.zeros((0, 3)), covariances=np.zeros((0, 3, 3)))
 
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+    def test_symmetry_verdict_does_not_depend_on_units(self, scale):
+        means = np.array([[0.0, 0.0], [1.0, 0.0]])
+        symmetric = scale * np.array([[1.0, 0.5], [0.5, 1.0]])
+        asymmetric = scale * np.array([[1.0, 0.5], [0.4, 1.0]])
+        MixtureSpec(means=means, covariances=np.stack([np.eye(2), symmetric]))
+        with pytest.raises(ConfigError, match="covariance 1 is not symmetric"):
+            MixtureSpec(means=means, covariances=np.stack([np.eye(2), asymmetric]))
+
     def test_non_finite_covariance_rejected(self):
         covs = np.stack([np.eye(2), np.diag([1.0, np.inf])])
         with pytest.raises(ConfigError, match="must be finite"):

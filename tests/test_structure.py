@@ -56,7 +56,7 @@ class TestScatterMatrices:
         pair = scatter_matrices(data)
         np.testing.assert_allclose(pair.total, [[4.0]])
         np.testing.assert_allclose(pair.between, [[4.0]])
-        np.testing.assert_allclose(pair.within, [[0.0]], atol=1e-12)
+        np.testing.assert_allclose(pair.total - pair.between, [[0.0]], atol=1e-12)
 
     def test_between_matches_hat_matrix_oracle(self):
         spec = make_separation_family(4, 3, 2.0, 1.0, seed=1)
@@ -75,7 +75,7 @@ class TestScatterMatrices:
             spec = make_separation_family(6, 3, 2.5, 1.0, seed=seed)
             data = sample(spec, 25, seed=seed + 50)
             pair = scatter_matrices(data)
-            assert np.linalg.eigvalsh(pair.within).min() > -1e-8
+            assert np.linalg.eigvalsh(pair.total - pair.between).min() > -1e-8
             between_vals = np.linalg.eigvalsh(pair.between)
             cutoff = 1e-8 * max(between_vals.max(), 1.0)
             assert int((between_vals > cutoff).sum()) <= 2
@@ -149,8 +149,9 @@ class TestFisherSolve:
     def test_basis_spans_k_minus_1(self):
         spec = make_separation_family(5, 3, 2.0, 1.0, seed=8)
         data = sample(spec, 40, seed=9)
-        sol = fisher_solve(scatter_matrices(data), 3)
-        assert sol.fisher_basis.columns.shape == (5, 2)
+        leading = fisher_solve(scatter_matrices(data), 3).eigen.vectors[:, :2]
+        assert leading.shape == (5, 2)
+        assert np.array_equal(fisher_subspace(data).columns, leading)
 
     def test_whitener_spectrum_and_reduced_solution(self):
         rng = np.random.default_rng(14)

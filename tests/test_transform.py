@@ -104,38 +104,38 @@ class TestComputeWeights:
         iso = synthetic_isotropic([[0.0, 0.0], [1.0, 0.0]])
         for scheme in ("hyperbolic", "exponential"):
             w = compute_weights(iso, alpha=0.5, scheme=scheme)
-            assert w.weights[0] == pytest.approx(1.0, abs=1e-15)
+            assert w[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_hyperbolic_at_alpha_norm(self):
         alpha = 0.7
         iso = synthetic_isotropic([[np.sqrt(alpha), 0.0], [0.0, 0.0]])
         w = compute_weights(iso, alpha=alpha, scheme="hyperbolic")
-        assert w.weights[0] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
+        assert w[0] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
 
     def test_exponential_at_alpha_norm(self):
         alpha = 0.7
         iso = synthetic_isotropic([[np.sqrt(alpha), 0.0], [0.0, 0.0]])
         w = compute_weights(iso, alpha=alpha, scheme="exponential")
-        assert w.weights[0] == pytest.approx(np.exp(-1.0), abs=1e-12)
+        assert w[0] == pytest.approx(np.exp(-1.0), abs=1e-12)
 
     def test_weights_in_unit_interval(self):
         iso = isotropize(random_dataset(seed=8))
         for scheme in ("hyperbolic", "exponential"):
-            w = compute_weights(iso, scheme=scheme).weights
+            w = compute_weights(iso, scheme=scheme)
             assert np.all(w > 0) and np.all(w <= 1.0)
 
     def test_hyperbolic_strictly_decreasing_in_norm(self):
         norms = np.linspace(0.0, 5.0, 50)
         iso = synthetic_isotropic(np.column_stack([norms, np.zeros(50)]))
-        w = compute_weights(iso, alpha=0.5, scheme="hyperbolic").weights
+        w = compute_weights(iso, alpha=0.5, scheme="hyperbolic")
         assert np.all(np.diff(w) < 0)
 
     def test_hyperbolic_dominates_exponential_on_grid(self):
         alpha = 0.5
         sqnorms = np.linspace(0.0, 100.0 * alpha, 200)
         iso = synthetic_isotropic(np.column_stack([np.sqrt(sqnorms), np.zeros(200)]))
-        hyp = compute_weights(iso, alpha=alpha, scheme="hyperbolic").weights
-        exp = compute_weights(iso, alpha=alpha, scheme="exponential").weights
+        hyp = compute_weights(iso, alpha=alpha, scheme="hyperbolic")
+        exp = compute_weights(iso, alpha=alpha, scheme="exponential")
         assert np.all(hyp >= exp - 1e-15)
 
     def test_bad_parameters(self):
@@ -150,19 +150,13 @@ class TestComputeWeights:
 class TestApplyWeights:
     def test_unit_weights_recover_isotropic_data(self):
         iso = isotropize(random_dataset(seed=9))
-        from structdr import WeightVector
-
-        w = WeightVector(weights=np.ones(iso.n), alpha=1.0, scheme="hyperbolic")
-        out = apply_weights(iso, w)
+        out = apply_weights(iso, np.ones(iso.n))
         np.testing.assert_allclose(out.data, iso.data, atol=1e-12)
 
     def test_constant_weights_preserve_fisher_spectrum(self):
-        from structdr import WeightVector
-
         data = random_dataset(seed=10, d=4, k=3)
         iso = isotropize(data)
-        w = WeightVector(weights=np.full(iso.n, 0.37), alpha=1.0, scheme="hyperbolic")
-        z0 = apply_weights(iso, w)
+        z0 = apply_weights(iso, np.full(iso.n, 0.37))
         pair_y = scatter_matrices(iso.as_labeled())
         pair_z = scatter_matrices(z0)
         ey = gen_eig(pair_y.between, pair_y.total).values
@@ -175,7 +169,7 @@ class TestApplyWeights:
         iso = isotropize(data)
         w = compute_weights(iso, alpha=0.5)
         z0 = apply_weights(iso, w)
-        diag_w = np.diag(w.weights)
+        diag_w = np.diag(w)
         oracle = iso.data.T @ diag_w @ centering_matrix(iso.n) @ diag_w @ iso.data
         total = scatter_matrices(z0).total
         assert np.linalg.norm(total - oracle) < 1e-10
@@ -186,18 +180,15 @@ class TestApplyWeights:
         spec = make_separation_family(5, 3, 3.0, 1.0, seed=8)
         data = sample(spec, 1700, seed=9)
         pipe = transform_pipeline(data, alpha=0.5)
-        y, w = pipe.isotropic.data, pipe.weights.weights
+        y, w = pipe.isotropic.data, pipe.weights
         oracle = (y * w[:, None]).T @ hat_matrix(data.labels) @ (y * w[:, None])
         between = scatter_matrices(pipe.weighted).between
         assert np.linalg.norm(between - oracle) < 1e-8
 
     def test_length_mismatch(self):
-        from structdr import WeightVector
-
         iso = isotropize(random_dataset(seed=12))
-        w = WeightVector(weights=np.ones(iso.n - 1), alpha=1.0, scheme="hyperbolic")
         with pytest.raises(ShapeError):
-            apply_weights(iso, w)
+            apply_weights(iso, np.ones(iso.n - 1))
 
 
 class TestPipeline:
@@ -218,7 +209,7 @@ class TestPipeline:
         a = transform_pipeline(data)
         b = transform_pipeline(data)
         assert np.array_equal(a.weighted.data, b.weighted.data)
-        assert np.array_equal(a.weights.weights, b.weights.weights)
+        assert np.array_equal(a.weights, b.weights)
 
     def test_huge_alpha_reduces_to_isotropic(self):
         data = random_dataset(seed=14)
@@ -230,4 +221,5 @@ class TestPipeline:
         pipe = transform_pipeline(data, alpha=0.8, scheme="exponential")
         rebuilt = apply_weights(pipe.isotropic, pipe.weights)
         np.testing.assert_allclose(pipe.weighted.data, rebuilt.data, atol=1e-15)
-        assert pipe.weights.scheme == "exponential"
+        sqnorms = np.einsum("ij,ij->i", pipe.isotropic.data, pipe.isotropic.data)
+        assert np.array_equal(pipe.weights, np.exp(-sqnorms / 0.8))

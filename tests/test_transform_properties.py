@@ -86,6 +86,6 @@ def test_weights_lie_in_unit_interval(x, alpha, scheme):
             with pytest.raises(ConfigError, match=re.escape(message)):
                 compute_weights(iso, alpha=alpha, scheme=scheme)
             return
-        weights = compute_weights(iso, alpha=alpha, scheme=scheme).weights
+        weights = compute_weights(iso, alpha=alpha, scheme=scheme)
     assert np.all(weights > 0.0)
     assert np.all(weights <= 1.0)
