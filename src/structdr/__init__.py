@@ -45,7 +45,6 @@ from .mixture import (
 from .structure import (
     Analysis,
     FisherSolution,
-    PerturbationReport,
     ScatterPair,
     SdistEstimate,
     analyze,
@@ -82,7 +81,6 @@ __all__ = [
     "MissingClusterError",
     "MixtureSpec",
     "NumericalError",
-    "PerturbationReport",
     "PipelineResult",
     "RankError",
     "ScatterPair",

@@ -113,16 +113,15 @@ def _cmd_transform(args) -> int:
 def _cmd_analyze(args) -> int:
     data = LabeledDataset.from_csv(args.data)
     result = analyze(data, alpha=args.alpha, scheme=args.scheme)
-    report, sss_x, sss_z = result.report, result.sss_x, result.sss_z
     print(f"n={data.n} d={data.d} k={data.k} alpha={args.alpha} scheme={args.scheme}")
     print(
-        f"lambda_x={report.lambda_bar_x:.6f} lambda_z={report.lambda_bar_z:.6f} "
-        f"delta={report.observed_delta:.6f} bound={report.bound_rhs:.6f} "
-        f"satisfied={format_value(report.bound_satisfied)}"
+        f"lambda_x={result.lambda_bar_x:.6f} lambda_z={result.lambda_bar_z:.6f} "
+        f"delta={result.observed_delta:.6f} bound={result.bound_rhs:.6f} "
+        f"satisfied={format_value(result.bound_satisfied)}"
     )
-    print(f"sss_x={sss_x:.6f} sss_z={sss_z:.6f}")
+    print(f"sss_x={result.sss_x:.6f} sss_z={result.sss_z:.6f}")
     print(
-        f"sd_norm_sq={report.empirical_sd_norm:.6e} d/n={data.d / data.n:.6e}"
+        f"sd_norm_sq={result.empirical_sd_norm:.6e} d/n={data.d / data.n:.6e}"
     )
     if args.out:
         row = {
@@ -131,14 +130,14 @@ def _cmd_analyze(args) -> int:
             "k": data.k,
             "alpha": args.alpha,
             "scheme": args.scheme,
-            "lambda_x": report.lambda_bar_x,
-            "lambda_z": report.lambda_bar_z,
-            "delta": report.observed_delta,
-            "bound": report.bound_rhs,
-            "satisfied": report.bound_satisfied,
-            "sss_x": sss_x,
-            "sss_z": sss_z,
-            "empirical_sd_norm": report.empirical_sd_norm,
+            "lambda_x": result.lambda_bar_x,
+            "lambda_z": result.lambda_bar_z,
+            "delta": result.observed_delta,
+            "bound": result.bound_rhs,
+            "satisfied": result.bound_satisfied,
+            "sss_x": result.sss_x,
+            "sss_z": result.sss_z,
+            "empirical_sd_norm": result.empirical_sd_norm,
         }
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -258,15 +258,14 @@ def _analyze_rows(pending: list):
                 _analyze_rows([item])
         return
     for (record, _), result in zip(pending, analyses):
-        report = result.report
         record.sss_x = result.sss_x
         record.sss_z = result.sss_z
-        record.lambda_x = report.lambda_bar_x
-        record.lambda_z = report.lambda_bar_z
-        record.delta = report.observed_delta
-        record.bound_rhs = report.bound_rhs
-        record.bound_satisfied = report.bound_satisfied
-        record.empirical_sd_norm = report.empirical_sd_norm
+        record.lambda_x = result.lambda_bar_x
+        record.lambda_z = result.lambda_bar_z
+        record.delta = result.observed_delta
+        record.bound_rhs = result.bound_rhs
+        record.bound_satisfied = result.bound_satisfied
+        record.empirical_sd_norm = result.empirical_sd_norm
 
 
 def _run_geometry(cells: list, replicate: int, master_seed: int) -> list:

@@ -168,7 +168,7 @@ def apply_centering(data) -> np.ndarray:
 
 def cluster_counts(labels) -> np.ndarray:
     """Counts per cluster for labels in {1..k}, where k is the largest
-    label; every label must occur."""
+    label; every label must occur, so k > n is rejected before counting."""
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.size == 0:
         raise MissingClusterError("labels must be a non-empty 1-D array")
@@ -176,6 +176,10 @@ def cluster_counts(labels) -> np.ndarray:
     if labels.min() < 1:
         raise MissingClusterError(
             f"labels must lie in 1..{k}, got range [{labels.min()}, {labels.max()}]"
+        )
+    if k > labels.size:
+        raise MissingClusterError(
+            f"largest label {k} exceeds the {labels.size} rows, so some cluster is empty"
         )
     counts = np.bincount(labels, minlength=k + 1)[1:]
     missing = np.nonzero(counts == 0)[0] + 1

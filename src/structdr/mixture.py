@@ -135,6 +135,12 @@ class LabeledDataset:
                 raise ConfigError(
                     f"row {bad[0] + 1}, column label: {labels[bad[0]]} is not an integer"
                 )
+        if labels.dtype.kind in "fO":  # floats and Python ints may not fit in int64
+            bad = np.flatnonzero((labels < -2**63) | (labels >= 2**63))
+            if bad.size:
+                raise ConfigError(
+                    f"row {bad[0] + 1}, column label: {labels[bad[0]]} is outside the int64 range"
+                )
         self.labels = labels.astype(np.int64)
         cluster_counts(self.labels)
 

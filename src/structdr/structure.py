@@ -67,25 +67,6 @@ class SdistEstimate:
 
     value: float
     std_error: float
-    n_samples: int
-
-
-@dataclass(frozen=True)
-class PerturbationReport:
-    """Observed distinctness shift between original and weighted data,
-    the first-order eigenvalue predictions, and the a-priori bound."""
-
-    n: int
-    d: int
-    k: int
-    alpha: float
-    lambda_bar_x: float
-    lambda_bar_z: float
-    observed_delta: float
-    bound_rhs: float
-    bound_satisfied: bool
-    predicted_values: np.ndarray
-    empirical_sd_norm: float
 
 
 def _scatter_pair(centered: np.ndarray, indicator: np.ndarray, counts: np.ndarray) -> ScatterPair:
@@ -156,7 +137,7 @@ def sdist_overlap(spec: MixtureSpec, mc_samples: int = DEFAULT_MC_SAMPLES,
     ratio = tail / (1.0 + tail)
     overlap = float(ratio.mean())
     se = float(ratio.std(ddof=1) / math.sqrt(mc_samples))
-    return SdistEstimate(value=1.0 - overlap, std_error=se, n_samples=mc_samples)
+    return SdistEstimate(value=1.0 - overlap, std_error=se)
 
 
 def perturb_eigs_first_order(solution: EigenSolution, delta_k, delta_m) -> np.ndarray:
@@ -223,8 +204,25 @@ def row_pass(x: LabeledDataset, alpha: float = DEFAULT_ALPHA,
     return _summarize(x, pipe.isotropic, pipe.weighted.data, alpha)
 
 
+@dataclass(frozen=True)
+class Analysis:
+    """What one dataset's analysis reports: the distinctness check of the
+    weighting transform, and the similarity of the principal-component
+    subspace to the Fisher subspace before (sss_x) and after (sss_z)."""
+
+    lambda_bar_x: float
+    lambda_bar_z: float
+    observed_delta: float
+    bound_rhs: float
+    bound_satisfied: bool
+    predicted_values: np.ndarray
+    empirical_sd_norm: float
+    sss_x: float
+    sss_z: float
+
+
 def distinctness_delta_check(x: LabeledDataset, z0: LabeledDataset, alpha: float,
-                             isotropic=None) -> PerturbationReport:
+                             isotropic=None) -> Analysis:
     """Compare distinctness before and after the weighting transform.
 
     Solves the Fisher problem on both datasets, evaluates the first-order
@@ -233,25 +231,16 @@ def distinctness_delta_check(x: LabeledDataset, z0: LabeledDataset, alpha: float
     recorded, never raised: the bound rests on an unproven assumption
     about the spread of squared row norms, so the empirical standard
     deviation of |y_i|^2 is measured and reported with every run.
-    `isotropic`, when given, is `isotropize(x)`, which then is not rerun.
+    `z0` is `transform_pipeline(x).weighted`, whose rows are centered
+    already, and `isotropic`, when given, is `isotropize(x)`, which then
+    is not rerun: the result is `analyze(x, alpha)` bit for bit.
     """
     if x.labels.shape != z0.labels.shape or np.any(x.labels != z0.labels):
         raise ShapeError("x and z0 must carry identical labels")
     if x.d != z0.d:
         raise ShapeError(f"x and z0 must have the same columns, got d = {x.d} and {z0.d}")
     iso = isotropic or isotropize(x)
-    return analyze_stack([_summarize(x, iso, apply_centering(z0.data), alpha)])[0].report
-
-
-@dataclass(frozen=True)
-class Analysis:
-    """What one dataset's analysis reports: the distinctness check of the
-    weighting transform, and the similarity of the principal-component
-    subspace to the Fisher subspace before (sss_x) and after (sss_z)."""
-
-    report: PerturbationReport
-    sss_x: float
-    sss_z: float
+    return analyze_stack([_summarize(x, iso, z0.data, alpha)])[0]
 
 
 def analyze_stack(rows: list) -> list:
@@ -289,11 +278,7 @@ def analyze_stack(rows: list) -> list:
             rows, fisher.distinctness.tolist(), predicted, similarity):
         bound = proposition1_bound(r.n, d, k, r.alpha, lambda_x)
         delta = abs(lambda_z - lambda_x)
-        analyses.append(Analysis(PerturbationReport(
-            n=r.n,
-            d=d,
-            k=k,
-            alpha=float(r.alpha),
+        analyses.append(Analysis(
             lambda_bar_x=lambda_x,
             lambda_bar_z=lambda_z,
             observed_delta=delta,
@@ -301,7 +286,9 @@ def analyze_stack(rows: list) -> list:
             bound_satisfied=bool(delta <= bound),
             predicted_values=predictions,
             empirical_sd_norm=r.sd_norm,
-        ), sss_x, sss_z))
+            sss_x=sss_x,
+            sss_z=sss_z,
+        ))
     return analyses
 
 

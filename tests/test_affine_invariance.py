@@ -60,7 +60,7 @@ def test_fisher_eigenvalues_are_affine_invariant(shape, separation, seed):
     want = fisher_solve(scatter_matrices(data), k)
     got = fisher_solve(scatter_matrices(mapped), k)
     np.testing.assert_allclose(got.eigen.values, want.eigen.values, rtol=0, atol=ATOL)
-    assert abs(analyze(mapped).report.lambda_bar_x - want.distinctness) <= ATOL
+    assert abs(analyze(mapped).lambda_bar_x - want.distinctness) <= ATOL
 
 
 REPORTED = ("lambda_bar_x", "lambda_bar_z", "observed_delta", "empirical_sd_norm")
@@ -68,8 +68,7 @@ REPORTED = ("lambda_bar_x", "lambda_bar_z", "observed_delta", "empirical_sd_norm
 
 def values(result):
     """Everything `analyze` reports, by name."""
-    return {**{name: getattr(result.report, name) for name in REPORTED},
-            "sss_x": result.sss_x, "sss_z": result.sss_z}
+    return {name: getattr(result, name) for name in (*REPORTED, "sss_x", "sss_z")}
 
 
 @settings(max_examples=30, deadline=None)

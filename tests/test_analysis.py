@@ -6,12 +6,14 @@ first-order predictions from the isotropic data's own scatter pair, and
 including the exception a failing dataset raises.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 from structdr import (
+    Analysis,
     Cell,
     ConfigError,
     LabeledDataset,
@@ -75,10 +77,20 @@ def reference(data, alpha, scheme):
 
 
 def analysis_values(result):
-    r = result.report
-    return dict(lambda_x=r.lambda_bar_x, lambda_z=r.lambda_bar_z, delta=r.observed_delta,
-                bound_rhs=r.bound_rhs, sss_x=result.sss_x, sss_z=result.sss_z,
-                empirical_sd_norm=r.empirical_sd_norm)
+    return dict(lambda_x=result.lambda_bar_x, lambda_z=result.lambda_bar_z,
+                delta=result.observed_delta, bound_rhs=result.bound_rhs, sss_x=result.sss_x,
+                sss_z=result.sss_z, empirical_sd_norm=result.empirical_sd_norm)
+
+
+def assert_same_analysis(got, want):
+    """Every field of two Analyses equal: floats and flags by repr, the
+    predictions bit for bit."""
+    for field in dataclasses.fields(Analysis):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert np.array_equal(a, b), field.name
+        else:
+            assert repr(a) == repr(b), (field.name, a, b)
 
 
 def assert_close(got, want):
@@ -121,11 +133,11 @@ def test_analyze_matches_reference_on_shuffled_rows(d, k, n_per, scheme, relabel
     data = shuffled(sample(spec, n_per, seed=k), rng, relabel)
     want, satisfied, predicted = reference(data, 0.5, scheme)
     result = analyze(data, alpha=0.5, scheme=scheme)
-    assert result.report.bound_satisfied == satisfied
+    assert result.bound_satisfied == satisfied
     assert_close(analysis_values(result), want)
     # only the k-1 leading eigenvalues are simple; the zero eigenspace's
     # vectors, and so its predictions, depend on the solver's basis
-    np.testing.assert_allclose(result.report.predicted_values[: k - 1], predicted,
+    np.testing.assert_allclose(result.predicted_values[: k - 1], predicted,
                                rtol=0, atol=ATOL)
 
     pipe = transform_pipeline(data, alpha=0.5, scheme=scheme)
@@ -193,11 +205,20 @@ def test_stack_equals_each_dataset_alone(name, k):
     alone, alone_warnings = recorded_warnings(lambda: [
         analyze(x, cell.alpha, cell.scheme) for x, cell in zip(datasets, cells)])
     assert stacked_warnings == alone_warnings
+    assert len(stacked) == len(alone)
     for got, want in zip(stacked, alone):
-        assert repr(analysis_values(got)) == repr(analysis_values(want))
-        for field in ("n", "d", "k", "alpha", "bound_satisfied"):
-            assert repr(getattr(got.report, field)) == repr(getattr(want.report, field))
-        assert np.array_equal(got.report.predicted_values, want.report.predicted_values)
+        assert_same_analysis(got, want)
+
+
+def test_delta_check_equals_analyze():
+    # the two entry points run the same stack of one and report the same
+    # Analysis, the subspace similarities included
+    config = recipe("fig3_d7")
+    cell = next(cell for cell in config.cells() if cell.k == 3)
+    x = cell_data(cell, 0, config.seed)
+    pipe = transform_pipeline(x, alpha=cell.alpha, scheme=cell.scheme)
+    check = distinctness_delta_check(x, pipe.weighted, cell.alpha, isotropic=pipe.isotropic)
+    assert_same_analysis(check, analyze(x, cell.alpha, cell.scheme))
 
 
 @pytest.mark.parametrize("other", [Cell(8, 3, 100, 0.5, 10.0, 1.0, "hyperbolic"),

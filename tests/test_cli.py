@@ -219,12 +219,19 @@ class TestMalformedDataset:
         ("1.0,abc,2", "row 2, column x2"),
         ("1.0,3.0,1.5", "row 2, column label"),
         ("1.0,3.0,-1", "labels must lie in 1..1, got range [-1, 1]"),
+        # a label above the row count leaves a cluster empty, and is rejected
+        # before one counter per label is allocated
+        ("1.0,3.0,10000000", "largest label 10000000 exceeds the 2 rows"),
+        (f"1.0,3.0,{2**62}", f"largest label {2**62} exceeds the 2 rows"),
+        (f"1.0,3.0,{10**30}", f"row 2, column label: {10**30} is outside the int64 range"),
     ])
     def test_analyze_exits_2_naming_file_row_and_column(self, tmp_path, capsys, row, where):
         path = tmp_path / "bad.csv"
         path.write_text(f"x1,x2,label\n1.0,2.0,1\n{row}\n")
         assert run_cli("analyze", "--data", str(path)) == 2
-        assert f"{path}: {where}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{path}: {where}" in err
+        assert len(err.encode()) < 1024
 
     @pytest.mark.parametrize("verb", ["analyze", "transform"])
     @pytest.mark.parametrize("content,missing", [

@@ -3,10 +3,11 @@
 
 `tests/data/gen_d4_k2_n30_s1.csv` is `structdr generate --d 4 --k 2
 --n-per-cluster 30 --seed 1`, the three `gen_d4_k2_n30_s1_a0.5_*.csv`
-files are `structdr transform --alpha 0.5` of it, and `edge_values.csv` is
-`EDGE_VALUES` written by `LabeledDataset.to_csv`. Today's output must
-match them byte for byte, and reading a file back must give every value
-bit for bit.
+files are `structdr transform --alpha 0.5` of it, `..._a0.5_analyze.txt`
+and `..._a0.5_report.csv` are the stdout and the `--out` CSV of `structdr
+analyze --alpha 0.5` of it, and `edge_values.csv` is `EDGE_VALUES`
+written by `LabeledDataset.to_csv`. Today's output must match them byte
+for byte, and reading a file back must give every value bit for bit.
 """
 
 from pathlib import Path
@@ -55,6 +56,15 @@ def test_transform_matches_golden(tmp_path):
     for stage in STAGES:
         assert_same_bytes(tmp_path / f"stage_{stage}.csv",
                           DATA / f"gen_d4_k2_n30_s1_a0.5_{stage}.csv")
+
+
+def test_analyze_matches_golden(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    assert main(["analyze", "--data", str(GENERATED), "--alpha", "0.5",
+                 "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.encode() == (DATA / "gen_d4_k2_n30_s1_a0.5_analyze.txt").read_bytes()
+    assert_same_bytes(out, DATA / "gen_d4_k2_n30_s1_a0.5_report.csv")
 
 
 def test_edge_values_match_golden_and_read_back_exactly(tmp_path):
