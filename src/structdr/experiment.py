@@ -7,16 +7,19 @@ mixture configuration seed deliberately excludes the per-cluster sample
 size, so cells that differ only in n share the same 50 mixture draws and
 sample-size effects are paired rather than confounded.
 
-A sweep's unit of work is one replicate of the cells that share a
-geometry (d, k, separation, dispersion): it builds that mixture once and
-runs every (n_per_cluster, alpha) cell on it, in two phases. Each cell in
-turn is sampled and reduced to its d x d row summary, and then one
-stacked d x d pass analyzes every summary of the unit. Units run in the
-process, or in a pool of forked worker processes when more than one is
-asked for, and records are put back in canonical order (grid-major,
-replicate-minor) either way, so repeated runs and any worker count produce
-byte-identical CSV bodies. Wall-clock timings are kept on the in-memory
-records only, never serialized.
+A sweep's unit of work is a block of replicates of the cells that share
+a geometry (d, k, separation, dispersion), run in three steps. One
+stacked build makes the block's mixtures, one per replicate. Each
+(replicate, n_per_cluster, alpha) cell in turn is then sampled and
+reduced to its d x d row summary, so a unit holds one cell's rows at a
+time, and one stacked d x d pass analyzes every summary of the block.
+Serially a block holds all of a geometry's replicates; on a pool of
+forked worker processes, each geometry's replicates are split into the
+fewest near-equal blocks that give every worker at least four units.
+Records are put back in canonical order (grid-major, replicate-minor)
+either way, so repeated runs and any worker count produce byte-identical
+CSV bodies. Wall-clock timings are kept on the in-memory records only,
+never serialized.
 """
 
 import copy
@@ -34,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, StructdrError
-from .mixture import make_separation_family, sample
+from .mixture import make_separation_families, sample
 from .structure import analyze_stack, row_pass
 from .transform import SCHEMES
 
@@ -224,19 +227,22 @@ def _geometry(cell: Cell) -> tuple:
     return (cell.d, cell.k, _float_bits(cell.separation), _float_bits(cell.dispersion))
 
 
+def _seed(master_seed: int, cell: Cell, replicate: int, *stream) -> int:
+    """The seed of one stream of a replicate of the cell's geometry."""
+    base = (int(master_seed), *_geometry(cell), int(replicate), *stream)
+    return int(np.random.SeedSequence(base).generate_state(1, np.uint64)[0])
+
+
 def derive_seeds(master_seed: int, cell: Cell, replicate: int) -> tuple:
     """Deterministic (mixture_seed, data_seed) for one replicate.
 
-    The mixture seed depends on the cell's geometry coordinates and the
-    replicate but not on n_per_cluster or alpha, so the same mixture
-    configurations recur across sample sizes and weighting strengths.
+    The mixture seed (stream 1) depends on the cell's geometry coordinates
+    and the replicate but not on n_per_cluster or alpha, so the same
+    mixture configurations recur across sample sizes and weighting
+    strengths; the data seed is stream (2, n_per_cluster).
     """
-    base = (int(master_seed), *_geometry(cell), int(replicate))
-    spec_seed = np.random.SeedSequence(base + (1,)).generate_state(1, np.uint64)[0]
-    data_seed = np.random.SeedSequence(base + (2, cell.n_per_cluster)).generate_state(
-        1, np.uint64
-    )[0]
-    return int(spec_seed), int(data_seed)
+    return (_seed(master_seed, cell, replicate, 1),
+            _seed(master_seed, cell, replicate, 2, cell.n_per_cluster))
 
 
 def _fail(record: ExperimentRecord, exc: Exception):
@@ -245,9 +251,9 @@ def _fail(record: ExperimentRecord, exc: Exception):
 
 
 def _analyze_rows(pending: list):
-    """Phase 2 of a unit: fill in each (record, RowSummary) pair's record
-    from one stacked d x d pass. When the stack fails, each pair is rerun
-    as a stack of one, so that a failing record gets its own error."""
+    """The last step of a unit: fill in each (record, RowSummary) pair's
+    record from one stacked d x d pass. When the stack fails, each pair is
+    rerun as a stack of one, so that a failing record gets its own error."""
     try:
         analyses = analyze_stack([summary for _, summary in pending])
     except FAILURES as exc:
@@ -268,28 +274,43 @@ def _analyze_rows(pending: list):
         record.empirical_sd_norm = result.empirical_sd_norm
 
 
-def _run_geometry(cells: list, replicate: int, master_seed: int) -> list:
-    """One replicate of cells that share a geometry, run on one build of
-    their mixture in two phases: each cell's row pass in turn, so that no
-    two cells' rows are held at once, then one stacked d x d pass. A
-    failed build is retried per cell. Module errors mark a record failed
-    instead of aborting the sweep; each record's elapsed_seconds is an
-    equal share of the unit's time."""
+def _build(cell: Cell, seeds: list) -> list:
+    """The mixtures of a block of replicates, one per spec seed, from one
+    stacked build. When that fails, each seed is built alone, so that a
+    replicate whose build fails gets its own error in place of a spec."""
+    try:
+        return make_separation_families(cell.d, cell.k, cell.separation, cell.dispersion, seeds)
+    except FAILURES as exc:
+        if len(seeds) == 1:
+            return [exc]
+        return [result for seed in seeds for result in _build(cell, [seed])]
+
+
+def _run_geometry(cells: list, replicates: list, master_seed: int) -> list:
+    """A block of replicates of cells that share a geometry, in three
+    steps: one stacked build of the replicates' mixtures; each (replicate,
+    cell) row pass in turn, so that no two cells' rows are held at once;
+    then one stacked d x d pass over every summary. Records come replicate
+    by replicate, in cell order. Module errors mark a record failed instead
+    of aborting the sweep; each record's elapsed_seconds is an equal share
+    of the block's time."""
     start = time.perf_counter()
-    records, pending, spec = [], [], None
-    for cell in cells:
-        spec_seed, data_seed = derive_seeds(master_seed, cell, replicate)
-        record = ExperimentRecord(*cell, replicate=replicate, seed=data_seed)
-        records.append(record)
-        try:
-            if spec is None:
-                spec = make_separation_family(
-                    cell.d, cell.k, cell.separation, cell.dispersion, spec_seed)
-            summary = row_pass(sample(spec, cell.n_per_cluster, seed=data_seed),
-                               alpha=cell.alpha, scheme=cell.scheme)
-            pending.append((record, summary))
-        except FAILURES as exc:
-            _fail(record, exc)
+    specs = _build(cells[0], [_seed(master_seed, cells[0], rep, 1) for rep in replicates])
+    records, pending = [], []
+    for replicate, spec in zip(replicates, specs):
+        for cell in cells:
+            record = ExperimentRecord(*cell, replicate=replicate, seed=_seed(
+                master_seed, cell, replicate, 2, cell.n_per_cluster))
+            records.append(record)
+            if isinstance(spec, Exception):
+                _fail(record, spec)
+                continue
+            try:
+                summary = row_pass(sample(spec, cell.n_per_cluster, seed=record.seed),
+                                   alpha=cell.alpha, scheme=cell.scheme)
+                pending.append((record, summary))
+            except FAILURES as exc:
+                _fail(record, exc)
     _analyze_rows(pending)
     elapsed = (time.perf_counter() - start) / len(records)
     for record in records:
@@ -298,11 +319,11 @@ def _run_geometry(cells: list, replicate: int, master_seed: int) -> list:
 
 
 def run_cell(cell: Cell, replicate: int, master_seed: int) -> ExperimentRecord:
-    """Execute one replicate of one grid cell, as the one-cell unit of a
-    sweep: draw a mixture and a sample, then `analyze` it, which gives the
+    """Execute one replicate of one grid cell, as a sweep unit of one
+    cell and one replicate: draw a mixture and a sample, then `analyze` it, which gives the
     subspace similarity on the raw and the weighted data and the
     distinctness shift against the closed-form bound."""
-    return _run_geometry([cell], replicate, master_seed)[0]
+    return _run_geometry([cell], [replicate], master_seed)[0]
 
 
 def run_sweep(config: ExperimentConfig, out_path=None, threads: int = 1) -> list:
@@ -310,11 +331,12 @@ def run_sweep(config: ExperimentConfig, out_path=None, threads: int = 1) -> list
     one is given.
 
     threads is the number of worker processes, capped at the number of
-    units (one replicate of a geometry, see the module docstring) and of
-    CPUs this process may use; with one worker the units run in the
-    calling thread. Records and CSV are the same for any threads. The
-    output file is opened before any computation so an unwritable path
-    fails fast, and only the calling process writes it.
+    (geometry, replicate) pairs and of CPUs this process may use; with one
+    worker the units run in the calling thread. A unit is a block of
+    replicates of one geometry (see the module docstring). Records and CSV
+    are the same for any threads. The output file is opened before any
+    computation so an unwritable path fails fast, and only the calling
+    process writes it.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
@@ -322,28 +344,33 @@ def run_sweep(config: ExperimentConfig, out_path=None, threads: int = 1) -> list
     groups = {}
     for i, cell in enumerate(cells):
         groups.setdefault(_geometry(cell), []).append(i)
-    units = [(indices, rep) for indices in groups.values() for rep in range(config.replicates)]
-    tasks = [([cells[i] for i in indices], rep) for indices, rep in units]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(threads, len(units), cpus or 1)
+    workers = min(threads, len(groups) * config.replicates, cpus or 1)
+    # Each geometry's replicates are split into the fewest near-equal blocks
+    # that give every worker at least four units, which evens out units of
+    # unequal cost; serially a block is all of a geometry's replicates.
+    per_geometry = 1 if workers < 2 else min(config.replicates,
+                                             math.ceil(4 * workers / len(groups)))
+    blocks = [block.tolist() for block in np.array_split(range(config.replicates), per_geometry)]
+    units = [(indices, block) for indices in groups.values() for block in blocks]
+    tasks = [([cells[i] for i in indices], block) for indices, block in units]
     with open(out_path, "w", newline="") if out_path else nullcontext() as fh:
         if workers > 1:
             # Forked workers start with numpy and structdr imported; a
             # fresh import in each would cost more than a short sweep.
-            # map returns results in unit order; four chunks per worker
-            # even out units of unequal cost.
+            # map returns results in unit order.
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
             fork = "fork" in multiprocessing.get_all_start_methods()
             context = multiprocessing.get_context("fork" if fork else None)
             with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                results = list(pool.map(
-                    _run_geometry, *zip(*tasks), itertools.repeat(config.seed),
-                    chunksize=math.ceil(len(units) / (4 * workers))))
+                results = list(pool.map(_run_geometry, *zip(*tasks),
+                                        itertools.repeat(config.seed)))
         else:
-            results = [_run_geometry(group, rep, config.seed) for group, rep in tasks]
-        order = [i * config.replicates + rep for indices, rep in units for i in indices]
+            results = [_run_geometry(group, block, config.seed) for group, block in tasks]
+        order = [i * config.replicates + rep
+                 for indices, block in units for rep in block for i in indices]
         records = [record for _, record in sorted(zip(order, itertools.chain(*results)))]
         if fh is not None:
             write_records_csv(fh, records)

@@ -184,7 +184,10 @@ def cluster_counts(labels) -> np.ndarray:
     counts = np.bincount(labels, minlength=k + 1)[1:]
     missing = np.nonzero(counts == 0)[0] + 1
     if missing.size:
-        raise MissingClusterError(f"empty cluster(s): {missing.tolist()} (k = {k})")
+        # the count and the first few labels: a stray label may leave
+        # thousands of clusters empty
+        listed = ", ".join(map(str, missing[:5].tolist())) + (", ..." if missing.size > 5 else "")
+        raise MissingClusterError(f"{missing.size} empty cluster(s) (k = {k}): {listed}")
     return counts
 
 

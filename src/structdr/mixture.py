@@ -41,21 +41,9 @@ class MixtureSpec:
             )
         if d <= k - 1:
             raise ConfigError(f"need dimension d > k - 1, got d = {d}, k = {k}")
-        if not (np.isfinite(means).all() and np.isfinite(covs).all()):
-            raise ConfigError("means and covariances must be finite")
-        factors = np.empty_like(covs)
-        for l, cov in enumerate(covs):
-            if np.abs(cov - cov.T).max() > 1e-10 * np.abs(cov).max():
-                raise ConfigError(f"covariance {l} is not symmetric")
-            try:
-                factors[l] = np.linalg.cholesky(cov)
-            except np.linalg.LinAlgError:
-                raise DefinitenessError(
-                    f"covariance {l} is not positive definite (Cholesky failed)"
-                ) from None
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covariances", covs)
-        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "factors", _checked_factors(means, covs))
 
     @property
     def k(self) -> int:
@@ -100,16 +88,46 @@ class MixtureSpec:
         return cls(means=means, covariances=covariances)
 
 
+def _checked_factors(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factors of a spec's covariances (k, d, d), or of
+    a stack (..., k, d, d) of specs' covariances, checked with one symmetry
+    test and one Cholesky over the stack. Only when a check fails is the
+    first bad covariance looked for, in stack order, and named by its index
+    in its spec, so the error is the one its spec raises alone."""
+    if not (np.isfinite(means).all() and np.isfinite(covs).all()):
+        raise ConfigError("means and covariances must be finite")
+    asymmetry = np.abs(covs - np.swapaxes(covs, -1, -2)).max(axis=(-2, -1))
+    symmetric = asymmetry <= 1e-10 * np.abs(covs).max(axis=(-2, -1))
+    if symmetric.all():
+        try:
+            return np.linalg.cholesky(covs)
+        except np.linalg.LinAlgError:
+            pass
+    k, d = covs.shape[-3:-1]
+    for i, cov in enumerate(covs.reshape(-1, d, d)):
+        if not symmetric.flat[i]:
+            raise ConfigError(f"covariance {i % k} is not symmetric")
+        try:
+            np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            raise DefinitenessError(
+                f"covariance {i % k} is not positive definite (Cholesky failed)"
+            ) from None
+    raise AssertionError("a stacked check failed, but no covariance fails alone")
+
+
 @dataclass
 class LabeledDataset:
     """n x d observations with per-row cluster labels in 1..k.
 
     Every value must be finite and every label an integer; error messages
-    count rows from 1.
+    count rows from 1. counts holds the rows of each cluster, counted once
+    when the labels are validated.
     """
 
     data: np.ndarray
     labels: np.ndarray
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
@@ -142,7 +160,7 @@ class LabeledDataset:
                     f"row {bad[0] + 1}, column label: {labels[bad[0]]} is outside the int64 range"
                 )
         self.labels = labels.astype(np.int64)
-        cluster_counts(self.labels)
+        self.counts = cluster_counts(self.labels)
 
     @property
     def n(self) -> int:
@@ -154,7 +172,7 @@ class LabeledDataset:
 
     @property
     def k(self) -> int:
-        return int(self.labels.max())
+        return self.counts.size
 
     def to_csv(self, path):
         write_labeled_csv(path, [f"x{j + 1}" for j in range(self.d)], self.data, self.labels)
@@ -257,29 +275,31 @@ def _simplex_vertices(k: int) -> np.ndarray:
     return basis / np.sqrt(2.0)
 
 
-def _random_orthogonal(rng, d: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((d, d)))
-    return q * np.sign(np.diag(r))
-
-
-def random_spd(rng, d: int) -> np.ndarray:
-    """Random SPD matrix Q diag(D) Q^T with log-uniform spectrum whose
-    condition number is at most COVARIANCE_CONDITION_CAP."""
-    half = np.log(COVARIANCE_CONDITION_CAP) / 2.0
-    diag = np.exp(rng.uniform(-half, half, size=d))
-    q = _random_orthogonal(rng, d)
-    return symmetrize((q * diag) @ q.T)
-
-
 def make_separation_family(d: int, k: int, separation: float, dispersion: float, seed) -> MixtureSpec:
     """Seeded mixture family with tunable cluster geometry.
 
     Means sit at the vertices of a regular simplex with pairwise distance
     exactly `separation`, embedded in a random (k-1)-dimensional frame;
-    covariances are dispersion^2 times random SPD matrices with condition
-    number <= 10. For a fixed seed the frame and covariances do not depend
-    on `separation`, so the family is monotone: doubling `separation`
-    doubles every pairwise mean distance.
+    covariances are dispersion^2 times random SPD matrices Q diag(D) Q^T
+    whose log-uniform spectrum D has condition number <= 10. For a fixed
+    seed the frame and covariances do not depend on `separation`, so the
+    family is monotone: doubling `separation` doubles every pairwise mean
+    distance. This is `make_separation_families` for one seed.
+    """
+    return make_separation_families(d, k, separation, dispersion, [seed])[0]
+
+
+def make_separation_families(d: int, k: int, separation: float, dispersion: float,
+                             seeds) -> list:
+    """The `make_separation_family` spec of each seed, built as one stack.
+
+    Each seed's generator draws, in turn, the Gaussian d x d block whose QR
+    gives the means' frame, then per cluster the log-spectrum and the
+    Gaussian block of the covariance's axes Q. Then the QRs of all blocks,
+    the covariance products and the spec checks are one numpy call each
+    over the stack, and every spec is the one its seed gets alone, bit for
+    bit. An invalid spec raises the error it raises alone; of several, the
+    first seed's.
     """
     if k < 1:
         raise ConfigError(f"need k >= 1, got k = {k}")
@@ -291,8 +311,25 @@ def make_separation_family(d: int, k: int, separation: float, dispersion: float,
         raise ConfigError(f"dispersion must be > 0, got {dispersion}")
     if dispersion > np.sqrt(np.finfo(float).max / COVARIANCE_CONDITION_CAP):
         raise ConfigError(f"dispersion = {dispersion} is too large: the covariances overflow")
-    rng = np.random.default_rng(seed)
-    frame = _random_orthogonal(rng, d)[:, : k - 1]
-    means = separation * (_simplex_vertices(k) @ frame.T)
-    covariances = np.stack([dispersion**2 * random_spd(rng, d) for _ in range(k)])
-    return MixtureSpec(means=means, covariances=covariances)
+    half = np.log(COVARIANCE_CONDITION_CAP) / 2.0
+    blocks = np.empty((len(seeds), k + 1, d, d))
+    log_spectra = np.empty((len(seeds), k, d))
+    for seed, block, log_spectrum in zip(seeds, blocks, log_spectra):
+        rng = np.random.default_rng(seed)
+        block[0] = rng.standard_normal((d, d))
+        for l in range(k):
+            log_spectrum[l] = rng.uniform(-half, half, size=d)
+            block[l + 1] = rng.standard_normal((d, d))
+    q, r = np.linalg.qr(blocks)
+    q *= np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]  # so each Q is Haar
+    frames, axes = q[:, 0, :, : k - 1], q[:, 1:]
+    means = separation * (_simplex_vertices(k) @ np.swapaxes(frames, -1, -2))
+    covariances = dispersion**2 * symmetrize(
+        (axes * np.exp(log_spectra)[..., None, :]) @ np.swapaxes(axes, -1, -2))
+    factors = _checked_factors(means, covariances)
+    specs = []
+    for arrays in zip(means, covariances, factors):
+        spec = object.__new__(MixtureSpec)  # checked above, as a stack
+        spec.__dict__.update(zip(("means", "covariances", "factors"), arrays))
+        specs.append(spec)
+    return specs

@@ -20,7 +20,6 @@ from .linalg import (
     EigenSolution,
     apply_centering,
     check_symmetric,
-    cluster_counts,
     cluster_indicator,
     sym_eig,
     symmetrize,
@@ -30,7 +29,14 @@ from .linalg import (
 )
 from .mixture import LabeledDataset, MixtureSpec
 from .subspace import SubspaceBasis, leading_basis, sss
-from .transform import DEFAULT_ALPHA, IsotropicDataset, check_rows, isotropize, transform_pipeline
+from .transform import (
+    DEFAULT_ALPHA,
+    IsotropicDataset,
+    check_rows,
+    compute_weights,
+    isotropize,
+    weighted_rows,
+)
 
 MIN_MC_SAMPLES = 10_000
 DEFAULT_MC_SAMPLES = 200_000
@@ -81,9 +87,8 @@ def _scatter_pair(centered: np.ndarray, indicator: np.ndarray, counts: np.ndarra
 def scatter_matrices(data: LabeledDataset) -> ScatterPair:
     """Total and between-cluster scatter of a labeled dataset with n > d."""
     check_rows(data)
-    counts = cluster_counts(data.labels)
-    indicator = cluster_indicator(data.labels, counts.size)
-    return _scatter_pair(apply_centering(data.data), indicator, counts)
+    indicator = cluster_indicator(data.labels, data.k)
+    return _scatter_pair(apply_centering(data.data), indicator, data.counts)
 
 
 def _check_cluster_count(k: int, d: int):
@@ -189,19 +194,20 @@ def _summarize(x: LabeledDataset, iso: IsotropicDataset, z0: np.ndarray,
                alpha: float) -> RowSummary:
     """The row summary of X, given its isotropic rows Y = iso.data and the
     centered weighted rows z0."""
-    counts = cluster_counts(x.labels)
-    indicator = cluster_indicator(x.labels, counts.size)
-    return RowSummary(x.n, x.k, alpha, _scatter_pair(iso.data, indicator, counts),
-                      _scatter_pair(z0, indicator, counts), float(iso.sqnorms.std(ddof=0)),
+    indicator = cluster_indicator(x.labels, x.k)
+    return RowSummary(x.n, x.k, alpha, _scatter_pair(iso.data, indicator, x.counts),
+                      _scatter_pair(z0, indicator, x.counts), float(iso.sqnorms.std(ddof=0)),
                       iso.spectrum, iso.whitener)
 
 
 def row_pass(x: LabeledDataset, alpha: float = DEFAULT_ALPHA,
              scheme: str = "hyperbolic") -> RowSummary:
-    """The pass over a dataset's rows that `analyze` starts with."""
+    """The pass over a dataset's rows that `analyze` starts with: the
+    steps of `transform_pipeline`, with Z0 kept as an array."""
     _check_cluster_count(x.k, x.d)
-    pipe = transform_pipeline(x, alpha=alpha, scheme=scheme)
-    return _summarize(x, pipe.isotropic, pipe.weighted.data, alpha)
+    iso = isotropize(x)
+    weights = compute_weights(iso, alpha=alpha, scheme=scheme)
+    return _summarize(x, iso, weighted_rows(iso, weights), alpha)
 
 
 @dataclass(frozen=True)

@@ -125,13 +125,19 @@ def compute_weights(y: IsotropicDataset, alpha: float = DEFAULT_ALPHA,
     return weights
 
 
+def weighted_rows(y: IsotropicDataset, weights: np.ndarray) -> np.ndarray:
+    """The rows of Z0 = F diag(w) Y: each row scaled by its weight, then
+    re-centered."""
+    weighted = weights[:, None] * y.data
+    weighted -= weighted.mean(axis=0)
+    return weighted
+
+
 def apply_weights(y: IsotropicDataset, weights: np.ndarray) -> LabeledDataset:
     """Scale each row by its weight and re-center: Z0 = F diag(w) Y."""
     if weights.shape != (y.n,):
         raise ShapeError(f"weights have shape {weights.shape}, dataset has {y.n} rows")
-    weighted = weights[:, None] * y.data
-    weighted -= weighted.mean(axis=0)
-    return LabeledDataset(data=weighted, labels=y.labels)
+    return LabeledDataset(data=weighted_rows(y, weights), labels=y.labels)
 
 
 def transform_pipeline(x: LabeledDataset, alpha: float = DEFAULT_ALPHA,

@@ -1,7 +1,8 @@
 """Dense reference implementations that the tests compare the library
 against: the materialized centering and hat operators, the exact
-population moments of an equal-weight Gaussian mixture, and mixture
-draws made one component at a time.
+population moments of an equal-weight Gaussian mixture, mixture draws
+made one component at a time, and the separation family built one matrix
+at a time.
 
 None of them runs on a production path; they are kept here, next to the
 tests, as independent oracles.
@@ -15,6 +16,7 @@ import numpy as np
 
 from structdr import LabeledDataset, MissingClusterError, MixtureSpec
 from structdr.linalg import cluster_counts, symmetrize
+from structdr.mixture import COVARIANCE_CONDITION_CAP, _simplex_vertices
 
 
 def centering_matrix(n: int) -> np.ndarray:
@@ -100,3 +102,24 @@ def blockwise_sdist_overlap(spec: MixtureSpec, mc_samples: int, seed) -> tuple:
     tail = np.exp(-np.abs(log_f[0] - log_f[1]))
     ratio = tail / (1.0 + tail)
     return 1.0 - float(ratio.mean()), float(ratio.std(ddof=1) / math.sqrt(mc_samples))
+
+
+def matrixwise_separation_family(d: int, k: int, separation: float, dispersion: float,
+                                 seed) -> MixtureSpec:
+    """`make_separation_family` with one QR per Gaussian block and one
+    product per covariance, validated by `MixtureSpec`."""
+    rng = np.random.default_rng(seed)
+
+    def random_orthogonal():
+        q, r = np.linalg.qr(rng.standard_normal((d, d)))
+        return q * np.sign(np.diag(r))
+
+    half = np.log(COVARIANCE_CONDITION_CAP) / 2.0
+    frame = random_orthogonal()[:, : k - 1]
+    means = separation * (_simplex_vertices(k) @ frame.T)
+    covariances = []
+    for _ in range(k):
+        spectrum = np.exp(rng.uniform(-half, half, size=d))
+        q = random_orthogonal()
+        covariances.append(dispersion**2 * symmetrize((q * spectrum) @ q.T))
+    return MixtureSpec(means=means, covariances=np.stack(covariances))

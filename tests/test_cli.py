@@ -224,6 +224,11 @@ class TestMalformedDataset:
         ("1.0,3.0,10000000", "largest label 10000000 exceeds the 2 rows"),
         (f"1.0,3.0,{2**62}", f"largest label {2**62} exceeds the 2 rows"),
         (f"1.0,3.0,{10**30}", f"row 2, column label: {10**30} is outside the int64 range"),
+        # 20000 rows, the last with a stray label 20000: 19998 empty clusters,
+        # of which the message lists the first few
+        pytest.param("1.0,2.0,1\n" * 19998 + "1.0,3.0,20000",
+                     "19998 empty cluster(s) (k = 20000): 2, 3, 4, 5, 6, ...",
+                     id="stray-label-20000"),
     ])
     def test_analyze_exits_2_naming_file_row_and_column(self, tmp_path, capsys, row, where):
         path = tmp_path / "bad.csv"

@@ -8,7 +8,7 @@ import json
 import os
 import threading
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, replace
 
 import numpy as np
 import pytest
@@ -23,9 +23,10 @@ from structdr import (
     run_cell,
     run_sweep,
 )
-from structdr import experiment
+from structdr import experiment, linalg, mixture, structure, transform
+from structdr.errors import DefinitenessError
 from structdr.experiment import derive_seeds, write_records_csv
-from structdr.mixture import make_separation_family
+from structdr.mixture import make_separation_families
 
 
 def small_config(**overrides):
@@ -65,26 +66,36 @@ def available_cpus():
 run_geometry = experiment._run_geometry
 
 
-def pid_logging_run_geometry(log, cells, replicate, master_seed):
+def pid_logging_run_geometry(log, cells, replicates, master_seed):
     """The unit function, appending its process id to `log` once per record
     first. Defined at module level so that a process pool can send it to
     its workers."""
     with open(log, "a") as fh:
-        fh.write(f"{os.getpid()}\n" * len(cells))
-    return run_geometry(cells, replicate, master_seed)
+        fh.write(f"{os.getpid()}\n" * (len(cells) * len(replicates)))
+    return run_geometry(cells, replicates, master_seed)
+
+
+def block_logging_run_geometry(log, cells, replicates, master_seed):
+    """The unit function, appending its geometry and block of replicates to
+    `log` first."""
+    with open(log, "a") as fh:
+        fh.write(json.dumps([cells[0].d, replicates]) + "\n")
+    return run_geometry(cells, replicates, master_seed)
 
 
 def logged_builds(monkeypatch, log):
-    """Make experiment's make_separation_family append its process id and
-    arguments to `log`, in this process and in the workers it forks; returns
-    a function that reads the log as (pid, arguments) pairs."""
+    """Make experiment's make_separation_families append its process id and
+    arguments to `log` once per spec seed, in this process and in the
+    workers it forks; returns a function that reads the log as (pid,
+    arguments with one seed) pairs."""
 
     def logging_build(*args):
         with open(log, "a") as fh:
-            fh.write(json.dumps([os.getpid(), args]) + "\n")
-        return make_separation_family(*args)
+            fh.writelines(json.dumps([os.getpid(), [*args[:4], seed]]) + "\n"
+                          for seed in args[4])
+        return make_separation_families(*args)
 
-    monkeypatch.setattr(experiment, "make_separation_family", logging_build)
+    monkeypatch.setattr(experiment, "make_separation_families", logging_build)
     return lambda: [(pid, tuple(args))
                     for pid, args in map(json.loads, log.read_text().splitlines())]
 
@@ -98,16 +109,16 @@ def reuse_config(**overrides):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """The argument tuples of every make_separation_family call that
-    experiment makes."""
+    """Every make_separation_families call that experiment makes, as the
+    tuple (d, k, separation, dispersion, seeds)."""
     calls = []
-    build = experiment.make_separation_family
+    build = experiment.make_separation_families
 
-    def counting_build(*args, **kwargs):
-        calls.append(args + tuple(kwargs.values()))
-        return build(*args, **kwargs)
+    def counting_build(d, k, separation, dispersion, seeds):
+        calls.append((d, k, separation, dispersion, tuple(seeds)))
+        return build(d, k, separation, dispersion, seeds)
 
-    monkeypatch.setattr(experiment, "make_separation_family", counting_build)
+    monkeypatch.setattr(experiment, "make_separation_families", counting_build)
     return calls
 
 
@@ -266,16 +277,38 @@ class TestRunSweep:
         assert serial.read_bytes() == threaded.read_bytes()
 
     def test_one_thread_computes_every_record_in_calling_thread(self, monkeypatch):
-        idents = []
+        idents, blocks = [], []
 
-        def recording_run_geometry(cells, replicate, master_seed):
-            idents.extend([threading.get_ident()] * len(cells))
-            return run_geometry(cells, replicate, master_seed)
+        def recording_run_geometry(cells, replicates, master_seed):
+            idents.extend([threading.get_ident()] * (len(cells) * len(replicates)))
+            blocks.append(replicates)
+            return run_geometry(cells, replicates, master_seed)
 
         monkeypatch.setattr(experiment, "_run_geometry", recording_run_geometry)
         records = run_sweep(small_config(dims=[3, 4], replicates=4), threads=1)
         assert len(records) == len(idents) == 8
         assert set(idents) == {threading.get_ident()}
+        # serially, a unit is all of a geometry's replicates
+        assert blocks == [[0, 1, 2, 3]] * 2
+
+    @pytest.mark.parametrize("threads, blocks", [
+        (1, [[0, 1, 2, 3, 4, 5, 6]]),
+        # 2 geometries: at least 4 units per worker means 4 blocks of each
+        # geometry on 2 workers and 6 on 3
+        (2, [[0, 1], [2, 3], [4, 5], [6]]),
+        (3, [[0, 1], [2], [3], [4], [5], [6]]),
+    ])
+    def test_uneven_blocks_match_serial(self, monkeypatch, tmp_path, threads, blocks):
+        config = small_config(dims=[3, 4], n_per_cluster=[30, 45], replicates=7)
+        fresh = [run_cell(cell, rep, config.seed)
+                 for cell in config.cells() for rep in range(config.replicates)]
+        log = tmp_path / "blocks"
+        monkeypatch.setattr(experiment, "_run_geometry",
+                            functools.partial(block_logging_run_geometry, log))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert_same_records(run_sweep(config, threads=threads), fresh)
+        units = sorted(map(json.loads, log.read_text().splitlines()))
+        assert units == sorted([d, block] for d in (3, 4) for block in blocks)
 
     @pytest.mark.skipif(available_cpus() < 2, reason="needs 2 CPUs for 2 workers")
     def test_two_threads_compute_records_in_worker_processes(self, monkeypatch, tmp_path):
@@ -399,32 +432,75 @@ class TestSpecReuse:
         assert_same_records(run_sweep(config), fresh)
 
     def test_one_build_per_mixture(self, builds, monkeypatch):
-        kept = []
+        units = []
 
-        def kept_logging_run_geometry(cells, replicate, master_seed):
+        def kept_logging_run_geometry(cells, replicates, master_seed):
             before = len(builds)
-            records = run_geometry(cells, replicate, master_seed)
-            for cell in cells:
-                geometry = (cell.d, cell.k, cell.separation, cell.dispersion)
-                kept.append(((geometry, replicate), len(builds), len(builds) == before + 1))
+            records = run_geometry(cells, replicates, master_seed)
+            units.append((cells[0], replicates, builds[before:]))
             return records
 
         monkeypatch.setattr(experiment, "_run_geometry", kept_logging_run_geometry)
         config = reuse_config()
         run_sweep(config, threads=1)
+        specs = [call[:4] + (seed,) for call in builds for seed in call[4]]
         # (d, k) pairs x separations x dispersions x replicates; n and alpha
         # share the spec
-        assert len(builds) == 4 * 2 * 1 * config.replicates
-        assert len(set(builds)) == len(builds)
-        assert {b[:4] for b in builds} == {
+        assert len(specs) == len(set(specs)) == 4 * 2 * 1 * config.replicates
+        assert {s[:4] for s in specs} == {
             (c.d, c.k, c.separation, c.dispersion) for c in config.cells()}
-        # every record's unit makes one build, and the records of one mixture
-        # all get the one build made for it, with no build between them
-        assert all(given for *_, given in kept)
-        built = {}
-        for unit, count, _ in kept:
-            assert built.setdefault(unit, count) == count
-        assert sorted(built.values()) == list(range(1, len(builds) + 1))
+        # each unit makes one stacked build: its geometry's mixture for each
+        # of its replicates, from the spec seed of derive_seeds
+        assert len(units) == 4 * 2
+        for cell, replicates, made in units:
+            seeds = tuple(derive_seeds(config.seed, cell, rep)[0] for rep in replicates)
+            assert made == [(cell.d, cell.k, cell.separation, cell.dispersion, seeds)]
+
+    def test_failed_build_fails_only_its_replicate(self, monkeypatch):
+        # one mixture of a block fails to build: the stacked build falls
+        # back to one build per replicate, and only that replicate's rows
+        # fail, with its own reason
+        config = reuse_config(dims=[3], clusters=[2], separations=[2.0], replicates=4)
+        cell = config.cells()[0]
+        bad_seed = derive_seeds(config.seed, cell, 2)[0]
+
+        def build(d, k, separation, dispersion, seeds):
+            if bad_seed in seeds:
+                raise DefinitenessError(f"seed {bad_seed} fails")
+            return make_separation_families(d, k, separation, dispersion, seeds)
+
+        monkeypatch.setattr(experiment, "make_separation_families", build)
+        records = run_sweep(config)
+        assert len(records) == 16
+        for record in records:
+            if record.replicate == 2:
+                assert (record.status, record.reason) == (
+                    "failed", f"DefinitenessError: seed {bad_seed} fails")
+            else:
+                assert_same_records([record], [run_cell(Cell(*astuple(record)[:7]),
+                                                        record.replicate, config.seed)])
+
+    def test_clusters_counted_and_spec_seeds_derived_once(self, monkeypatch):
+        counted, streams = [], []
+        count, seed = linalg.cluster_counts, experiment._seed
+
+        def counting(labels):
+            counted.append(labels.size)
+            return count(labels)
+
+        def recording_seed(*args):
+            streams.append(args[3:])
+            return seed(*args)
+
+        for module in (mixture, transform, structure, experiment):
+            if getattr(module, "cluster_counts", None) is count:
+                monkeypatch.setattr(module, "cluster_counts", counting)
+        monkeypatch.setattr(experiment, "_seed", recording_seed)
+        config = reuse_config()
+        records = run_sweep(config)
+        # one count per sampled dataset, one spec seed per mixture
+        assert len(counted) == len(records) == 32 * config.replicates
+        assert streams.count((1,)) == 8 * config.replicates
 
     def test_every_sweep_builds_its_own(self, builds):
         config = reuse_config()

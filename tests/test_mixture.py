@@ -17,8 +17,14 @@ from structdr import (
 )
 from structdr.errors import DefinitenessError
 from structdr.linalg import cluster_counts
+from structdr.mixture import make_separation_families
 
-from oracles import blockwise_sample, blockwise_sdist_overlap, population_moments
+from oracles import (
+    blockwise_sample,
+    blockwise_sdist_overlap,
+    matrixwise_separation_family,
+    population_moments,
+)
 
 
 def two_component_spec(sep=2.0):
@@ -36,6 +42,22 @@ class TestMixtureSpec:
         covs = np.stack([np.eye(2), np.diag([1.0, -1.0])])
         with pytest.raises(DefinitenessError, match="Cholesky"):
             MixtureSpec(means=np.zeros((2, 2)), covariances=covs)
+
+    def test_first_bad_covariance_named_after_one_stacked_check(self):
+        # covariance 2 of 4 is indefinite and covariance 3 asymmetric: the
+        # stacked checks fail, and the first bad one in order is named
+        covs = np.stack([np.eye(4)] * 4)
+        covs[2] = np.diag([1.0, -1.0, 1.0, 1.0])
+        means = np.zeros((4, 4))
+        with pytest.raises(DefinitenessError, match=r"^covariance 2 is not positive "
+                                                    r"definite \(Cholesky failed\)$"):
+            MixtureSpec(means=means, covariances=covs)
+        covs[3, 0, 1] = 0.5
+        with pytest.raises(DefinitenessError, match="^covariance 2 is not positive"):
+            MixtureSpec(means=means, covariances=covs)
+        covs[2] = np.eye(4)
+        with pytest.raises(ConfigError, match="^covariance 3 is not symmetric$"):
+            MixtureSpec(means=means, covariances=covs)
 
     def test_json_round_trip(self):
         spec = make_separation_family(4, 3, 2.5, 1.3, seed=11)
@@ -211,6 +233,25 @@ class TestSeparationFamily:
         spec = make_separation_family(d, 2, 3.0, 1.0, seed=seed)
         est = sdist_overlap(spec, mc_samples, seed=seed + 1)
         assert (est.value, est.std_error) == blockwise_sdist_overlap(spec, mc_samples, seed + 1)
+
+    @pytest.mark.parametrize("d,k", [(7, 3), (7, 4), (7, 5), (7, 6), (7, 7), (20, 10)])
+    def test_stacked_build_equals_each_seed_alone(self, d, k):
+        seeds = [3, 11, 2**63 + 5, 0, 11]
+        stacked = make_separation_families(d, k, 10.0, 1.7, seeds)
+        assert len(stacked) == len(seeds)
+        for seed, spec in zip(seeds, stacked):
+            for alone in (make_separation_family(d, k, 10.0, 1.7, seed),
+                          matrixwise_separation_family(d, k, 10.0, 1.7, seed)):
+                for name in ("means", "covariances", "factors"):
+                    got, want = getattr(spec, name), getattr(alone, name)
+                    assert got.tobytes() == want.tobytes(), (seed, name)
+                    assert got.strides == want.strides, (seed, name)
+
+    def test_stacked_build_raises_first_bad_seeds_error(self):
+        with pytest.raises(DefinitenessError, match="^covariance 0 is not positive definite"):
+            make_separation_families(3, 2, 1.0, 1e-200, [1, 2])
+        with pytest.raises(ConfigError, match="must be finite"):
+            make_separation_families(3, 2, float("nan"), 1.0, [1, 2])
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigError):
