@@ -86,8 +86,11 @@ def _cmd_generate(args) -> int:
         with open(args.spec) as fh:
             spec = MixtureSpec.from_json(fh.read())
     elif args.d is not None and args.k is not None:
+        # the family draws from its own stream of --seed, and the sample
+        # from --seed itself, so that no rows reuse the family's draws
+        spec_seed = np.random.SeedSequence((args.seed, 1)).generate_state(1, np.uint64)[0]
         spec = make_separation_family(
-            args.d, args.k, args.separation, args.dispersion, seed=args.seed
+            args.d, args.k, args.separation, args.dispersion, seed=int(spec_seed)
         )
     else:
         raise ConfigError("generate needs either --spec or both --d and --k")

@@ -32,6 +32,7 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -250,40 +251,16 @@ def _fail(record: ExperimentRecord, exc: Exception):
     record.reason = f"{type(exc).__name__}: {exc}"
 
 
-def _analyze_rows(pending: list):
-    """The last step of a unit: fill in each (record, RowSummary) pair's
-    record from one stacked d x d pass. When the stack fails, each pair is
-    rerun as a stack of one, so that a failing record gets its own error."""
+def _each(stacked, items: list) -> list:
+    """One result per item from one stacked call, stacked(items). When that
+    fails, each item is rerun as a stack of one, so that a failing item gets
+    its own error in place of a result."""
     try:
-        analyses = analyze_stack([summary for _, summary in pending])
+        return stacked(items)
     except FAILURES as exc:
-        if len(pending) == 1:
-            _fail(pending[0][0], exc)
-        else:
-            for item in pending:
-                _analyze_rows([item])
-        return
-    for (record, _), result in zip(pending, analyses):
-        record.sss_x = result.sss_x
-        record.sss_z = result.sss_z
-        record.lambda_x = result.lambda_bar_x
-        record.lambda_z = result.lambda_bar_z
-        record.delta = result.observed_delta
-        record.bound_rhs = result.bound_rhs
-        record.bound_satisfied = result.bound_satisfied
-        record.empirical_sd_norm = result.empirical_sd_norm
-
-
-def _build(cell: Cell, seeds: list) -> list:
-    """The mixtures of a block of replicates, one per spec seed, from one
-    stacked build. When that fails, each seed is built alone, so that a
-    replicate whose build fails gets its own error in place of a spec."""
-    try:
-        return make_separation_families(cell.d, cell.k, cell.separation, cell.dispersion, seeds)
-    except FAILURES as exc:
-        if len(seeds) == 1:
+        if len(items) == 1:
             return [exc]
-        return [result for seed in seeds for result in _build(cell, [seed])]
+        return [result for item in items for result in _each(stacked, [item])]
 
 
 def _run_geometry(cells: list, replicates: list, master_seed: int) -> list:
@@ -295,23 +272,36 @@ def _run_geometry(cells: list, replicates: list, master_seed: int) -> list:
     of aborting the sweep; each record's elapsed_seconds is an equal share
     of the block's time."""
     start = time.perf_counter()
-    specs = _build(cells[0], [_seed(master_seed, cells[0], rep, 1) for rep in replicates])
+    first = cells[0]
+    build = partial(make_separation_families, first.d, first.k, first.separation, first.dispersion)
+    specs = _each(build, [_seed(master_seed, first, rep, 1) for rep in replicates])
     records, pending = [], []
     for replicate, spec in zip(replicates, specs):
         for cell in cells:
             record = ExperimentRecord(*cell, replicate=replicate, seed=_seed(
                 master_seed, cell, replicate, 2, cell.n_per_cluster))
             records.append(record)
-            if isinstance(spec, Exception):
-                _fail(record, spec)
-                continue
             try:
+                if isinstance(spec, Exception):
+                    raise spec
                 summary = row_pass(sample(spec, cell.n_per_cluster, seed=record.seed),
                                    alpha=cell.alpha, scheme=cell.scheme)
                 pending.append((record, summary))
             except FAILURES as exc:
                 _fail(record, exc)
-    _analyze_rows(pending)
+    analyses = _each(analyze_stack, [summary for _, summary in pending])
+    for (record, _), result in zip(pending, analyses):
+        if isinstance(result, Exception):
+            _fail(record, result)
+            continue
+        record.sss_x = result.sss_x
+        record.sss_z = result.sss_z
+        record.lambda_x = result.lambda_bar_x
+        record.lambda_z = result.lambda_bar_z
+        record.delta = result.observed_delta
+        record.bound_rhs = result.bound_rhs
+        record.bound_satisfied = result.bound_satisfied
+        record.empirical_sd_norm = result.empirical_sd_norm
     elapsed = (time.perf_counter() - start) / len(records)
     for record in records:
         record.elapsed_seconds = elapsed
@@ -319,10 +309,10 @@ def _run_geometry(cells: list, replicates: list, master_seed: int) -> list:
 
 
 def run_cell(cell: Cell, replicate: int, master_seed: int) -> ExperimentRecord:
-    """Execute one replicate of one grid cell, as a sweep unit of one
-    cell and one replicate: draw a mixture and a sample, then `analyze` it, which gives the
-    subspace similarity on the raw and the weighted data and the
-    distinctness shift against the closed-form bound."""
+    """Execute one replicate of one grid cell as a sweep unit of one cell
+    and one replicate: draw a mixture and a sample, then analyze them as a
+    stack of one, giving the subspace similarity on the raw and weighted
+    data and the distinctness shift against the closed-form bound."""
     return _run_geometry([cell], [replicate], master_seed)[0]
 
 
@@ -483,8 +473,8 @@ _RECIPES = {
         "n_per_cluster": [1500, 2000],
         "metadata": {
             **_FIG3_D7["metadata"],
-            "grid_note": "large-sample variant: per-cluster sizes where the "
-            "similarity drop at moderate k is reported to disappear",
+            "grid_note": "large-sample variant at per-cluster sizes where the similarity drop "
+            "at moderate k is reported to disappear; in this reconstruction it does not",
         },
     },
     "prop1": {"clusters": [3], "n_per_cluster": [300]},

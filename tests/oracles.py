@@ -1,8 +1,8 @@
 """Dense reference implementations that the tests compare the library
 against: the materialized centering and hat operators, the exact
 population moments of an equal-weight Gaussian mixture, mixture draws
-made one component at a time, and the separation family built one matrix
-at a time.
+made one component at a time, the separation family built one matrix at
+a time, and the fourth-moment (FOBI) basis of isotropic data.
 
 None of them runs on a production path; they are kept here, next to the
 tests, as independent oracles.
@@ -17,6 +17,7 @@ import numpy as np
 from structdr import LabeledDataset, MissingClusterError, MixtureSpec
 from structdr.linalg import cluster_counts, symmetrize
 from structdr.mixture import COVARIANCE_CONDITION_CAP, _simplex_vertices
+from structdr.subspace import SubspaceBasis
 
 
 def centering_matrix(n: int) -> np.ndarray:
@@ -123,3 +124,12 @@ def matrixwise_separation_family(d: int, k: int, separation: float, dispersion: 
         q = random_orthogonal()
         covariances.append(dispersion**2 * symmetrize((q * spectrum) @ q.T))
     return MixtureSpec(means=means, covariances=np.stack(covariances))
+
+
+def fobi_basis(y, m: int) -> SubspaceBasis:
+    """Span of the m smallest eigenvectors of Q = sum_i |y_i|^2 y_i y_i^T,
+    the fourth-moment scatter of FOBI, for rows y in isotropic position."""
+    y = np.asarray(y, dtype=float)
+    q = (np.einsum("ij,ij->i", y, y)[:, None] * y).T @ y
+    _, vectors = np.linalg.eigh(q)  # eigenvalues ascending
+    return SubspaceBasis(columns=vectors[:, :m])

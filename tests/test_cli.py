@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from structdr import LabeledDataset, read_records_csv
+from structdr import LabeledDataset, cli, make_separation_family, read_records_csv, sample
 from structdr.cli import main
 
 
@@ -60,6 +60,27 @@ class TestGenerate:
                 "--seed", "9", "--out", str(path),
             )
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_sample_does_not_reuse_the_family_draws(self, tmp_path, monkeypatch):
+        # the family's first draw is the Gaussian d x d block whose QR gives
+        # the means' frame; the sample's first d rows of cluster 1, mapped
+        # back to standard normal, must not be that block again
+        built = []
+
+        def recording_family(*args, seed):
+            built.append((seed, make_separation_family(*args, seed=seed)))
+            return built[-1][1]
+
+        monkeypatch.setattr(cli, "make_separation_family", recording_family)
+        out = tmp_path / "data.csv"
+        assert run_cli("generate", "--d", "4", "--k", "2", "--n-per-cluster", "30",
+                       "--seed", "1", "--out", str(out)) == 0
+        (spec_seed, spec), = built
+        data = LabeledDataset.from_csv(out)
+        assert np.array_equal(data.data, sample(spec, 30, seed=1).data)
+        noise = np.linalg.solve(spec.factors[0], (data.data[:4] - spec.means[0]).T).T
+        frame_draw = np.random.default_rng(spec_seed).standard_normal((4, 4))
+        assert not np.allclose(noise, frame_draw, atol=1e-6)
 
     def test_missing_inputs_is_config_error(self, tmp_path):
         code = run_cli("generate", "--n-per-cluster", "20", "--out", str(tmp_path / "x.csv"))
