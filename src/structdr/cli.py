@@ -82,6 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     if args.spec:
         with open(args.spec) as fh:
             spec = MixtureSpec.from_json(fh.read())

@@ -41,9 +41,21 @@ class MixtureSpec:
             )
         if d <= k - 1:
             raise ConfigError(f"need dimension d > k - 1, got d = {d}, k = {k}")
+        if not (np.isfinite(means).all() and np.isfinite(covs).all()):
+            raise ConfigError("means and covariances must be finite")
+        factors = []
+        for l, cov in enumerate(covs):
+            if np.abs(cov - cov.T).max() > 1e-10 * np.abs(cov).max():
+                raise ConfigError(f"covariance {l} is not symmetric")
+            try:
+                factors.append(np.linalg.cholesky(cov))
+            except np.linalg.LinAlgError:
+                raise DefinitenessError(
+                    f"covariance {l} is not positive definite (Cholesky failed)"
+                ) from None
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covariances", covs)
-        object.__setattr__(self, "factors", _checked_factors(means, covs))
+        object.__setattr__(self, "factors", np.stack(factors))
 
     @property
     def k(self) -> int:
@@ -86,34 +98,6 @@ class MixtureSpec:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed mixture spec document: {exc}") from exc
         return cls(means=means, covariances=covariances)
-
-
-def _checked_factors(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
-    """The lower Cholesky factors of a spec's covariances (k, d, d), or of
-    a stack (..., k, d, d) of specs' covariances, checked with one symmetry
-    test and one Cholesky over the stack. Only when a check fails is the
-    first bad covariance looked for, in stack order, and named by its index
-    in its spec, so the error is the one its spec raises alone."""
-    if not (np.isfinite(means).all() and np.isfinite(covs).all()):
-        raise ConfigError("means and covariances must be finite")
-    asymmetry = np.abs(covs - np.swapaxes(covs, -1, -2)).max(axis=(-2, -1))
-    symmetric = asymmetry <= 1e-10 * np.abs(covs).max(axis=(-2, -1))
-    if symmetric.all():
-        try:
-            return np.linalg.cholesky(covs)
-        except np.linalg.LinAlgError:
-            pass
-    k, d = covs.shape[-3:-1]
-    for i, cov in enumerate(covs.reshape(-1, d, d)):
-        if not symmetric.flat[i]:
-            raise ConfigError(f"covariance {i % k} is not symmetric")
-        try:
-            np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise DefinitenessError(
-                f"covariance {i % k} is not positive definite (Cholesky failed)"
-            ) from None
-    raise AssertionError("a stacked check failed, but no covariance fails alone")
 
 
 @dataclass
@@ -296,19 +280,24 @@ def make_separation_families(d: int, k: int, separation: float, dispersion: floa
     Each seed's generator draws, in turn, the Gaussian d x d block whose QR
     gives the means' frame, then per cluster the log-spectrum and the
     Gaussian block of the covariance's axes Q. Then the QRs of all blocks,
-    the covariance products and the spec checks are one numpy call each
-    over the stack, and every spec is the one its seed gets alone, bit for
-    bit. An invalid spec raises the error it raises alone; of several, the
-    first seed's.
+    the covariance products and the Cholesky factors are one numpy call
+    each over the stack, and every spec is the one its seed gets alone, bit
+    for bit. A separation that is not finite and >= 0, or a dispersion
+    outside [sqrt(tiny * 10), sqrt(max / 10)] of the float range, raises
+    ConfigError naming it before any draw. Inside those bounds every
+    covariance eigenvalue is a normal double, so every spec is valid by
+    construction.
     """
     if k < 1:
         raise ConfigError(f"need k >= 1, got k = {k}")
     if d <= k - 1:
         raise ConfigError(f"need d > k - 1, got d = {d}, k = {k}")
-    if separation < 0:
-        raise ConfigError(f"separation must be >= 0, got {separation}")
-    if dispersion <= 0:
+    if not (np.isfinite(separation) and separation >= 0):
+        raise ConfigError(f"separation must be finite and >= 0, got {separation}")
+    if not dispersion > 0:
         raise ConfigError(f"dispersion must be > 0, got {dispersion}")
+    if dispersion < np.sqrt(np.finfo(float).tiny * COVARIANCE_CONDITION_CAP):
+        raise ConfigError(f"dispersion = {dispersion} is too small: the covariances underflow")
     if dispersion > np.sqrt(np.finfo(float).max / COVARIANCE_CONDITION_CAP):
         raise ConfigError(f"dispersion = {dispersion} is too large: the covariances overflow")
     half = np.log(COVARIANCE_CONDITION_CAP) / 2.0
@@ -326,10 +315,10 @@ def make_separation_families(d: int, k: int, separation: float, dispersion: floa
     means = separation * (_simplex_vertices(k) @ np.swapaxes(frames, -1, -2))
     covariances = dispersion**2 * symmetrize(
         (axes * np.exp(log_spectra)[..., None, :]) @ np.swapaxes(axes, -1, -2))
-    factors = _checked_factors(means, covariances)
+    factors = np.linalg.cholesky(covariances)
     specs = []
     for arrays in zip(means, covariances, factors):
-        spec = object.__new__(MixtureSpec)  # checked above, as a stack
+        spec = object.__new__(MixtureSpec)  # valid by construction
         spec.__dict__.update(zip(("means", "covariances", "factors"), arrays))
         specs.append(spec)
     return specs

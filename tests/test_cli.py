@@ -99,6 +99,31 @@ class TestGenerate:
         assert code == 2
         assert "dispersion = 1e+200 is too large: the covariances overflow" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argument,value,message", [
+        ("--separation", "nan", "separation must be finite and >= 0, got nan"),
+        ("--separation", "inf", "separation must be finite and >= 0, got inf"),
+        ("--dispersion", "nan", "dispersion must be > 0, got nan"),
+        ("--dispersion", "1e-200", "dispersion = 1e-200 is too small: the covariances underflow"),
+    ], ids=["separation-nan", "separation-inf", "dispersion-nan", "dispersion-underflow"])
+    def test_bad_family_parameter_exits_2_naming_it(self, tmp_path, capsys, argument, value,
+                                                    message):
+        code = run_cli("generate", "--d", "3", "--k", "2", argument, value,
+                       "--n-per-cluster", "20", "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["spec", "family"])
+    def test_negative_seed_exits_2_before_any_output(self, tmp_path, capsys, source):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(make_separation_family(3, 2, 4.0, 1.0, seed=0).to_json())
+        inputs = ["--spec", str(spec_path)] if source == "spec" else ["--d", "3", "--k", "2"]
+        out = tmp_path / "x.csv"
+        code = run_cli("generate", *inputs, "--n-per-cluster", "20", "--seed", "-1",
+                       "--out", str(out))
+        assert code == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_spd_spec_is_numerical_error(self, tmp_path):
         spec_path = tmp_path / "bad.json"
         spec_path.write_text(
@@ -320,6 +345,10 @@ class TestSweepAndRecipe:
         ({"dims": 7}, "dims must be a list of integers, got 7"),
         ({"alphas": [0.5, None]}, "alphas must be a list of finite numbers"),
         ({"clusters": [1]}, "clusters must all be >= 2, got [1]"),
+        ({"alphas": [0.5, 0.0]}, "alphas must all be > 0.0, got [0.5, 0.0]"),
+        ({"dispersions": [-1.0]}, "dispersions must all be > 0.0, got [-1.0]"),
+        ({"separations": [2.0, -0.5]}, "separations must all be >= 0, got [2.0, -0.5]"),
+        ({"n_per_cluster": [0, 30]}, "n_per_cluster must all be >= 1, got [0, 30]"),
     ])
     def test_bad_config_exits_2_naming_the_field(self, tmp_path, capsys, overrides, message):
         config_path = tmp_path / "config.json"
@@ -327,6 +356,17 @@ class TestSweepAndRecipe:
         config = json.loads(config_path.read_text())
         config.update(overrides)
         config_path.write_text(json.dumps(config))
+        code = run_cli("sweep", "--config", str(config_path), "--out", str(tmp_path / "r.csv"))
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"dims": [3]', "malformed experiment config: "),
+        ("[1, 2]", "experiment config must be a JSON object"),
+    ], ids=["malformed", "not-an-object"])
+    def test_config_that_is_not_a_json_object_exits_2(self, tmp_path, capsys, text, message):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(text)
         code = run_cli("sweep", "--config", str(config_path), "--out", str(tmp_path / "r.csv"))
         assert code == 2
         assert message in capsys.readouterr().err

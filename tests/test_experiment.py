@@ -375,8 +375,8 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("dispersion, reason", [
         (1e200, "ConfigError: dispersion = 1e+200 is too large: the covariances overflow"),
-        (1e-200, "DefinitenessError: covariance 0 is not positive definite (Cholesky failed)"),
-    ], ids=["covariances-overflow", "not-positive-definite"])
+        (1e-200, "ConfigError: dispersion = 1e-200 is too small: the covariances underflow"),
+    ], ids=["covariances-overflow", "covariances-underflow"])
     def test_failed_mixture_builds_give_failed_rows(self, tmp_path, dispersion, reason):
         config = small_config(n_per_cluster=[30, 45], dispersions=[dispersion, 1.0],
                               replicates=2)
@@ -646,7 +646,8 @@ class TestRecordCsv:
         (lambda row: row[:5], "row 2, column dispersion: missing"),
         (lambda row: ["x"] + row[1:], "row 2, column d: 'x' is not an integer"),
         (lambda row: row[:11] + [""] + row[12:], "row 2, column lambda_x: '' is not a number"),
-    ], ids=["short_row", "text_in_int_column", "ok_row_without_outcome"])
+        (lambda row: row + ["x"], "row 2 has 20 fields, expected 19"),
+    ], ids=["short_row", "text_in_int_column", "ok_row_without_outcome", "extra_field"])
     def test_malformed_row_names_file_row_and_column(self, tmp_path, edit, where):
         row = OK_RECORD.to_csv_row()
         path = tmp_path / "bad.csv"
@@ -657,3 +658,17 @@ class TestRecordCsv:
         with pytest.raises(ConfigError) as info:
             read_records_csv(path)
         assert str(info.value) == f"{path}: {where}"
+
+    @pytest.mark.parametrize("text,message", [
+        ("# schema=2\n" + ",".join(ExperimentRecord.CSV_FIELDS) + "\n",
+         "unexpected schema line '# schema=2'"),
+        ("", "unexpected schema line ''"),
+        ("# schema=1\nd,k\n", "unexpected header ['d', 'k']"),
+        ("# schema=1\n", "unexpected header None"),
+    ], ids=["other_schema", "no_schema", "other_header", "no_header"])
+    def test_schema_line_and_header_checked(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            read_records_csv(path)
+        assert str(info.value) == f"{path}: {message}"

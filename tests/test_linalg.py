@@ -101,6 +101,12 @@ class TestSymEig:
         m[0, 1] *= 1.0 + 1e-14
         assert np.array_equal(check_symmetric(scale * m), scale * m)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (), (4, 3, 2)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(SymmetryError) as caught:
+            check_symmetric(np.zeros(shape), name="t")
+        assert str(caught.value) == f"t must be square, got shape {shape}"
+
     def test_stack_matches_each_matrix(self):
         rng = np.random.default_rng(4)
         stack = np.array([[symmetrize(rng.standard_normal((5, 5))) for _ in range(2)]

@@ -3,6 +3,8 @@ against hand arithmetic and a large Monte-Carlo draw), and the seeded
 separation/dispersion family.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,12 @@ class TestMixtureSpec:
         with pytest.raises(ConfigError, match="covariance 1 is not symmetric"):
             MixtureSpec(means=means, covariances=np.stack([np.eye(2), asymmetric]))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 3, 2), (3, 3, 3)])
+    def test_covariance_shape_checked(self, shape):
+        message = rf"^covariances must be \(2, 3, 3\), got shape {re.escape(str(shape))}$"
+        with pytest.raises(ConfigError, match=message):
+            MixtureSpec(means=np.zeros((2, 3)), covariances=np.ones(shape))
+
     def test_non_finite_covariance_rejected(self):
         covs = np.stack([np.eye(2), np.diag([1.0, np.inf])])
         with pytest.raises(ConfigError, match="must be finite"):
@@ -128,6 +136,11 @@ class TestSample:
         spec = make_separation_family(5, 2, 2.0, 1.0, seed=0)
         with pytest.raises(ConfigError, match="too small"):
             sample(spec, 10, seed=0)  # n = 20 < 10 * d = 50
+
+    @pytest.mark.parametrize("n_per_cluster", [0, -1])
+    def test_n_per_cluster_below_one_rejected(self, n_per_cluster):
+        with pytest.raises(ConfigError, match=f"^n_per_cluster must be >= 1, got {n_per_cluster}$"):
+            sample(two_component_spec(), n_per_cluster, seed=0)
 
     @pytest.mark.parametrize("d,k,n_per", [
         (2, 2, 100), (3, 2, 17), (7, 3, 100), (7, 7, 300), (13, 4, 33), (20, 10, 301),
@@ -247,11 +260,36 @@ class TestSeparationFamily:
                     assert got.tobytes() == want.tobytes(), (seed, name)
                     assert got.strides == want.strides, (seed, name)
 
-    def test_stacked_build_raises_first_bad_seeds_error(self):
-        with pytest.raises(DefinitenessError, match="^covariance 0 is not positive definite"):
-            make_separation_families(3, 2, 1.0, 1e-200, [1, 2])
-        with pytest.raises(ConfigError, match="must be finite"):
-            make_separation_families(3, 2, float("nan"), 1.0, [1, 2])
+    def test_bad_parameters_rejected_before_any_draw(self):
+        # numpy rejects a negative seed, so a draw would raise ValueError
+        lower = np.sqrt(np.finfo(float).tiny * 10.0)
+        for separation, dispersion, message in [
+            (np.nan, 1.0, "separation must be finite and >= 0, got nan"),
+            (np.inf, 1.0, "separation must be finite and >= 0, got inf"),
+            (-np.inf, 1.0, "separation must be finite and >= 0, got -inf"),
+            (-1.0, 1.0, "separation must be finite and >= 0, got -1.0"),
+            (1.0, np.nan, "dispersion must be > 0, got nan"),
+            (1.0, -np.inf, "dispersion must be > 0, got -inf"),
+            (1.0, 0.0, "dispersion must be > 0, got 0.0"),
+            (1.0, 1e-200, "dispersion = 1e-200 is too small: the covariances underflow"),
+            (1.0, np.nextafter(lower, 0.0), "is too small: the covariances underflow"),
+            (1.0, np.inf, "dispersion = inf is too large: the covariances overflow"),
+        ]:
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                make_separation_families(3, 2, separation, dispersion, [1, -1])
+
+    @pytest.mark.parametrize("d,k", [(2, 2), (20, 10)])
+    def test_smallest_dispersion_builds_every_seed(self, d, k):
+        # at the lower bound every covariance eigenvalue is a normal double,
+        # so the one stacked Cholesky succeeds and its factors hold
+        lower = np.sqrt(np.finfo(float).tiny * 10.0)
+        specs = make_separation_families(d, k, 1.0, lower, range(200))
+        assert len(specs) == 200
+        for spec in specs:
+            assert np.isfinite(spec.factors).all()
+            rebuilt = spec.factors @ np.swapaxes(spec.factors, -1, -2)
+            scale = np.abs(spec.covariances).max(axis=(-2, -1), keepdims=True)
+            assert (np.abs(rebuilt - spec.covariances) <= 1e-14 * scale).all()
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigError):
@@ -316,6 +354,18 @@ class TestLabeledDatasetCsv:
         with pytest.raises(ConfigError, match="row 2, column label"):
             LabeledDataset(data=np.zeros((3, 2)), labels=[1.0, np.nan, 2.0])
         assert LabeledDataset(data=np.zeros((3, 2)), labels=[1.0, 1.0, 2.0]).k == 2
+
+    @pytest.mark.parametrize("data,labels,message", [
+        (np.zeros(3), [1, 1, 2], "data must be 2-D, got shape (3,)"),
+        (np.zeros((3, 2, 1)), [1, 1, 2], "data must be 2-D, got shape (3, 2, 1)"),
+        (np.zeros((3, 0)), [1, 1, 2], "data has no feature columns"),
+        (np.zeros((3, 2)), [1, 2], "labels shape (2,) does not match 3 rows"),
+        (np.zeros((3, 2)), [[1, 1, 2]], "labels shape (1, 3) does not match 3 rows"),
+    ], ids=["1-D", "3-D", "no-columns", "short-labels", "2-D-labels"])
+    def test_bad_shapes_rejected(self, data, labels, message):
+        with pytest.raises(ConfigError) as caught:
+            LabeledDataset(data=data, labels=labels)
+        assert str(caught.value) == message
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_rejected(self, value):

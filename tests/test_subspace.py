@@ -53,6 +53,11 @@ class TestSubspaceBasis:
         with pytest.raises(ConfigError):
             SubspaceBasis(columns=np.eye(3))  # m == d
 
+    @pytest.mark.parametrize("columns", [np.ones(3), np.float64(1.0)], ids=["1-D", "0-D"])
+    def test_columns_must_be_a_matrix(self, columns):
+        with pytest.raises(ConfigError, match=r"^basis columns must form a \(\.\.\., d, m\) array"):
+            SubspaceBasis(columns=columns)
+
     def test_orthonormal_helper(self):
         rng = np.random.default_rng(0)
         basis = SubspaceBasis(columns=rng.standard_normal((6, 2)))
@@ -72,6 +77,16 @@ class TestPcSubspace:
         rng = np.random.default_rng(1)
         with pytest.raises(ConfigError, match="centered"):
             pc_subspace(rng.standard_normal((50, 3)) + 5.0, 1)
+
+    @pytest.mark.parametrize("shape,m,message", [
+        ((12,), 1, r"data must be 2-D, got shape \(12,\)"),
+        ((2, 3, 4), 1, r"data must be 2-D, got shape \(2, 3, 4\)"),
+        ((10, 3), 0, "need 1 <= m < d, got m = 0, d = 3"),
+        ((10, 3), 3, "need 1 <= m < d, got m = 3, d = 3"),
+    ], ids=["1-D", "3-D", "m=0", "m=d"])
+    def test_bad_shape_or_dimension_rejected(self, shape, m, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            pc_subspace(np.zeros(shape), m)
 
     def test_isotropic_data_flagged_ambiguous(self):
         spec = make_separation_family(4, 2, 3.0, 1.0, seed=2)
