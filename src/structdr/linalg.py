@@ -99,12 +99,9 @@ def sym_eig(m) -> EigenSolution:
     # eigh's values ascend; a stable sort on -values keeps the solver's
     # order among exact ties
     order = np.argsort(-vals, axis=-1, kind="stable")
-    # gathered as rows of the transpose, so that each matrix's vectors are
-    # in Fortran order, as 2-D fancy indexing leaves them: BLAS picks its
-    # kernels by layout, and another kernel moves the last bits of products
-    rows = np.take_along_axis(np.swapaxes(vecs, -1, -2), order[..., None], axis=-2)
+    vectors = np.take_along_axis(vecs, order[..., None, :], axis=-1)
     return EigenSolution(values=vals[..., ::-1].copy(),
-                         vectors=_fix_signs(np.swapaxes(rows, -1, -2)))
+                         vectors=_fix_signs(vectors))
 
 
 def definite_whitener(m_sol: EigenSolution, error=DefinitenessError,

@@ -177,8 +177,8 @@ def proposition1_bound(n: int, d: int, k: int, alpha: float, lambda_bar_x: float
 @dataclass(frozen=True)
 class RowSummary:
     """All that the d x d pass needs of one dataset's rows: the scatter
-    pairs of Y and Z0, X's spectrum and whitener, and the spread of the
-    squared norms of Y's rows."""
+    pairs of Y and Z0, X's spectrum, and the spread of the squared norms of
+    Y's rows."""
 
     n: int
     k: int
@@ -187,7 +187,6 @@ class RowSummary:
     z_pair: ScatterPair
     sd_norm: float
     spectrum: EigenSolution
-    whitener: np.ndarray
 
 
 def _summarize(x: LabeledDataset, iso: IsotropicDataset, z0: np.ndarray,
@@ -197,7 +196,7 @@ def _summarize(x: LabeledDataset, iso: IsotropicDataset, z0: np.ndarray,
     indicator = cluster_indicator(x.labels, x.k)
     return RowSummary(x.n, x.k, alpha, _scatter_pair(iso.data, indicator, x.counts),
                       _scatter_pair(z0, indicator, x.counts), float(iso.sqnorms.std(ddof=0)),
-                      iso.spectrum, iso.whitener)
+                      iso.spectrum)
 
 
 def row_pass(x: LabeledDataset, alpha: float = DEFAULT_ALPHA,
@@ -256,10 +255,11 @@ def analyze_stack(rows: list) -> list:
     (len(rows), 2, d, d); Fisher eigenvalues are affine invariant, so Y's
     distinctness is X's. The first-order predictions perturb Y's Fisher
     problem by the scatter differences. X's principal axes come from the
-    spectrum that isotropized it, and X's Fisher basis is its whitener
-    times Y's; the bases of X and Z0 are checked and compared as one stack
-    (len(rows), 2, d, k - 1). Y's and Z0's Fisher eigenvectors W U, with U
-    orthonormal, need no check: `total_whitener` has bounded cond(W) by 1e5."""
+    spectrum that isotropized it, and X's Fisher basis is that spectrum's
+    whitener times Y's; the bases of X and Z0 are checked and compared as
+    one stack (len(rows), 2, d, k - 1). Y's and Z0's Fisher eigenvectors
+    W U, with U orthonormal, need no check: `total_whitener` has bounded
+    cond(W) by 1e5."""
     if not rows:
         return []
     k, d = rows[0].k, rows[0].y_pair.total.shape[-1]
@@ -272,12 +272,10 @@ def analyze_stack(rows: list) -> list:
     predicted = perturb_eigs_first_order(
         y_eigen, between[:, 1] - between[:, 0], total[:, 1] - total[:, 0])
     columns = fisher.eigen.vectors[..., : k - 1]
-    # stacked as transposes, so that each whitener keeps the Fortran order
-    # that sym_eig gave it (see there)
-    whiteners = np.swapaxes(np.array([r.whitener.T for r in rows]), -1, -2)
-    bases = SubspaceBasis(columns=np.stack([whiteners @ columns[:, 0], columns[:, 1]], axis=1))
     values = np.stack([[r.spectrum.values for r in rows], fisher.spectrum.values[:, 1]], axis=1)
     vectors = np.stack([[r.spectrum.vectors for r in rows], fisher.spectrum.vectors[:, 1]], axis=1)
+    whiteners = total_whitener(EigenSolution(values[:, 0], vectors[:, 0]))
+    bases = SubspaceBasis(columns=np.stack([whiteners @ columns[:, 0], columns[:, 1]], axis=1))
     similarity = sss(leading_basis(values, vectors, k - 1), bases).tolist()
     analyses = []
     for r, (lambda_x, lambda_z), predictions, (sss_x, sss_z) in zip(

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, RankError, ShapeError
-from .linalg import RANK_RTOL, raise_first, sym_eig, symmetrize
+from .linalg import RANK_RTOL, raise_first, sym_eig, total_scatter
 from .mixture import LabeledDataset
 
 CONDITIONING_WARN_TOL = 1e-6
@@ -71,10 +71,12 @@ class SubspaceBasis:
 def pc_subspace(data, m: int) -> SubspaceBasis:
     """Span of the m leading principal components of centered data.
 
-    The caller centers; a column mean above CENTERED_TOL times the
-    largest |entry| is rejected. When the m-th and (m+1)-th covariance
-    eigenvalues coincide the leading subspace is not unique, so an
-    ambiguity warning is attached to the (still returned) result.
+    The caller centers; non-finite data and a column mean above
+    CENTERED_TOL times the largest |entry| are rejected, and an X^T X that
+    overflows raises NumericalError, as in `isotropize`. When the m-th and
+    (m+1)-th covariance eigenvalues coincide the leading subspace is not
+    unique, so an ambiguity warning is attached to the (still returned)
+    result.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
@@ -82,12 +84,14 @@ def pc_subspace(data, m: int) -> SubspaceBasis:
     n, d = data.shape
     if not 1 <= m < d:
         raise ConfigError(f"need 1 <= m < d, got m = {m}, d = {d}")
+    if not np.isfinite(data).all():
+        raise ConfigError("data must be finite for PC extraction")
     max_mean = float(np.abs(data.mean(axis=0)).max())
     if max_mean > CENTERED_TOL * float(np.abs(data).max()):
         raise ConfigError(
             f"data must be centered before PC extraction (max |column mean| = {max_mean:.3e})"
         )
-    cov = symmetrize(data.T @ data) / n
+    cov = total_scatter(data) / n
     sol = sym_eig(cov)
     return leading_basis(sol.values, sol.vectors, m)
 

@@ -194,8 +194,9 @@ def recorded_warnings(run):
 
 @pytest.mark.parametrize("name,k", [("fig3_d7", 4), ("fig3_d20", 6)])
 def test_stack_equals_each_dataset_alone(name, k):
-    # one sweep unit: the cells of one geometry, which differ in n; d=20 is
-    # where BLAS's choice of kernel by memory layout shows in the bits
+    # one sweep unit: the cells of one geometry, which differ in n; at d=20
+    # a slice in another memory layout than the matrix alone would get
+    # another BLAS kernel and other last bits
     config = recipe(name)
     cells = [cell for cell in config.cells() if cell.k == k]
     assert len(cells) == 3

@@ -6,8 +6,8 @@ Coordinates, seed, status, reason and bound_satisfied must be identical,
 and float columns must agree within its FLOAT_ATOL (1e-9).
 
 `fig3_d20_largen` at 1 replicate (up to 20000 x 20 rows, the large row
-kernel) and `fig3_d7` at 2 replicates must reproduce their goldens byte
-for byte, on one worker process and on two.
+kernel), `fig3_d7` at 2 replicates and `prop1` at 3 must reproduce their
+goldens byte for byte, on one worker process and on two.
 """
 
 import importlib.util
@@ -38,7 +38,8 @@ def test_prop1_sweep_matches_golden_csv(tmp_path):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("name,replicates", [("fig3_d20_largen", 1), ("fig3_d7", 2)])
+@pytest.mark.parametrize("name,replicates",
+                         [("fig3_d20_largen", 1), ("fig3_d7", 2), ("prop1", 3)])
 def test_sweep_writes_golden_bytes(tmp_path, name, replicates, threads):
     out = tmp_path / f"{name}.csv"
     run_sweep(replace(recipe(name), replicates=replicates, seed=0), out_path=out,

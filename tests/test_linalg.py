@@ -116,7 +116,8 @@ class TestSymEig:
             alone = sym_eig(stack[index])
             assert np.array_equal(sol.values[index], alone.values)
             assert np.array_equal(sol.vectors[index], alone.vectors)
-            # BLAS picks its kernels by layout, so each slice keeps the 2-D one
+            # every result is C-ordered, single or stacked: BLAS picks its
+            # kernels by layout, so one layout keeps products bit-identical
             assert sol.vectors[index].strides == alone.vectors.strides
 
     def test_stack_fails_as_its_first_failing_matrix(self):

@@ -45,9 +45,9 @@ class TestMixtureSpec:
         with pytest.raises(DefinitenessError, match="Cholesky"):
             MixtureSpec(means=np.zeros((2, 2)), covariances=covs)
 
-    def test_first_bad_covariance_named_after_one_stacked_check(self):
-        # covariance 2 of 4 is indefinite and covariance 3 asymmetric: the
-        # stacked checks fail, and the first bad one in order is named
+    def test_first_bad_covariance_in_order_is_named(self):
+        # covariance 2 of 4 is indefinite and covariance 3 asymmetric: each
+        # covariance is checked in turn, and the first bad one is named
         covs = np.stack([np.eye(4)] * 4)
         covs[2] = np.diag([1.0, -1.0, 1.0, 1.0])
         means = np.zeros((4, 4))

@@ -9,6 +9,7 @@ import pytest
 from structdr import (
     ConfigError,
     LabeledDataset,
+    NumericalError,
     RankError,
     ShapeError,
     SubspaceBasis,
@@ -87,6 +88,22 @@ class TestPcSubspace:
     def test_bad_shape_or_dimension_rejected(self, shape, m, message):
         with pytest.raises(ConfigError, match=f"^{message}$"):
             pc_subspace(np.zeros(shape), m)
+
+    def test_overflowing_scatter_raises_numerical_error(self):
+        # X^T X overflows although every entry is finite: reported by name,
+        # as isotropize reports it
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((50, 4))
+        x -= x.mean(axis=0)
+        with pytest.raises(NumericalError, match="^total scatter overflows"):
+            pc_subspace(1e160 * x, 1)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_data_rejected(self, value):
+        x = np.zeros((10, 3))
+        x[3, 1] = value
+        with pytest.raises(ConfigError, match="^data must be finite for PC extraction$"):
+            pc_subspace(x, 1)
 
     def test_isotropic_data_flagged_ambiguous(self):
         spec = make_separation_family(4, 2, 3.0, 1.0, seed=2)
