@@ -197,6 +197,9 @@ class ExperimentRecord:
 _COLUMNS = tuple(f for f in fields(ExperimentRecord) if f.name != "elapsed_seconds")
 ExperimentRecord.CSV_FIELDS = tuple(f.name for f in _COLUMNS)
 _OUTCOME_START = ExperimentRecord.CSV_FIELDS.index("lambda_x")
+# The Analysis field of each outcome column that is named otherwise.
+_ANALYSIS_FIELDS = {"lambda_x": "lambda_bar_x", "lambda_z": "lambda_bar_z",
+                    "delta": "observed_delta"}
 # The record's leading columns, d through scheme, so that
 # ExperimentRecord(*cell, replicate=..., seed=...) lines them up.
 _CELL_END = ExperimentRecord.CSV_FIELDS.index("replicate")
@@ -294,14 +297,8 @@ def _run_geometry(cells: list, replicates: list, master_seed: int) -> list:
         if isinstance(result, Exception):
             _fail(record, result)
             continue
-        record.sss_x = result.sss_x
-        record.sss_z = result.sss_z
-        record.lambda_x = result.lambda_bar_x
-        record.lambda_z = result.lambda_bar_z
-        record.delta = result.observed_delta
-        record.bound_rhs = result.bound_rhs
-        record.bound_satisfied = result.bound_satisfied
-        record.empirical_sd_norm = result.empirical_sd_norm
+        for name in ExperimentRecord.CSV_FIELDS[_OUTCOME_START:]:
+            setattr(record, name, getattr(result, _ANALYSIS_FIELDS.get(name, name)))
     elapsed = (time.perf_counter() - start) / len(records)
     for record in records:
         record.elapsed_seconds = elapsed

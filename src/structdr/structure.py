@@ -4,10 +4,10 @@ two-component mixtures, first-order perturbation tooling with the
 closed-form bound on how much weighting can move the distinctness, and
 `analyze`, the analysis of a dataset before and after the transform that
 sweeps and the CLI share. It runs in two phases: `row_pass` reduces a
-dataset's rows to the d x d results of a `RowSummary`, and
-`analyze_stack` runs the d x d steps on a stack of summaries, one numpy
-call per step; `analyze` and `distinctness_delta_check` each run it as a
-stack of one.
+dataset's rows to the d x d results of a `RowSummary`, where Y's total
+scatter is I by construction, and `analyze_stack` runs the d x d steps
+on a stack of summaries, one numpy call per step; `analyze` and
+`distinctness_delta_check` each run it as a stack of one.
 """
 
 import math
@@ -75,20 +75,20 @@ class SdistEstimate:
     std_error: float
 
 
-def _scatter_pair(centered: np.ndarray, indicator: np.ndarray, counts: np.ndarray) -> ScatterPair:
-    """Scatter pair of already-centered rows: one pass over the rows for T
-    and one product with the (n, k) cluster indicator for the cluster sums."""
-    total = total_scatter(centered)
+def _between(centered: np.ndarray, indicator: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Between-cluster scatter of already-centered rows: one product with
+    the (n, k) cluster indicator for the cluster sums."""
     offsets = (indicator.T @ centered) / counts[:, None]  # cluster means of the centered data
-    between = symmetrize((offsets * counts[:, None]).T @ offsets)
-    return ScatterPair(total=total, between=between)
+    return symmetrize((offsets * counts[:, None]).T @ offsets)
 
 
 def scatter_matrices(data: LabeledDataset) -> ScatterPair:
     """Total and between-cluster scatter of a labeled dataset with n > d."""
     check_rows(data)
-    indicator = cluster_indicator(data.labels, data.k)
-    return _scatter_pair(apply_centering(data.data), indicator, data.counts)
+    centered = apply_centering(data.data)
+    total = total_scatter(centered)  # first, so that an overflow is reported by name
+    between = _between(centered, cluster_indicator(data.labels, data.k), data.counts)
+    return ScatterPair(total=total, between=between)
 
 
 def _check_cluster_count(k: int, d: int):
@@ -176,14 +176,14 @@ def proposition1_bound(n: int, d: int, k: int, alpha: float, lambda_bar_x: float
 
 @dataclass(frozen=True)
 class RowSummary:
-    """All that the d x d pass needs of one dataset's rows: the scatter
-    pairs of Y and Z0, X's spectrum, and the spread of the squared norms of
-    Y's rows."""
+    """All that the d x d pass needs of one dataset's rows: Y's between
+    scatter (its total is I by construction), Z0's scatter pair, X's
+    spectrum, and the spread of the squared norms of Y's rows."""
 
     n: int
     k: int
     alpha: float
-    y_pair: ScatterPair
+    y_between: np.ndarray
     z_pair: ScatterPair
     sd_norm: float
     spectrum: EigenSolution
@@ -194,9 +194,9 @@ def _summarize(x: LabeledDataset, iso: IsotropicDataset, z0: np.ndarray,
     """The row summary of X, given its isotropic rows Y = iso.data and the
     centered weighted rows z0."""
     indicator = cluster_indicator(x.labels, x.k)
-    return RowSummary(x.n, x.k, alpha, _scatter_pair(iso.data, indicator, x.counts),
-                      _scatter_pair(z0, indicator, x.counts), float(iso.sqnorms.std(ddof=0)),
-                      iso.spectrum)
+    z_pair = ScatterPair(total=total_scatter(z0), between=_between(z0, indicator, x.counts))
+    return RowSummary(x.n, x.k, alpha, _between(iso.data, indicator, x.counts), z_pair,
+                      float(iso.sqnorms.std(ddof=0)), iso.spectrum)
 
 
 def row_pass(x: LabeledDataset, alpha: float = DEFAULT_ALPHA,
@@ -252,21 +252,21 @@ def analyze_stack(rows: list) -> list:
     """The d x d pass of `analyze` over row summaries with one d and k, one
     numpy call per step: their Analyses, each equal to the one its dataset
     gets alone. The Fisher problems of Y and Z0 are solved as one stack
-    (len(rows), 2, d, d); Fisher eigenvalues are affine invariant, so Y's
-    distinctness is X's. The first-order predictions perturb Y's Fisher
-    problem by the scatter differences. X's principal axes come from the
-    spectrum that isotropized it, and X's Fisher basis is that spectrum's
-    whitener times Y's; the bases of X and Z0 are checked and compared as
-    one stack (len(rows), 2, d, k - 1). Y's and Z0's Fisher eigenvectors
-    W U, with U orthonormal, need no check: `total_whitener` has bounded
-    cond(W) by 1e5."""
+    (len(rows), 2, d, d), Y's as (B_y, I): isotropization makes Y^T Y = I.
+    Fisher eigenvalues are affine invariant, so Y's distinctness is X's.
+    The first-order predictions perturb (B_y, I) by the scatter
+    differences. X's principal axes come from the spectrum that
+    isotropized it, and X's Fisher basis is that spectrum's whitener times
+    Y's; the bases of X and Z0 are checked and compared as one stack
+    (len(rows), 2, d, k - 1). Y's and Z0's Fisher eigenvectors W U, with U
+    orthonormal, need no check: `total_whitener` has bounded cond(W) by 1e5."""
     if not rows:
         return []
-    k, d = rows[0].k, rows[0].y_pair.total.shape[-1]
-    if any((r.k, r.y_pair.total.shape[-1]) != (k, d) for r in rows):
+    k, d = rows[0].k, rows[0].y_between.shape[-1]
+    if any((r.k, r.y_between.shape[-1]) != (k, d) for r in rows):
         raise ShapeError("row summaries of one stack must share d and k")
-    total = np.array([(r.y_pair.total, r.z_pair.total) for r in rows])
-    between = np.array([(r.y_pair.between, r.z_pair.between) for r in rows])
+    total = np.array([(np.eye(d), r.z_pair.total) for r in rows])
+    between = np.array([(r.y_between, r.z_pair.between) for r in rows])
     fisher = fisher_solve(ScatterPair(total=total, between=between), k)
     y_eigen = EigenSolution(fisher.eigen.values[:, 0], fisher.eigen.vectors[:, 0])
     predicted = perturb_eigs_first_order(

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, RankError, ShapeError
-from .linalg import RANK_RTOL, raise_first, sym_eig, total_scatter
+from .linalg import RANK_RTOL, column_means, raise_first, sym_eig, total_scatter
 from .mixture import LabeledDataset
 
 CONDITIONING_WARN_TOL = 1e-6
@@ -86,7 +86,7 @@ def pc_subspace(data, m: int) -> SubspaceBasis:
         raise ConfigError(f"need 1 <= m < d, got m = {m}, d = {d}")
     if not np.isfinite(data).all():
         raise ConfigError("data must be finite for PC extraction")
-    max_mean = float(np.abs(data.mean(axis=0)).max())
+    max_mean = float(np.abs(column_means(data)).max())
     if max_mean > CENTERED_TOL * float(np.abs(data).max()):
         raise ConfigError(
             f"data must be centered before PC extraction (max |column mean| = {max_mean:.3e})"

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .linalg import EigenSolution, sym_eig, total_scatter, total_whitener
+from .linalg import EigenSolution, column_means, sym_eig, total_scatter, total_whitener
 from .mixture import LabeledDataset
 
 DEFAULT_ALPHA = 0.5
@@ -38,10 +38,6 @@ class IsotropicDataset:
     @property
     def n(self) -> int:
         return self.data.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.data.shape[1]
 
     @cached_property
     def sqnorms(self) -> np.ndarray:
@@ -85,7 +81,7 @@ def isotropize(x: LabeledDataset) -> IsotropicDataset:
     """
     check_rows(x)
     with np.errstate(over="ignore", invalid="ignore"):  # total_scatter reports it
-        center = x.data.mean(axis=0)
+        center = column_means(x.data)
         centered = x.data - center
     spectrum = sym_eig(total_scatter(centered))
     whitener = total_whitener(spectrum)
@@ -111,16 +107,17 @@ def compute_weights(y: IsotropicDataset, alpha: float = DEFAULT_ALPHA,
         raise ConfigError(f"weighting parameter alpha must be finite and > 0, got {alpha}")
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown weighting scheme {scheme!r}; expected one of {SCHEMES}")
-    sqnorms = y.sqnorms
+    with np.errstate(over="ignore"):  # an overflow gives weight 0, reported below
+        ratio = y.sqnorms / alpha
     if scheme == "hyperbolic":
-        weights = np.sqrt(1.0 / (1.0 + sqnorms / alpha))
+        weights = np.sqrt(1.0 / (1.0 + ratio))
     else:
-        weights = np.exp(-sqnorms / alpha)
+        weights = np.exp(-ratio)
     if not weights.all():
         row = int(np.flatnonzero(weights == 0.0)[0])
         raise ConfigError(
             f"alpha = {alpha} is too small for {scheme} weights: row {row + 1} "
-            f"(|y|^2 = {sqnorms[row]:.6g}) gets weight 0"
+            f"(|y|^2 = {y.sqnorms[row]:.6g}) gets weight 0"
         )
     return weights
 
@@ -129,7 +126,7 @@ def weighted_rows(y: IsotropicDataset, weights: np.ndarray) -> np.ndarray:
     """The rows of Z0 = F diag(w) Y: each row scaled by its weight, then
     re-centered."""
     weighted = weights[:, None] * y.data
-    weighted -= weighted.mean(axis=0)
+    weighted -= column_means(weighted)
     return weighted
 
 

@@ -13,10 +13,11 @@ from structdr import (
     SymmetryError,
     apply_centering,
     gen_eig,
+    recipe,
     sym_eig,
 )
 from structdr.errors import DefinitenessError
-from structdr.linalg import check_symmetric, symmetrize, total_whitener
+from structdr.linalg import check_symmetric, column_means, symmetrize, total_whitener
 
 from oracles import centering_matrix, hat_matrix
 
@@ -244,6 +245,22 @@ class TestCentering:
         np.testing.assert_allclose(f, f.T)
         np.testing.assert_allclose(f @ f, f, atol=1e-12)
         np.testing.assert_allclose(np.diag(f), np.full(9, 1 - 1 / 9))
+
+
+class TestColumnMeans:
+    # at every (rows, columns) shape of the two benchmarked sweeps, the
+    # einsum rule gives the bits of numpy's axis-0 mean, which the goldens
+    # were written with; d = 1 and Fortran-ordered rows are not covered
+    SHAPES = sorted({(cell.k * cell.n_per_cluster, cell.d)
+                     for name in ("fig3_d7", "fig3_d20_largen")
+                     for cell in recipe(name).cells()})
+
+    @pytest.mark.parametrize("n,d", SHAPES)
+    def test_equals_numpy_mean_bit_for_bit(self, n, d):
+        rng = np.random.default_rng(n * d)
+        for scale, shift in ((1.0, 0.0), (1e-3, 5.0), (1e6, -3e6)):
+            data = scale * rng.standard_normal((n, d)) + shift
+            assert column_means(data).tobytes() == data.mean(axis=0).tobytes()
 
 
 class TestHatMatrix:

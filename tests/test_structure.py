@@ -30,7 +30,9 @@ from structdr import (
     sdist_overlap,
     transform_pipeline,
 )
-from structdr.linalg import cluster_counts, symmetrize
+from structdr import structure, transform
+from structdr.linalg import cluster_counts, symmetrize, total_scatter
+from structdr.structure import row_pass
 
 from oracles import hat_matrix
 
@@ -390,3 +392,20 @@ class TestDistinctnessDeltaCheck:
         )
         with pytest.raises(ShapeError, match="same columns, got d = 5 and 6"):
             distinctness_delta_check(data, wider, 0.5)
+
+
+class TestRowPass:
+    def test_forms_the_total_scatter_of_x_and_of_z0_only(self, monkeypatch):
+        # isotropization makes Y^T Y = I, so Y's total scatter is taken as
+        # I and never formed from Y's rows
+        data = sample(make_separation_family(7, 3, 10.0, 1.0, seed=38), 300, seed=39)
+        shapes = []
+
+        def counting(centered):
+            shapes.append(centered.shape)
+            return total_scatter(centered)
+
+        monkeypatch.setattr(structure, "total_scatter", counting)
+        monkeypatch.setattr(transform, "total_scatter", counting)
+        row_pass(data)
+        assert shapes == [data.data.shape, data.data.shape]

@@ -4,6 +4,8 @@ weighting formulas, the operator identities behind the weighted scatters
 Fisher eigenvalues under isotropization.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from structdr import (
     LabeledDataset,
     RankError,
     ShapeError,
+    analyze,
     apply_weights,
     compute_weights,
     gen_eig,
@@ -145,6 +148,16 @@ class TestComputeWeights:
                 compute_weights(iso, alpha=alpha)
         with pytest.raises(ConfigError):
             compute_weights(iso, alpha=0.5, scheme="gaussian")
+
+    @pytest.mark.parametrize("scheme", ["hyperbolic", "exponential"])
+    def test_overflowing_ratio_is_named_without_numpy_warnings(self, scheme):
+        # |y|^2 / alpha overflows at alpha = 1e-320; the weight-0 check,
+        # not a RuntimeWarning, must report it
+        x = random_dataset(seed=9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=f"too small for {scheme} weights"):
+                analyze(x, alpha=1e-320, scheme=scheme)
 
 
 class TestApplyWeights:

@@ -76,16 +76,17 @@ def test_isotropic_rows_are_orthonormal(x):
 )
 def test_weights_lie_in_unit_interval(x, alpha, scheme):
     iso = isotropize(x)
-    # |y|^2 / alpha overflows for subnormal alpha
+    # |y|^2 / alpha overflows for subnormal alpha; compute_weights itself
+    # must not warn about it
     with np.errstate(over="ignore"):
         ratio = np.einsum("ij,ij->i", iso.data, iso.data) / alpha
-        underflows = np.flatnonzero(ratio > REPRESENTABLE[scheme])
-        if underflows.size:
-            # the exact weight of that row lies below the smallest subnormal
-            message = f"alpha = {alpha} is too small for {scheme} weights: row {underflows[0] + 1} "
-            with pytest.raises(ConfigError, match=re.escape(message)):
-                compute_weights(iso, alpha=alpha, scheme=scheme)
-            return
-        weights = compute_weights(iso, alpha=alpha, scheme=scheme)
+    underflows = np.flatnonzero(ratio > REPRESENTABLE[scheme])
+    if underflows.size:
+        # the exact weight of that row lies below the smallest subnormal
+        message = f"alpha = {alpha} is too small for {scheme} weights: row {underflows[0] + 1} "
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            compute_weights(iso, alpha=alpha, scheme=scheme)
+        return
+    weights = compute_weights(iso, alpha=alpha, scheme=scheme)
     assert np.all(weights > 0.0)
     assert np.all(weights <= 1.0)
