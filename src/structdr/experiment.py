@@ -24,11 +24,13 @@ never serialized.
 
 import copy
 import csv
+import ctypes
 import itertools
 import json
 import math
 import numbers
 import os
+import platform
 import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
@@ -313,6 +315,26 @@ def run_cell(cell: Cell, replicate: int, master_seed: int) -> ExperimentRecord:
     return _run_geometry([cell], [replicate], master_seed)[0]
 
 
+def _keep_heap():
+    """Keep up to 64 MiB of freed heap in this process for its lifetime;
+    on a C library other than glibc, do nothing.
+
+    glibc's dynamic rule leaves its trim threshold at twice the largest
+    block freed so far, which is below one record's rows, so each record
+    would hand the heap top back to the OS and fault it in again. A 32 MiB
+    mmap threshold (that rule's ceiling on 64-bit) puts the rows on the
+    heap, and a trim threshold of twice that keeps them there. Only a
+    process that runs units calls this: a pool's parent does not, since its
+    forked workers would take copy-on-write faults on the free heap they
+    inherit."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def run_sweep(config: ExperimentConfig, out_path=None, threads: int = 1) -> list:
     """Run every (cell, replicate) pair and write the CSV to out_path if
     one is given.
@@ -323,7 +345,8 @@ def run_sweep(config: ExperimentConfig, out_path=None, threads: int = 1) -> list
     replicates of one geometry (see the module docstring). Records and CSV
     are the same for any threads. The output file is opened before any
     computation so an unwritable path fails fast, and only the calling
-    process writes it.
+    process writes it. Each process that runs units (the calling process
+    when serial, else each worker) keeps its freed heap; see _keep_heap.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
@@ -351,10 +374,12 @@ def run_sweep(config: ExperimentConfig, out_path=None, threads: int = 1) -> list
 
             fork = "fork" in multiprocessing.get_all_start_methods()
             context = multiprocessing.get_context("fork" if fork else None)
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            with ProcessPoolExecutor(workers, mp_context=context,
+                                     initializer=_keep_heap) as pool:
                 results = list(pool.map(_run_geometry, *zip(*tasks),
                                         itertools.repeat(config.seed)))
         else:
+            _keep_heap()
             results = [_run_geometry(group, block, config.seed) for group, block in tasks]
         order = [i * config.replicates + rep
                  for indices, block in units for rep in block for i in indices]

@@ -177,8 +177,9 @@ def cluster_counts(labels) -> np.ndarray:
         raise MissingClusterError("labels must be a non-empty 1-D array")
     k = int(labels.max())
     if labels.min() < 1:
+        allowed = f"lie in 1..{k}" if k >= 1 else "be >= 1"
         raise MissingClusterError(
-            f"labels must lie in 1..{k}, got range [{labels.min()}, {labels.max()}]"
+            f"labels must {allowed}, got range [{labels.min()}, {labels.max()}]"
         )
     if k > labels.size:
         raise MissingClusterError(

@@ -284,6 +284,19 @@ class TestMalformedDataset:
         assert f"{path}: {where}" in err
         assert len(err.encode()) < 1024
 
+    @pytest.mark.parametrize("first,second,where", [
+        (0, 0, "labels must be >= 1, got range [0, 0]"),
+        (-2, -1, "labels must be >= 1, got range [-2, -1]"),
+    ], ids=["all-zero", "all-negative"])
+    def test_labels_below_one_name_the_floor(self, tmp_path, capsys, first, second, where):
+        # no label is >= 1, so there is no range 1..k to name
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x1,x2,label\n1.0,2.0,{first}\n1.0,3.0,{second}\n")
+        assert run_cli("analyze", "--data", str(path)) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: {where}" in err
+        assert "1.." not in err
+
     @pytest.mark.parametrize("verb", ["analyze", "transform"])
     @pytest.mark.parametrize("content,missing", [
         ("label\n1\n2\n1\n2\n", "data has no feature columns"),
