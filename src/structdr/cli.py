@@ -71,7 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
     swe.add_argument("--out", required=True, help="output records CSV")
     swe.add_argument(
         "--threads", type=int, default=1,
-        help="worker processes, at most the CPUs available; the CSV does not depend on it",
+        help="processes that run units, this one included, at most the CPUs available; "
+        "the CSV does not depend on it",
     )
     swe.add_argument("--seed", type=int, help="override the config master seed")
 

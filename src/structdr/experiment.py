@@ -13,13 +13,14 @@ stacked build makes the block's mixtures, one per replicate. Each
 (replicate, n_per_cluster, alpha) cell in turn is then sampled and
 reduced to its d x d row summary, so a unit holds one cell's rows at a
 time, and one stacked d x d pass analyzes every summary of the block.
-Serially a block holds all of a geometry's replicates; on a pool of
-forked worker processes, each geometry's replicates are split into the
-fewest near-equal blocks that give every worker at least four units.
+Serially a block holds all of a geometry's replicates. On N processes
+(the calling one and N - 1 helpers it forks, each taking the next unit
+from one shared counter), each geometry's replicates are split into the
+fewest near-equal blocks that give every process at least four units.
 Records are put back in canonical order (grid-major, replicate-minor)
-either way, so repeated runs and any worker count produce byte-identical
-CSV bodies. Wall-clock timings are kept on the in-memory records only,
-never serialized.
+either way, so repeated runs and any process count produce
+byte-identical CSV bodies. Wall-clock timings are kept on the in-memory
+records only, never serialized.
 """
 
 import copy
@@ -324,9 +325,8 @@ def _keep_heap():
     would hand the heap top back to the OS and fault it in again. A 32 MiB
     mmap threshold (that rule's ceiling on 64-bit) puts the rows on the
     heap, and a trim threshold of twice that keeps them there. Only a
-    process that runs units calls this: a pool's parent does not, since its
-    forked workers would take copy-on-write faults on the free heap they
-    inherit."""
+    sweep's calling process calls this, before it forks any helper, so
+    every process that runs units keeps its heap."""
     if platform.libc_ver()[0] != "glibc":
         return
     mallopt = ctypes.CDLL(None).mallopt
@@ -335,19 +335,52 @@ def _keep_heap():
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
+def _take(counter) -> int:
+    """The next unit index from a counter that the sweep's processes share."""
+    with counter.get_lock():
+        counter.value += 1
+        return counter.value - 1
+
+
+def _run_units(take, tasks: list, master_seed: int) -> dict:
+    """Run tasks[i] for each index i that take() gives until one is past
+    the last task; returns {i: records of task i}."""
+    done = {}
+    while (i := take()) < len(tasks):
+        done[i] = _run_geometry(*tasks[i], master_seed)
+    return done
+
+
+def _run_helper(conn, take, tasks: list, master_seed: int):
+    """A helper process: run units as the calling process does, then send
+    it their records, or the exception that stopped them."""
+    try:
+        result = _run_units(take, tasks, master_seed)
+    except Exception as exc:  # re-raised by the calling process
+        result = exc
+    conn.send(result)
+
+
 def run_sweep(config: ExperimentConfig, out_path=None, threads: int = 1) -> list:
     """Run every (cell, replicate) pair and write the CSV to out_path if
     one is given.
 
-    threads is the number of worker processes, capped at the number of
-    (geometry, replicate) pairs and of CPUs this process may use; with one
-    worker the units run in the calling thread. A unit is a block of
-    replicates of one geometry (see the module docstring). Records and CSV
-    are the same for any threads. The output file is opened before any
-    computation so an unwritable path fails fast, and only the calling
-    process writes it. Each process that runs units (the calling process
-    when serial, else each worker) keeps its freed heap; see _keep_heap.
+    threads is the number of processes that run units, the calling one
+    included, capped at the number of (geometry, replicate) pairs and of
+    CPUs this process may use. The calling process forks the others as
+    helpers, then every process takes the next unit from one shared
+    counter until none is left; with one process the units run in the
+    calling thread, in order. A unit is a block of replicates of one
+    geometry (see the module docstring). Records and CSV are the same for
+    any threads. The output file is opened before any computation so an
+    unwritable path fails fast, and only the calling process writes it.
+    Every process that runs units keeps its freed heap; see _keep_heap.
+    The exception that stops a helper is raised here, and a helper that
+    dies before sending gives a StructdrError; every helper is stopped
+    and joined before run_sweep returns or raises.
     """
+    if not _is_number(threads):
+        raise ConfigError(f"threads must be an integer, got {threads!r}")
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     cells = config.cells()
@@ -355,35 +388,56 @@ def run_sweep(config: ExperimentConfig, out_path=None, threads: int = 1) -> list
     for i, cell in enumerate(cells):
         groups.setdefault(_geometry(cell), []).append(i)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(threads, len(groups) * config.replicates, cpus or 1)
+    processes = min(threads, len(groups) * config.replicates, cpus or 1)
     # Each geometry's replicates are split into the fewest near-equal blocks
-    # that give every worker at least four units, which evens out units of
+    # that give every process at least four units, which evens out units of
     # unequal cost; serially a block is all of a geometry's replicates.
-    per_geometry = 1 if workers < 2 else min(config.replicates,
-                                             math.ceil(4 * workers / len(groups)))
+    per_geometry = 1 if processes < 2 else min(config.replicates,
+                                               math.ceil(4 * processes / len(groups)))
     blocks = [block.tolist() for block in np.array_split(range(config.replicates), per_geometry)]
     units = [(indices, block) for indices in groups.values() for block in blocks]
     tasks = [([cells[i] for i in indices], block) for indices, block in units]
     with open(out_path, "w", newline="") if out_path else nullcontext() as fh:
-        if workers > 1:
-            # Forked workers start with numpy and structdr imported; a
-            # fresh import in each would cost more than a short sweep.
-            # map returns results in unit order.
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
+        _keep_heap()
+        helpers = []  # (connection, process) of each helper started
+        try:
+            take = itertools.count().__next__
+            if processes > 1:
+                # Forked helpers start with numpy and structdr imported; a
+                # fresh import in each would cost more than a short sweep.
+                import multiprocessing
 
-            fork = "fork" in multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context("fork" if fork else None)
-            with ProcessPoolExecutor(workers, mp_context=context,
-                                     initializer=_keep_heap) as pool:
-                results = list(pool.map(_run_geometry, *zip(*tasks),
-                                        itertools.repeat(config.seed)))
-        else:
-            _keep_heap()
-            results = [_run_geometry(group, block, config.seed) for group, block in tasks]
+                fork = "fork" in multiprocessing.get_all_start_methods()
+                context = multiprocessing.get_context("fork" if fork else None)
+                take = partial(_take, context.Value("i", 0))
+                for _ in range(processes - 1):
+                    reader, writer = context.Pipe(duplex=False)
+                    with writer:  # so that recv sees EOF if the helper dies
+                        helper = context.Process(target=_run_helper,
+                                                 args=(writer, take, tasks, config.seed))
+                        helper.start()
+                    helpers.append((reader, helper))
+            done = _run_units(take, tasks, config.seed)
+            for reader, helper in helpers:
+                try:
+                    result = reader.recv()
+                except EOFError:  # the helper died without sending
+                    helper.join()
+                    raise StructdrError(f"a sweep helper process exited with code "
+                                        f"{helper.exitcode} before sending its records") from None
+                if isinstance(result, Exception):
+                    raise result
+                done.update(result)
+        finally:
+            # A helper that has sent its records has nothing left to do.
+            for reader, helper in helpers:
+                helper.terminate()
+                helper.join()
+                reader.close()
         order = [i * config.replicates + rep
                  for indices, block in units for rep in block for i in indices]
-        records = [record for _, record in sorted(zip(order, itertools.chain(*results)))]
+        results = itertools.chain.from_iterable(done[i] for i in range(len(tasks)))
+        records = [record for _, record in sorted(zip(order, results))]
         if fh is not None:
             write_records_csv(fh, records)
     return records

@@ -460,8 +460,8 @@ class TestEntryPoints:
         assert proc.stdout.strip() == "[]"
 
     def test_function_level_imports_are_only_the_known_ones(self):
-        # a new import cycle or lazy import shows up here: the pool modules
-        # are imported only when a sweep forks workers, and fisher_subspace
+        # a new import cycle or lazy import shows up here: multiprocessing
+        # is imported only when a sweep forks helpers, and fisher_subspace
         # imports structure, which imports subspace, until it moves there
         found = []
         for path in sorted((Path(__file__).resolve().parents[1] / "src" / "structdr").glob("*.py")):
@@ -475,7 +475,6 @@ class TestEntryPoints:
                             module = "." * node.level + (node.module or "")
                             found.append((path.stem, func.name, module))
         assert sorted(found) == [
-            ("experiment", "run_sweep", "concurrent.futures"),
             ("experiment", "run_sweep", "multiprocessing"),
             ("subspace", "fisher_subspace", ".structure"),
         ]

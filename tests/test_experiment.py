@@ -2,17 +2,17 @@
 and the canned experiment recipes.
 """
 
-import collections
-import concurrent.futures
 import ctypes
 import functools
 import json
+import multiprocessing
 import os
 import platform
 import subprocess
 import sys
 import textwrap
 import threading
+import time
 import types
 import warnings
 from dataclasses import asdict, astuple, replace
@@ -31,7 +31,7 @@ from structdr import (
     run_sweep,
 )
 from structdr import experiment, linalg, mixture, structure, transform
-from structdr.errors import DefinitenessError
+from structdr.errors import DefinitenessError, StructdrError
 from structdr.experiment import derive_seeds, write_records_csv
 from structdr.mixture import make_separation_families
 
@@ -75,17 +75,71 @@ run_geometry = experiment._run_geometry
 
 def pid_logging_run_geometry(log, cells, replicates, master_seed):
     """The unit function, appending its process id to `log` once per record
-    first. Defined at module level so that a process pool can send it to
-    its workers."""
+    first."""
     with open(log, "a") as fh:
         fh.write(f"{os.getpid()}\n" * (len(cells) * len(replicates)))
     return run_geometry(cells, replicates, master_seed)
+
+
+def wait_for(predicate, seconds=10.0):
+    """Poll predicate() until it is true or `seconds` have passed."""
+    deadline = time.monotonic() + seconds
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.005)
+
+
+def caller_first_run_geometry(log, caller, cells, replicates, master_seed):
+    """pid_logging_run_geometry, except that a process other than `caller`
+    first waits (up to 10 s) until `caller` has logged a record, so that
+    the calling process runs a unit however the processes are scheduled."""
+    if os.getpid() != caller:
+        wait_for(lambda: log.exists() and str(caller) in log.read_text().split())
+    return pid_logging_run_geometry(log, cells, replicates, master_seed)
 
 
 def pid_logging_keep_heap(log):
     """In place of the heap policy: append this process id to `log`."""
     with open(log, "a") as fh:
         fh.write(f"{os.getpid()}\n")
+
+
+# The body of a sweep's helper process, which the tests below wrap.
+run_helper = experiment._run_helper
+
+
+def pid_logging_help(log, *args):
+    """The helper process body, appending its process id to `log` first."""
+    with open(log, "a") as fh:
+        fh.write(f"{os.getpid()}\n")
+    return run_helper(*args)
+
+
+def helper_failing_run_geometry(marker, caller, fail, cells, replicates, master_seed):
+    """The unit function, except that in a process other than `caller` it
+    touches `marker` and calls fail(), and that `caller` first waits (up
+    to 10 s) for the marker, so that a helper's unit fails before the
+    calling process runs out of units."""
+    if os.getpid() != caller:
+        marker.touch()
+        fail()
+    wait_for(marker.exists)
+    return run_geometry(cells, replicates, master_seed)
+
+
+def raise_runtime_error():
+    raise RuntimeError("a helper's unit failed")
+
+
+def caller_failing_run_geometry(marker, caller, cells, replicates, master_seed):
+    """The unit function, except that a process other than `caller` touches
+    `marker` and sleeps for a minute, and that `caller` waits (up to 10 s)
+    for the marker and raises RuntimeError."""
+    if os.getpid() != caller:
+        marker.touch()
+        time.sleep(60)
+        return run_geometry(cells, replicates, master_seed)
+    wait_for(marker.exists)
+    raise RuntimeError("the caller's unit failed")
 
 
 def block_logging_run_geometry(log, cells, replicates, master_seed):
@@ -99,7 +153,7 @@ def block_logging_run_geometry(log, cells, replicates, master_seed):
 def logged_builds(monkeypatch, log):
     """Make experiment's make_separation_families append its process id and
     arguments to `log` once per spec seed, in this process and in the
-    workers it forks; returns a function that reads the log as (pid,
+    helpers it forks; returns a function that reads the log as (pid,
     arguments with one seed) pairs."""
 
     def logging_build(*args):
@@ -306,8 +360,8 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("threads, blocks", [
         (1, [[0, 1, 2, 3, 4, 5, 6]]),
-        # 2 geometries: at least 4 units per worker means 4 blocks of each
-        # geometry on 2 workers and 6 on 3
+        # 2 geometries: at least 4 units per process means 4 blocks of each
+        # geometry on 2 processes and 6 on 3
         (2, [[0, 1], [2, 3], [4, 5], [6]]),
         (3, [[0, 1], [2], [3], [4], [5], [6]]),
     ])
@@ -323,32 +377,51 @@ class TestRunSweep:
         units = sorted(map(json.loads, log.read_text().splitlines()))
         assert units == sorted([d, block] for d in (3, 4) for block in blocks)
 
-    @pytest.mark.skipif(available_cpus() < 2, reason="needs 2 CPUs for 2 workers")
+    def test_every_unit_runs_once_on_more_processes_than_cpus(self, monkeypatch, tmp_path):
+        # 5 processes share the unit counter, so on a host with fewer CPUs
+        # their takes interleave: a lost update would run a unit twice or
+        # not at all
+        config = small_config(dims=[3, 4], clusters=[2, 3], replicates=10)
+        serial = run_sweep(config)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)), raising=False)
+        for attempt in range(3):
+            log = tmp_path / f"blocks{attempt}"
+            monkeypatch.setattr(experiment, "_run_geometry",
+                                functools.partial(block_logging_run_geometry, log))
+            assert_same_records(run_sweep(config, threads=5), serial)
+            units = sorted(map(json.loads, log.read_text().splitlines()))
+            # 4 geometries, so ceil(4 * 5 / 4) = 5 blocks of 2 replicates each
+            blocks = [[2 * b, 2 * b + 1] for b in range(5)]
+            assert units == sorted([d, block] for d in (3, 3, 4, 4) for block in blocks)
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(available_cpus() < 2, reason="needs 2 CPUs for 2 processes")
     def test_two_threads_compute_records_in_worker_processes(self, monkeypatch, tmp_path):
+        # the calling process runs units, and one forked helper runs the rest
         log = tmp_path / "pids"
         monkeypatch.setattr(experiment, "_run_geometry",
-                            functools.partial(pid_logging_run_geometry, log))
+                            functools.partial(caller_first_run_geometry, log, os.getpid()))
         records = run_sweep(small_config(dims=[3, 4], replicates=4), threads=2)
         pids = [int(line) for line in log.read_text().split()]
         assert len(records) == len(pids) == 8
-        assert os.getpid() not in pids
+        assert os.getpid() in pids
         assert len(set(pids)) <= 2
+        assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("cpus, pools", [({0}, []), ({0, 1}, [2]), ({0, 1, 2}, [3])])
-    def test_workers_capped_at_available_cpus(self, monkeypatch, cpus, pools):
-        # 8 tasks, so that even a broken cap starts at most 8 processes
-        sizes = []
-
-        class SizeRecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SizeRecordingPool)
+    @pytest.mark.parametrize("cpus, helpers", [({0}, 0), ({0, 1}, 1), ({0, 1, 2}, 2)],
+                             ids=["one-cpu", "two-cpus", "three-cpus"])
+    def test_workers_capped_at_available_cpus(self, monkeypatch, tmp_path, cpus, helpers):
+        # 8 tasks, so that even a broken cap starts at most 7 helpers; the
+        # calling process is one of the processes that run units
+        log = tmp_path / "helpers"
+        monkeypatch.setattr(experiment, "_run_helper", functools.partial(pid_logging_help, log))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         config = small_config(dims=[3, 4], replicates=4)
         records = run_sweep(config, threads=64)
-        assert sizes == pools
+        started = log.read_text().split() if log.exists() else []
+        assert len(started) == len(set(started)) == helpers
+        assert str(os.getpid()) not in started
+        assert multiprocessing.active_children() == []
         assert_same_records(records, run_sweep(config))
 
     @pytest.mark.parametrize("threads", [2, 3])
@@ -363,13 +436,55 @@ class TestRunSweep:
         serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
         want = run_sweep(config, out_path=serial, threads=1)
         got = run_sweep(config, out_path=pooled, threads=threads)
+        assert multiprocessing.active_children() == []
         assert pooled.read_bytes() == serial.read_bytes()
         assert_same_records(got, want)
         assert any(r.status == "failed" for r in want) == (7 in config.dims)
 
+    @pytest.mark.parametrize("fail, error, message", [
+        (raise_runtime_error, RuntimeError, "a helper's unit failed"),
+        (functools.partial(os._exit, 3), StructdrError,
+         "a sweep helper process exited with code 3 before sending its records"),
+    ], ids=["helper-raises", "helper-dies"])
+    def test_helper_failure_is_raised_in_the_caller(self, monkeypatch, tmp_path, fail, error,
+                                                    message):
+        # on 2 processes even where fewer CPUs are available
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(experiment, "_run_geometry", functools.partial(
+            helper_failing_run_geometry, tmp_path / "failed", os.getpid(), fail))
+        start = time.monotonic()
+        with pytest.raises(error) as info:
+            run_sweep(small_config(dims=[3, 4], replicates=4), out_path=tmp_path / "out.csv",
+                      threads=2)
+        assert time.monotonic() - start < 5
+        assert (type(info.value), str(info.value)) == (error, message)
+        assert multiprocessing.active_children() == []
+
+    def test_caller_failure_stops_the_helpers(self, monkeypatch, tmp_path):
+        # the helper's unit would sleep for a minute: it is stopped, not
+        # waited for
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(experiment, "_run_geometry", functools.partial(
+            caller_failing_run_geometry, tmp_path / "started", os.getpid()))
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="^the caller's unit failed$"):
+            run_sweep(small_config(dims=[3, 4], replicates=4), threads=2)
+        assert time.monotonic() - start < 10
+        assert (tmp_path / "started").exists()
+        assert multiprocessing.active_children() == []
+
     def test_threads_below_one_rejected(self):
         with pytest.raises(ConfigError, match="threads must be >= 1, got 0"):
             run_sweep(small_config(), threads=0)
+
+    @pytest.mark.parametrize("threads", [2.0, True, "2", None])
+    def test_non_integer_threads_rejected_before_the_file_opens(self, tmp_path, threads):
+        out = tmp_path / "out.csv"
+        out.write_text("kept")
+        with pytest.raises(ConfigError) as info:
+            run_sweep(small_config(), out_path=out, threads=threads)
+        assert str(info.value) == f"threads must be an integer, got {threads!r}"
+        assert out.read_text() == "kept"
 
     def test_unwritable_path_fails_before_compute(self, tmp_path):
         config = small_config()
@@ -550,19 +665,25 @@ class TestSpecReuse:
         run_sweep(config)
         assert builds == first
 
-    @pytest.mark.skipif(available_cpus() < 2, reason="needs 2 CPUs for 2 workers")
+    @pytest.mark.skipif(available_cpus() < 2, reason="needs 2 CPUs for 2 processes")
     def test_workers_start_with_no_specs(self, monkeypatch, tmp_path):
         config = reuse_config()
         serial = run_sweep(config)
         builds = logged_builds(monkeypatch, tmp_path / "builds")
         assert_same_records(run_sweep(config, threads=2), serial)
-        pids = [pid for pid, _ in builds()]
-        # the workers build every spec, though the calling process built
-        # them all just before
-        assert os.getpid() not in pids
-        assert len(pids) == 4 * 2 * config.replicates
+        first = sorted(args for _, args in builds())
+        # the calling process and its helper build every spec once, though
+        # the calling process built them all just before
+        assert first == sorted(set(first))
+        assert set(first) == {(c.d, c.k, c.separation, c.dispersion,
+                               derive_seeds(config.seed, c, rep)[0])
+                              for c in config.cells() for rep in range(config.replicates)}
+        assert len(first) == 4 * 2 * config.replicates
+        # and a second two-process sweep builds them all again
+        assert_same_records(run_sweep(config, threads=2), serial)
+        assert sorted(args for _, args in builds()) == sorted(first + first)
 
-    @pytest.mark.skipif(available_cpus() < 2, reason="needs 2 CPUs for 2 workers")
+    @pytest.mark.skipif(available_cpus() < 2, reason="needs 2 CPUs for 2 processes")
     def test_one_build_per_mixture_across_workers(self, monkeypatch, tmp_path):
         config = replace(recipe("fig3_d7"), replicates=5)
         builds = logged_builds(monkeypatch, tmp_path / "builds")
@@ -598,18 +719,26 @@ class TestKeepHeap:
         run_sweep(small_config(dims=[3, 4], replicates=4), threads=1)
         assert log.read_text().split() == [str(os.getpid())]
 
-    @pytest.mark.skipif(available_cpus() < 2, reason="needs 2 CPUs for 2 workers")
-    def test_two_threads_set_it_once_in_each_worker_only(self, monkeypatch, tmp_path):
-        heaps, units = tmp_path / "heaps", tmp_path / "units"
-        monkeypatch.setattr(experiment, "_keep_heap",
-                            functools.partial(pid_logging_keep_heap, heaps))
+    @pytest.mark.skipif(available_cpus() < 2, reason="needs 2 CPUs for 2 processes")
+    def test_two_threads_set_it_once_in_the_caller_before_forking(self, monkeypatch, tmp_path):
+        calls, helpers, units = [], tmp_path / "helpers", tmp_path / "units"
+
+        def inheriting_help(*args):
+            # a forked helper holds a copy of the calls made before its fork
+            with open(helpers, "a") as fh:
+                fh.write(json.dumps([os.getpid(), calls]) + "\n")
+            return run_helper(*args)
+
+        monkeypatch.setattr(experiment, "_keep_heap", lambda: calls.append(os.getpid()))
+        monkeypatch.setattr(experiment, "_run_helper", inheriting_help)
         monkeypatch.setattr(experiment, "_run_geometry",
                             functools.partial(pid_logging_run_geometry, units))
         run_sweep(small_config(dims=[3, 4], replicates=4), threads=2)
-        counts = collections.Counter(map(int, heaps.read_text().split()))
-        assert os.getpid() not in counts
-        assert len(counts) == 2 and set(counts.values()) == {1}
-        assert set(map(int, units.read_text().split())) <= set(counts)
+        assert calls == [os.getpid()]
+        started = [json.loads(line) for line in helpers.read_text().splitlines()]
+        assert len(started) == 1 and started[0][0] != os.getpid()
+        assert started[0][1] == [os.getpid()]
+        assert set(map(int, units.read_text().split())) <= {os.getpid(), started[0][0]}
 
     def test_run_cell_leaves_it_alone(self, monkeypatch):
         calls = []
