@@ -29,7 +29,6 @@ import ctypes
 import itertools
 import json
 import math
-import numbers
 import os
 import platform
 import time
@@ -41,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, StructdrError
-from .mixture import make_separation_families, sample
+from .mixture import check_integer, is_number, make_separation_families, sample
 from .structure import analyze_stack, row_pass
 from .transform import SCHEMES
 
@@ -58,19 +57,9 @@ DEFAULT_SEPARATION = 10.0
 FAILURES = (StructdrError, np.linalg.LinAlgError)
 
 
-def _is_number(value, kind=int) -> bool:
-    """True for an integer (kind=int) or a finite real (kind=float); bools
-    are neither."""
-    if isinstance(value, bool):
-        return False
-    if kind is int:
-        return isinstance(value, numbers.Integral)
-    return isinstance(value, numbers.Real) and math.isfinite(value)
-
-
 def _axis(name: str, values, kind) -> list:
     """A grid axis as a list of `kind` values; anything else is a ConfigError."""
-    if not isinstance(values, (list, tuple)) or not all(_is_number(v, kind) for v in values):
+    if not isinstance(values, (list, tuple)) or not all(is_number(v, kind) for v in values):
         expected = "integers" if kind is int else "finite numbers"
         raise ConfigError(f"{name} must be a list of {expected}, got {values!r}")
     return [kind(v) for v in values]
@@ -109,8 +98,7 @@ class ExperimentConfig:
             kind = Cell.__annotations__[coordinate]
             setattr(self, name, _axis(name, getattr(self, name), kind))
         for name in ("replicates", "seed"):
-            if not _is_number(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            check_integer(name, getattr(self, name))
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
         if self.seed < 0:
@@ -379,8 +367,7 @@ def run_sweep(config: ExperimentConfig, out_path=None, threads: int = 1) -> list
     dies before sending gives a StructdrError; every helper is stopped
     and joined before run_sweep returns or raises.
     """
-    if not _is_number(threads):
-        raise ConfigError(f"threads must be an integer, got {threads!r}")
+    check_integer("threads", threads)
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     cells = config.cells()

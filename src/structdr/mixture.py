@@ -4,6 +4,8 @@ sampling, and a seeded separation/dispersion family for simulation sweeps.
 
 import csv
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,6 +15,22 @@ from .linalg import cluster_counts, symmetrize
 
 MIN_ROWS_PER_DIM = 10
 COVARIANCE_CONDITION_CAP = 10.0
+
+
+def is_number(value, kind=int) -> bool:
+    """True for an integer (kind=int) or a finite real (kind=float); bools
+    are neither."""
+    if isinstance(value, bool):
+        return False
+    if kind is int:
+        return isinstance(value, numbers.Integral)
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+def check_integer(name: str, value):
+    """Raise ConfigError naming `name` unless value is an integer."""
+    if not is_number(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -114,7 +132,10 @@ class LabeledDataset:
     counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
+        data = np.asarray(self.data)
+        if data.dtype.kind not in "iuf":
+            raise ConfigError(f"data must be real numbers, got dtype {data.dtype}")
+        self.data = data.astype(float, copy=False)
         labels = np.asarray(self.labels)
         if self.data.ndim != 2:
             raise ConfigError(f"data must be 2-D, got shape {self.data.shape}")
@@ -131,12 +152,15 @@ class LabeledDataset:
             raise ConfigError(
                 f"row {row + 1}, column x{col + 1}: non-finite value {self.data[row, col]}"
             )
+        bad = []
         if labels.dtype.kind == "f":
             bad = np.flatnonzero(~np.isfinite(labels) | (labels != np.round(labels)))
-            if bad.size:
-                raise ConfigError(
-                    f"row {bad[0] + 1}, column label: {labels[bad[0]]} is not an integer"
-                )
+        elif labels.dtype.kind not in "iu":  # a bool, a string or None is not an integer
+            bad = [i for i, label in enumerate(labels.tolist()) if not is_number(label)]
+        if len(bad):
+            raise ConfigError(
+                f"row {bad[0] + 1}, column label: {labels[bad[0]]} is not an integer"
+            )
         if labels.dtype.kind in "fO":  # floats and Python ints may not fit in int64
             bad = np.flatnonzero((labels < -2**63) | (labels >= 2**63))
             if bad.size:
@@ -232,6 +256,7 @@ def sample(spec: MixtureSpec, n_per_cluster: int, seed) -> LabeledDataset:
     z i.i.d. standard normal from a PCG64 stream (`MixtureSpec.draw`), so
     output is bit reproducible for a fixed seed.
     """
+    check_integer("n_per_cluster", n_per_cluster)
     if n_per_cluster < 1:
         raise ConfigError(f"n_per_cluster must be >= 1, got {n_per_cluster}")
     n = n_per_cluster * spec.k
@@ -279,23 +304,26 @@ def make_separation_families(d: int, k: int, separation: float, dispersion: floa
 
     Each seed's generator draws, in turn, the Gaussian d x d block whose QR
     gives the means' frame, then per cluster the log-spectrum and the
-    Gaussian block of the covariance's axes Q. Then the QRs of all blocks,
-    the covariance products and the Cholesky factors are one numpy call
-    each over the stack, and every spec is the one its seed gets alone, bit
-    for bit. A separation that is not finite and >= 0, or a dispersion
-    outside [sqrt(tiny * 10), sqrt(max / 10)] of the float range, raises
-    ConfigError naming it before any draw. Inside those bounds every
-    covariance eigenvalue is a normal double, so every spec is valid by
-    construction.
+    Gaussian block of the covariance's axes Q. Then the QRs of all blocks
+    and the covariance products are one numpy call each over the stack,
+    and every spec is the one its seed gets alone, bit for bit. A d or k
+    that is not an integer, a separation that is not a finite real >= 0,
+    or a dispersion outside [sqrt(tiny * 10), sqrt(max / 10)], raises
+    ConfigError naming it before any draw. Each spec is then built by
+    `MixtureSpec`, which checks its covariances and computes their
+    Cholesky factors as for a spec read from JSON.
     """
+    check_integer("d", d)
+    check_integer("k", k)
     if k < 1:
         raise ConfigError(f"need k >= 1, got k = {k}")
     if d <= k - 1:
         raise ConfigError(f"need d > k - 1, got d = {d}, k = {k}")
-    if not (np.isfinite(separation) and separation >= 0):
-        raise ConfigError(f"separation must be finite and >= 0, got {separation}")
-    if not dispersion > 0:
-        raise ConfigError(f"dispersion must be > 0, got {dispersion}")
+    if not (is_number(separation, float) and separation >= 0):
+        raise ConfigError(f"separation must be finite and >= 0, got {separation!r}")
+    # an infinite dispersion passes here, so that the overflow check names it
+    if not ((is_number(dispersion, float) or dispersion == np.inf) and dispersion > 0):
+        raise ConfigError(f"dispersion must be > 0, got {dispersion!r}")
     if dispersion < np.sqrt(np.finfo(float).tiny * COVARIANCE_CONDITION_CAP):
         raise ConfigError(f"dispersion = {dispersion} is too small: the covariances underflow")
     if dispersion > np.sqrt(np.finfo(float).max / COVARIANCE_CONDITION_CAP):
@@ -315,10 +343,4 @@ def make_separation_families(d: int, k: int, separation: float, dispersion: floa
     means = separation * (_simplex_vertices(k) @ np.swapaxes(frames, -1, -2))
     covariances = dispersion**2 * symmetrize(
         (axes * np.exp(log_spectra)[..., None, :]) @ np.swapaxes(axes, -1, -2))
-    factors = np.linalg.cholesky(covariances)
-    specs = []
-    for arrays in zip(means, covariances, factors):
-        spec = object.__new__(MixtureSpec)  # valid by construction
-        spec.__dict__.update(zip(("means", "covariances", "factors"), arrays))
-        specs.append(spec)
-    return specs
+    return [MixtureSpec(means=m, covariances=c) for m, c in zip(means, covariances)]

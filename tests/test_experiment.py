@@ -608,6 +608,31 @@ class TestSpecReuse:
                 assert_same_records([record], [run_cell(Cell(*astuple(record)[:7]),
                                                         record.replicate, config.seed)])
 
+    def test_spec_its_constructor_rejects_fails_only_its_replicate(self, monkeypatch):
+        # the stacked build makes each spec through MixtureSpec, so a spec
+        # whose covariances the constructor rejects fails the stacked build,
+        # and the per-seed rerun isolates it with the constructor's reason
+        config = reuse_config(dims=[3], clusters=[2], separations=[2.0], replicates=4)
+        cell = config.cells()[0]
+        bad = make_separation_families(3, 2, 2.0, 1.0, [derive_seeds(config.seed, cell, 2)[0]])[0]
+        reason = "covariance 1 is not positive definite (Cholesky failed)"
+        post_init = mixture.MixtureSpec.__post_init__
+
+        def rejecting_post_init(spec):
+            if np.array_equal(spec.covariances, bad.covariances):
+                raise DefinitenessError(reason)
+            post_init(spec)
+
+        monkeypatch.setattr(mixture.MixtureSpec, "__post_init__", rejecting_post_init)
+        records = run_sweep(config)
+        assert len(records) == 16
+        for record in records:
+            if record.replicate == 2:
+                assert (record.status, record.reason) == ("failed", f"DefinitenessError: {reason}")
+            else:
+                assert_same_records([record], [run_cell(Cell(*astuple(record)[:7]),
+                                                        record.replicate, config.seed)])
+
     def test_clusters_counted_and_spec_seeds_derived_once(self, monkeypatch):
         counted, streams = [], []
         count, seed = linalg.cluster_counts, experiment._seed

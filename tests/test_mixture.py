@@ -4,6 +4,7 @@ separation/dispersion family.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -62,10 +63,13 @@ class TestMixtureSpec:
             MixtureSpec(means=means, covariances=covs)
 
     def test_json_round_trip(self):
-        spec = make_separation_family(4, 3, 2.5, 1.3, seed=11)
-        clone = MixtureSpec.from_json(spec.to_json())
-        np.testing.assert_allclose(clone.means, spec.means)
-        np.testing.assert_allclose(clone.covariances, spec.covariances)
+        # bit for bit: JSON keeps each double's repr, and a spec read back is
+        # factored by the same constructor as a family's own specs
+        for d, k in [(4, 3), (20, 10)]:
+            for spec in make_separation_families(d, k, 2.5, 1.3, [11, 2**63 + 5]):
+                clone = MixtureSpec.from_json(spec.to_json())
+                for name in ("means", "covariances", "factors"):
+                    assert getattr(clone, name).tobytes() == getattr(spec, name).tobytes()
 
     def test_malformed_json(self):
         with pytest.raises(ConfigError):
@@ -141,6 +145,19 @@ class TestSample:
     def test_n_per_cluster_below_one_rejected(self, n_per_cluster):
         with pytest.raises(ConfigError, match=f"^n_per_cluster must be >= 1, got {n_per_cluster}$"):
             sample(two_component_spec(), n_per_cluster, seed=0)
+
+    @pytest.mark.parametrize("n_per_cluster", [30.0, True, "30", None, np.float64(30)],
+                             ids=["float", "bool", "str", "none", "numpy-float"])
+    def test_non_integer_n_per_cluster_rejected(self, n_per_cluster):
+        # a bool is not taken as 1 and a float is not passed on to numpy
+        with pytest.raises(ConfigError) as caught:
+            sample(two_component_spec(), n_per_cluster, seed=0)
+        assert str(caught.value) == f"n_per_cluster must be an integer, got {n_per_cluster!r}"
+
+    def test_numpy_integer_n_per_cluster_accepted(self):
+        got = sample(two_component_spec(), np.int64(30), seed=4)
+        want = sample(two_component_spec(), 30, seed=4)
+        assert got.data.tobytes() == want.data.tobytes()
 
     @pytest.mark.parametrize("d,k,n_per", [
         (2, 2, 100), (3, 2, 17), (7, 3, 100), (7, 7, 300), (13, 4, 33), (20, 10, 301),
@@ -278,10 +295,58 @@ class TestSeparationFamily:
             with pytest.raises(ConfigError, match=re.escape(message)):
                 make_separation_families(3, 2, separation, dispersion, [1, -1])
 
+    @pytest.mark.parametrize("d,k,separation,dispersion,message", [
+        ("4", 2, 4.0, 1.0, "d must be an integer, got '4'"),
+        (4.0, 2, 4.0, 1.0, "d must be an integer, got 4.0"),
+        (True, 1, 4.0, 1.0, "d must be an integer, got True"),
+        (4, 2.0, 4.0, 1.0, "k must be an integer, got 2.0"),
+        (4, None, 4.0, 1.0, "k must be an integer, got None"),
+        (3, 2, "4", 1.0, "separation must be finite and >= 0, got '4'"),
+        (3, 2, None, 1.0, "separation must be finite and >= 0, got None"),
+        (3, 2, True, 1.0, "separation must be finite and >= 0, got True"),
+        (3, 2, 4.0, "1", "dispersion must be > 0, got '1'"),
+        (3, 2, 4.0, None, "dispersion must be > 0, got None"),
+        (3, 2, 4.0, True, "dispersion must be > 0, got True"),
+    ], ids=["d-str", "d-float", "d-bool", "k-float", "k-none", "separation-str",
+            "separation-none", "separation-bool", "dispersion-str", "dispersion-none",
+            "dispersion-bool"])
+    def test_non_number_parameters_rejected_before_any_draw(self, d, k, separation,
+                                                            dispersion, message):
+        # numpy rejects a negative seed, so a draw would raise ValueError
+        with pytest.raises(ConfigError) as caught:
+            make_separation_families(d, k, separation, dispersion, [1, -1])
+        assert str(caught.value) == message
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            make_separation_family(d, k, separation, dispersion, seed=0)
+
+    def test_numpy_scalar_parameters_build_the_same_spec(self):
+        want = make_separation_family(5, 3, 4.0, 1.5, seed=9)
+        got = make_separation_family(np.int64(5), np.int32(3), np.float64(4.0),
+                                     np.float32(1.5), seed=9)
+        for name in ("means", "covariances", "factors"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_every_spec_goes_through_the_constructor(self, monkeypatch):
+        # the spec's own checks and Cholesky run once per seed, so a family
+        # spec is made the way a spec read from JSON is
+        built = []
+        post_init = MixtureSpec.__post_init__
+
+        def counting_post_init(self):
+            post_init(self)
+            built.append(self)
+
+        monkeypatch.setattr(MixtureSpec, "__post_init__", counting_post_init)
+        specs = make_separation_families(7, 3, 10.0, 1.7, [3, 11, 2**63 + 5, 0, 11])
+        assert len(built) == 5
+        assert all(got is want for got, want in zip(specs, built))
+        make_separation_family(4, 2, 4.0, 1.0, seed=1)
+        assert len(built) == 6
+
     @pytest.mark.parametrize("d,k", [(2, 2), (20, 10)])
     def test_smallest_dispersion_builds_every_seed(self, d, k):
         # at the lower bound every covariance eigenvalue is a normal double,
-        # so the one stacked Cholesky succeeds and its factors hold
+        # so every spec's Cholesky succeeds and its factors hold
         lower = np.sqrt(np.finfo(float).tiny * 10.0)
         specs = make_separation_families(d, k, 1.0, lower, range(200))
         assert len(specs) == 200
@@ -354,6 +419,44 @@ class TestLabeledDatasetCsv:
         with pytest.raises(ConfigError, match="row 2, column label"):
             LabeledDataset(data=np.zeros((3, 2)), labels=[1.0, np.nan, 2.0])
         assert LabeledDataset(data=np.zeros((3, 2)), labels=[1.0, 1.0, 2.0]).k == 2
+
+    @pytest.mark.parametrize("labels,message", [
+        (np.array(["a", "b", "c", "d"]), "row 1, column label: a is not an integer"),
+        (["1", "1", "2", "2"], "row 1, column label: 1 is not an integer"),
+        ([1, None, 2, 2], "row 2, column label: None is not an integer"),
+        ([1, 1, 2, 2.5, 2**70], "row 4, column label: 2.5 is not an integer"),
+        ([True, True, False, False], "row 1, column label: True is not an integer"),
+        ([1, 1, 2, 2j], "row 1, column label: (1+0j) is not an integer"),
+    ], ids=["strings", "numeric-strings", "none", "object-float", "bools", "complex"])
+    def test_non_numeric_labels_rejected(self, labels, message):
+        data = np.zeros((len(labels), 2))
+        with pytest.raises(ConfigError) as caught:
+            LabeledDataset(data=data, labels=labels)
+        assert str(caught.value) == message
+
+    def test_object_labels_of_integers_accepted(self):
+        data = LabeledDataset(data=np.zeros((4, 2)), labels=np.array([1, 2, 1, 2], dtype=object))
+        assert data.labels.dtype == np.int64 and data.labels.tolist() == [1, 2, 1, 2]
+
+    @pytest.mark.parametrize("data,dtype", [
+        (np.ones((4, 2)) * 1j, "complex128"),
+        (np.ones((4, 2), dtype=np.complex64), "complex64"),
+        (np.full((4, 2), "1.5"), "<U3"),
+        (np.ones((4, 2), dtype=bool), "bool"),
+        (np.array([[1.0, None]] * 4), "object"),
+    ], ids=["complex", "complex64", "strings", "bools", "object"])
+    def test_non_real_data_rejected_naming_its_dtype(self, data, dtype):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the imaginary parts are not dropped with a warning
+            with pytest.raises(ConfigError) as caught:
+                LabeledDataset(data=data, labels=[1, 1, 2, 2])
+        assert str(caught.value) == f"data must be real numbers, got dtype {dtype}"
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint16, np.float32])
+    def test_integer_and_float_data_kept_as_float64(self, dtype):
+        data = LabeledDataset(data=np.arange(8).reshape(4, 2).astype(dtype), labels=[1, 1, 2, 2])
+        assert data.data.dtype == np.float64
+        assert data.data.tolist() == np.arange(8.0).reshape(4, 2).tolist()
 
     @pytest.mark.parametrize("data,labels,message", [
         (np.zeros(3), [1, 1, 2], "data must be 2-D, got shape (3,)"),
