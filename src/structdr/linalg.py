@@ -90,18 +90,13 @@ def sym_eig(m) -> EigenSolution:
     """Spectral decomposition of a symmetric matrix, or of each matrix of a
     stack (..., d, d).
 
-    Returns eigenvalues sorted non-increasing with orthonormal column
-    eigenvectors. Raises SymmetryError for inputs asymmetric beyond
-    tolerance.
+    Returns eigenvalues non-increasing with orthonormal column eigenvectors:
+    `eigh`'s solution reversed, values and vectors alike, so exact ties come
+    in `eigh`'s order reversed. Raises SymmetryError for asymmetric input.
     """
     m = check_symmetric(m)
     vals, vecs = np.linalg.eigh(m)
-    # eigh's values ascend; a stable sort on -values keeps the solver's
-    # order among exact ties
-    order = np.argsort(-vals, axis=-1, kind="stable")
-    vectors = np.take_along_axis(vecs, order[..., None, :], axis=-1)
-    return EigenSolution(values=vals[..., ::-1].copy(),
-                         vectors=_fix_signs(vectors))
+    return EigenSolution(values=vals[..., ::-1].copy(), vectors=_fix_signs(vecs[..., ::-1]))
 
 
 def definite_whitener(m_sol: EigenSolution, error=DefinitenessError,

@@ -18,13 +18,16 @@ COVARIANCE_CONDITION_CAP = 10.0
 
 
 def is_number(value, kind=int) -> bool:
-    """True for an integer (kind=int) or a finite real (kind=float); bools
-    are neither."""
+    """True for an integer (kind=int) or a finite real within the float
+    range (kind=float), so not for an int beyond it; bools are neither."""
     if isinstance(value, bool):
         return False
     if kind is int:
         return isinstance(value, numbers.Integral)
-    return isinstance(value, numbers.Real) and math.isfinite(value)
+    try:
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def check_integer(name: str, value):
@@ -161,7 +164,7 @@ class LabeledDataset:
             raise ConfigError(
                 f"row {bad[0] + 1}, column label: {labels[bad[0]]} is not an integer"
             )
-        if labels.dtype.kind in "fO":  # floats and Python ints may not fit in int64
+        if labels.dtype.kind in "fOu":  # floats, Python ints and uint64 may not fit in int64
             bad = np.flatnonzero((labels < -2**63) | (labels >= 2**63))
             if bad.size:
                 raise ConfigError(
@@ -321,13 +324,16 @@ def make_separation_families(d: int, k: int, separation: float, dispersion: floa
         raise ConfigError(f"need d > k - 1, got d = {d}, k = {k}")
     if not (is_number(separation, float) and separation >= 0):
         raise ConfigError(f"separation must be finite and >= 0, got {separation!r}")
-    # an infinite dispersion passes here, so that the overflow check names it
-    if not ((is_number(dispersion, float) or dispersion == np.inf) and dispersion > 0):
+    # an infinite dispersion or an int beyond the float range passes here, so
+    # that the overflow check names it
+    if not ((is_number(dispersion, float) or is_number(dispersion) or dispersion == np.inf)
+            and dispersion > 0):
         raise ConfigError(f"dispersion must be > 0, got {dispersion!r}")
+    if not (is_number(dispersion, float)
+            and dispersion <= np.sqrt(np.finfo(float).max / COVARIANCE_CONDITION_CAP)):
+        raise ConfigError(f"dispersion = {dispersion} is too large: the covariances overflow")
     if dispersion < np.sqrt(np.finfo(float).tiny * COVARIANCE_CONDITION_CAP):
         raise ConfigError(f"dispersion = {dispersion} is too small: the covariances underflow")
-    if dispersion > np.sqrt(np.finfo(float).max / COVARIANCE_CONDITION_CAP):
-        raise ConfigError(f"dispersion = {dispersion} is too large: the covariances overflow")
     half = np.log(COVARIANCE_CONDITION_CAP) / 2.0
     blocks = np.empty((len(seeds), k + 1, d, d))
     log_spectra = np.empty((len(seeds), k, d))

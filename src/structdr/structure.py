@@ -32,6 +32,7 @@ from .subspace import SubspaceBasis, leading_basis, sss
 from .transform import (
     DEFAULT_ALPHA,
     IsotropicDataset,
+    check_alpha,
     check_rows,
     compute_weights,
     isotropize,
@@ -98,6 +99,11 @@ def _check_cluster_count(k: int, d: int):
         raise ConfigError(f"need 2 <= k <= d, got k = {k} with d = {d}")
 
 
+def _distinctness(values: np.ndarray, k: int) -> np.ndarray:
+    """The mean of the k-1 largest Fisher eigenvalues, clipped into [0, 1]."""
+    return np.clip(values[..., : k - 1].mean(axis=-1), 0.0, 1.0)
+
+
 def fisher_solve(s: ScatterPair, k: int) -> FisherSolution:
     """Solve the generalized Fisher eigenproblem for a k-cluster scatter
     pair, or for each pair of a stack (..., d, d), and summarize
@@ -111,8 +117,7 @@ def fisher_solve(s: ScatterPair, k: int) -> FisherSolution:
     between = check_symmetric(s.between, name="k_mat")
     spectrum = sym_eig(s.total)
     eigen = unwhiten(total_whitener(spectrum), between)
-    distinctness = np.clip(eigen.values[..., : k - 1].mean(axis=-1), 0.0, 1.0)
-    return FisherSolution(eigen, distinctness, spectrum)
+    return FisherSolution(eigen, _distinctness(eigen.values, k), spectrum)
 
 
 def sdist_overlap(spec: MixtureSpec, mc_samples: int = DEFAULT_MC_SAMPLES,
@@ -167,8 +172,7 @@ def proposition1_bound(n: int, d: int, k: int, alpha: float, lambda_bar_x: float
     (1/sqrt(n)) * (d/alpha) * (lambda_bar + sqrt(k))."""
     if min(n, d, k) <= 0:
         raise ConfigError(f"n, d, k must all be positive, got n={n}, d={d}, k={k}")
-    if not (np.isfinite(alpha) and alpha > 0):
-        raise ConfigError(f"weighting parameter alpha must be finite and > 0, got {alpha}")
+    check_alpha(alpha)
     if not 0.0 <= lambda_bar_x <= 1.0:
         raise ConfigError(f"lambda_bar_x must be in [0, 1], got {lambda_bar_x}")
     return (d / alpha) * (lambda_bar_x + math.sqrt(k)) / math.sqrt(n)
@@ -251,11 +255,11 @@ def distinctness_delta_check(x: LabeledDataset, z0: LabeledDataset, alpha: float
 def analyze_stack(rows: list) -> list:
     """The d x d pass of `analyze` over row summaries with one d and k, one
     numpy call per step: their Analyses, each equal to the one its dataset
-    gets alone. The Fisher problems of Y and Z0 are solved as one stack
-    (len(rows), 2, d, d), Y's as (B_y, I): isotropization makes Y^T Y = I.
-    Fisher eigenvalues are affine invariant, so Y's distinctness is X's.
-    The first-order predictions perturb (B_y, I) by the scatter
-    differences. X's principal axes come from the spectrum that
+    gets alone. Isotropization makes Y^T Y = I, so Y's Fisher problems are
+    the eigenproblems of B_y, one `sym_eig` of a stack (len(rows), d, d);
+    Z0's are one `fisher_solve`. Fisher eigenvalues are affine invariant,
+    so Y's distinctness is X's. The first-order predictions perturb (B_y, I)
+    by (B_z - B_y, T_z - I). X's principal axes come from the spectrum that
     isotropized it, and X's Fisher basis is that spectrum's whitener times
     Y's; the bases of X and Z0 are checked and compared as one stack
     (len(rows), 2, d, k - 1). Y's and Z0's Fisher eigenvectors W U, with U
@@ -265,21 +269,22 @@ def analyze_stack(rows: list) -> list:
     k, d = rows[0].k, rows[0].y_between.shape[-1]
     if any((r.k, r.y_between.shape[-1]) != (k, d) for r in rows):
         raise ShapeError("row summaries of one stack must share d and k")
-    total = np.array([(np.eye(d), r.z_pair.total) for r in rows])
-    between = np.array([(r.y_between, r.z_pair.between) for r in rows])
-    fisher = fisher_solve(ScatterPair(total=total, between=between), k)
-    y_eigen = EigenSolution(fisher.eigen.values[:, 0], fisher.eigen.vectors[:, 0])
-    predicted = perturb_eigs_first_order(
-        y_eigen, between[:, 1] - between[:, 0], total[:, 1] - total[:, 0])
-    columns = fisher.eigen.vectors[..., : k - 1]
-    values = np.stack([[r.spectrum.values for r in rows], fisher.spectrum.values[:, 1]], axis=1)
-    vectors = np.stack([[r.spectrum.vectors for r in rows], fisher.spectrum.vectors[:, 1]], axis=1)
+    y_between = np.array([r.y_between for r in rows])
+    z = ScatterPair(total=np.array([r.z_pair.total for r in rows]),
+                    between=np.array([r.z_pair.between for r in rows]))
+    y_eigen = sym_eig(y_between)
+    z_fisher = fisher_solve(z, k)
+    predicted = perturb_eigs_first_order(y_eigen, z.between - y_between, z.total - np.eye(d))
+    values = np.stack([[r.spectrum.values for r in rows], z_fisher.spectrum.values], axis=1)
+    vectors = np.stack([[r.spectrum.vectors for r in rows], z_fisher.spectrum.vectors], axis=1)
     whiteners = total_whitener(EigenSolution(values[:, 0], vectors[:, 0]))
-    bases = SubspaceBasis(columns=np.stack([whiteners @ columns[:, 0], columns[:, 1]], axis=1))
+    columns = [whiteners @ y_eigen.vectors[..., : k - 1], z_fisher.eigen.vectors[..., : k - 1]]
+    bases = SubspaceBasis(columns=np.stack(columns, axis=1))
     similarity = sss(leading_basis(values, vectors, k - 1), bases).tolist()
     analyses = []
-    for r, (lambda_x, lambda_z), predictions, (sss_x, sss_z) in zip(
-            rows, fisher.distinctness.tolist(), predicted, similarity):
+    for r, lambda_x, lambda_z, predictions, (sss_x, sss_z) in zip(
+            rows, _distinctness(y_eigen.values, k).tolist(), z_fisher.distinctness.tolist(),
+            predicted, similarity):
         bound = proposition1_bound(r.n, d, k, r.alpha, lambda_x)
         delta = abs(lambda_z - lambda_x)
         analyses.append(Analysis(

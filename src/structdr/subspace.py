@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError, RankError, ShapeError
 from .linalg import RANK_RTOL, column_means, raise_first, sym_eig, total_scatter
-from .mixture import LabeledDataset
+from .mixture import LabeledDataset, check_integer
 
 CONDITIONING_WARN_TOL = 1e-6
 CENTERED_TOL = 1e-8
@@ -82,6 +82,7 @@ def pc_subspace(data, m: int) -> SubspaceBasis:
     if data.ndim != 2:
         raise ConfigError(f"data must be 2-D, got shape {data.shape}")
     n, d = data.shape
+    check_integer("m", m)
     if not 1 <= m < d:
         raise ConfigError(f"need 1 <= m < d, got m = {m}, d = {d}")
     if not np.isfinite(data).all():

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .linalg import EigenSolution, column_means, sym_eig, total_scatter, total_whitener
-from .mixture import LabeledDataset
+from .mixture import LabeledDataset, is_number
 
 DEFAULT_ALPHA = 0.5
 SCHEMES = ("hyperbolic", "exponential")
@@ -62,6 +62,12 @@ def check_rows(x: LabeledDataset):
         raise ConfigError(f"need n > d, got n = {x.n}, d = {x.d}")
 
 
+def check_alpha(alpha):
+    """Reject a weighting parameter that is not a finite real > 0."""
+    if not (is_number(alpha, float) and alpha > 0):
+        raise ConfigError(f"weighting parameter alpha must be finite and > 0, got {alpha!r}")
+
+
 def isotropize(x: LabeledDataset) -> IsotropicDataset:
     """Map a dataset to isotropic position.
 
@@ -103,8 +109,7 @@ def compute_weights(y: IsotropicDataset, alpha: float = DEFAULT_ALPHA,
     |y|^2 / alpha above about 745 (exponential) or beyond the largest
     double (hyperbolic): a zero-weight row would vanish from Z0 and
     distort its scatter without a word."""
-    if not (np.isfinite(alpha) and alpha > 0):
-        raise ConfigError(f"weighting parameter alpha must be finite and > 0, got {alpha}")
+    check_alpha(alpha)
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown weighting scheme {scheme!r}; expected one of {SCHEMES}")
     with np.errstate(over="ignore"):  # an overflow gives weight 0, reported below

@@ -260,3 +260,26 @@ def test_stacked_pass_checks_each_basis_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     assert len(analyze_stack(rows)) == 3
     assert counts == {"basis": 2, "svd": 3}
+
+
+def test_no_identity_reaches_the_eigensolver(monkeypatch):
+    # isotropization makes Y's total scatter I, so Y's Fisher problem is the
+    # eigenproblem of its between scatter: no stack slice solved is an
+    # identity, neither in analyze nor in a sweep unit
+    config = recipe("fig3_d7")
+    cells = [cell for cell in config.cells() if cell.k == 3]
+    x = cell_data(cells[0], 0, config.seed)
+    inputs, eigh = [], np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        inputs.append(np.array(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    analyze(x, cells[0].alpha, cells[0].scheme)
+    records = experiment._run_geometry(cells, [0], config.seed)
+    assert [record.status for record in records] == ["ok"] * len(cells)
+    assert len(inputs) >= 2
+    for a in inputs:
+        d = a.shape[-1]
+        assert not any(np.array_equal(m, np.eye(d)) for m in a.reshape(-1, d, d))

@@ -198,6 +198,11 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=r"clusters must all be >= 2"):
             small_config(dims=[7], clusters=[1])
 
+    @pytest.mark.parametrize("field", ["alphas", "separations", "dispersions"])
+    def test_int_beyond_float_range_rejected_naming_the_field(self, field):
+        with pytest.raises(ConfigError, match=f"^{field} must be a list of finite numbers"):
+            small_config(**{field: [10**400]})
+
     def test_replicates_floor(self):
         with pytest.raises(ConfigError):
             small_config(replicates=0)

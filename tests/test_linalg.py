@@ -121,6 +121,22 @@ class TestSymEig:
             # kernels by layout, so one layout keeps products bit-identical
             assert sol.vectors[index].strides == alone.vectors.strides
 
+    @pytest.mark.parametrize("m", [
+        np.diag([2.0, 1.0, 1.0]),
+        np.eye(3),
+        np.diag([1.0, 3.0, 1.0, 3.0]),
+        np.array([np.diag([2.0, 1.0, 1.0]), np.eye(3)]),
+    ], ids=["one-tie", "identity", "two-ties", "stack"])
+    def test_reverses_eigh_among_exact_ties(self, m):
+        # values and vectors alike come in eigh's order reversed, ties too;
+        # each vector's largest-magnitude entry is then made positive
+        values, vectors = np.linalg.eigh(m)
+        vectors = vectors[..., ::-1]
+        largest = np.take_along_axis(vectors, np.abs(vectors).argmax(axis=-2)[..., None, :], -2)
+        sol = sym_eig(m)
+        assert np.array_equal(sol.values, values[..., ::-1])
+        assert np.array_equal(sol.vectors, vectors * np.where(largest < 0, -1.0, 1.0))
+
     def test_stack_fails_as_its_first_failing_matrix(self):
         bad = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(SymmetryError) as alone:

@@ -307,9 +307,13 @@ class TestSeparationFamily:
         (3, 2, 4.0, "1", "dispersion must be > 0, got '1'"),
         (3, 2, 4.0, None, "dispersion must be > 0, got None"),
         (3, 2, 4.0, True, "dispersion must be > 0, got True"),
+        # an int beyond the float range is no finite real, and a dispersion
+        # that large overflows the covariances, as an infinite one does
+        (3, 2, 10**400, 1.0, f"separation must be finite and >= 0, got {10**400!r}"),
+        (3, 2, 4.0, 10**400, f"dispersion = {10**400} is too large: the covariances overflow"),
     ], ids=["d-str", "d-float", "d-bool", "k-float", "k-none", "separation-str",
             "separation-none", "separation-bool", "dispersion-str", "dispersion-none",
-            "dispersion-bool"])
+            "dispersion-bool", "separation-huge-int", "dispersion-huge-int"])
     def test_non_number_parameters_rejected_before_any_draw(self, d, k, separation,
                                                             dispersion, message):
         # numpy rejects a negative seed, so a draw would raise ValueError
@@ -432,6 +436,15 @@ class TestLabeledDatasetCsv:
         data = np.zeros((len(labels), 2))
         with pytest.raises(ConfigError) as caught:
             LabeledDataset(data=data, labels=labels)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("labels,message", [
+        ([1, 2**63 + 1], f"row 2, column label: {2**63 + 1} is outside the int64 range"),
+        ([2**64 - 1, 1], f"row 1, column label: {2**64 - 1} is outside the int64 range"),
+    ], ids=["2**63+1", "2**64-1"])
+    def test_unsigned_labels_beyond_int64_rejected(self, labels, message):
+        with pytest.raises(ConfigError) as caught:
+            LabeledDataset(data=np.zeros((2, 2)), labels=np.array(labels, dtype=np.uint64))
         assert str(caught.value) == message
 
     def test_object_labels_of_integers_accepted(self):

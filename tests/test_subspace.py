@@ -84,7 +84,9 @@ class TestPcSubspace:
         ((2, 3, 4), 1, r"data must be 2-D, got shape \(2, 3, 4\)"),
         ((10, 3), 0, "need 1 <= m < d, got m = 0, d = 3"),
         ((10, 3), 3, "need 1 <= m < d, got m = 3, d = 3"),
-    ], ids=["1-D", "3-D", "m=0", "m=d"])
+        ((10, 3), 1.5, r"m must be an integer, got 1\.5"),
+        ((10, 3), True, "m must be an integer, got True"),
+    ], ids=["1-D", "3-D", "m=0", "m=d", "m-float", "m-bool"])
     def test_bad_shape_or_dimension_rejected(self, shape, m, message):
         with pytest.raises(ConfigError, match=f"^{message}$"):
             pc_subspace(np.zeros(shape), m)

@@ -22,6 +22,7 @@ from structdr import (
     isotropize,
     make_separation_family,
     pc_subspace,
+    proposition1_bound,
     sample,
     scatter_matrices,
     sym_eig,
@@ -148,6 +149,18 @@ class TestComputeWeights:
                 compute_weights(iso, alpha=alpha)
         with pytest.raises(ConfigError):
             compute_weights(iso, alpha=0.5, scheme="gaussian")
+
+    @pytest.mark.parametrize("alpha", ["0.5", 10**400, True], ids=["str", "huge-int", "bool"])
+    def test_non_number_alpha_rejected_by_one_rule(self, alpha):
+        # the weights, the bound and analyze share one alpha check, which
+        # names the value instead of failing inside numpy
+        message = f"weighting parameter alpha must be finite and > 0, got {alpha!r}"
+        for run in (lambda: compute_weights(synthetic_isotropic([[1.0, 0.0]]), alpha=alpha),
+                    lambda: proposition1_bound(100, 5, 3, alpha, 0.5),
+                    lambda: analyze(random_dataset(seed=9), alpha=alpha)):
+            with pytest.raises(ConfigError) as caught:
+                run()
+            assert str(caught.value) == message
 
     @pytest.mark.parametrize("scheme", ["hyperbolic", "exponential"])
     def test_overflowing_ratio_is_named_without_numpy_warnings(self, scheme):
