@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, check_seed
 from .experiment import RECIPE_NAMES, ExperimentConfig, format_value, recipe, run_sweep
 from .mixture import (
     LabeledDataset,
@@ -34,8 +34,15 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one line on stderr, exit 2."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}; see {self.prog} --help\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="structdr",
         description="Structure-preserving dimension reduction for Gaussian-mixture data",
     )
@@ -83,8 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
-    if args.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {args.seed}")
+    check_seed("seed", args.seed)  # before the family's seed is derived from it
     if args.spec:
         with open(args.spec) as fh:
             spec = MixtureSpec.from_json(fh.read())

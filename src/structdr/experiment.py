@@ -39,8 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, StructdrError
-from .mixture import check_integer, is_number, make_separation_families, sample
+from .errors import ConfigError, StructdrError, check_int, check_real
+from .mixture import make_separation_families, sample
 from .structure import analyze_stack, row_pass
 from .transform import SCHEMES
 
@@ -57,23 +57,14 @@ DEFAULT_SEPARATION = 10.0
 FAILURES = (StructdrError, np.linalg.LinAlgError)
 
 
-def _axis(name: str, values, kind) -> list:
-    """A grid axis as a list of `kind` values; anything else is a ConfigError."""
-    if not isinstance(values, (list, tuple)) or not all(is_number(v, kind) for v in values):
-        expected = "integers" if kind is int else "finite numbers"
-        raise ConfigError(f"{name} must be a list of {expected}, got {values!r}")
-    return [kind(v) for v in values]
-
-
-# Each grid axis of the config and the Cell coordinate it spans, in
-# canonical (grid-major) order. An axis takes values of its coordinate's type.
+# Each grid axis in canonical (grid-major) order: its Cell coordinate and its values' rule.
 GRID_AXES = {
-    "dims": "d",
-    "clusters": "k",
-    "n_per_cluster": "n_per_cluster",
-    "alphas": "alpha",
-    "separations": "separation",
-    "dispersions": "dispersion",
+    "dims": ("d", partial(check_int, low=1)),
+    "clusters": ("k", partial(check_int, low=2)),
+    "n_per_cluster": ("n_per_cluster", partial(check_int, low=1)),
+    "alphas": ("alpha", check_real),
+    "separations": ("separation", partial(check_real, strict=False)),
+    "dispersions": ("dispersion", check_real),
 }
 
 
@@ -94,19 +85,15 @@ class ExperimentConfig:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, coordinate in GRID_AXES.items():
-            kind = Cell.__annotations__[coordinate]
-            setattr(self, name, _axis(name, getattr(self, name), kind))
-        for name in ("replicates", "seed"):
-            check_integer(name, getattr(self, name))
-        if self.replicates < 1:
-            raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name, (_, rule) in GRID_AXES.items():
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):
+                raise ConfigError(f"{name} must be a list, got {values!r}")
+            setattr(self, name, [rule(name, value) for value in values])
+        self.replicates = check_int("replicates", self.replicates, 1)
+        self.seed = check_int("seed", self.seed, 0, count=False)
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        if any(k < 2 for k in self.clusters):
-            raise ConfigError(f"clusters must all be >= 2, got {self.clusters}")
         for d, k in itertools.product(self.dims, self.clusters):
             if d <= k - 1:
                 raise ConfigError(f"grid pair (d={d}, k={k}) violates d > k - 1")
@@ -114,19 +101,12 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"grid pair (d={d}, k={k}) violates k <= min(d, {MAX_CLUSTER_CAP})"
                 )
-        for name in ("alphas", "dispersions"):
-            if any(v <= 0.0 for v in getattr(self, name)):
-                raise ConfigError(f"{name} must all be > 0.0, got {getattr(self, name)}")
-        if any(v < 0 for v in self.separations):
-            raise ConfigError(f"separations must all be >= 0, got {self.separations}")
-        if any(v < 1 for v in self.n_per_cluster):
-            raise ConfigError(f"n_per_cluster must all be >= 1, got {self.n_per_cluster}")
 
     def cells(self) -> list:
         """Grid cells in canonical (grid-major) order."""
         axes = (getattr(self, name) for name in GRID_AXES)
         return [
-            Cell(**dict(zip(GRID_AXES.values(), coords)), scheme=self.scheme)
+            Cell(**{c: v for (c, _), v in zip(GRID_AXES.values(), coords)}, scheme=self.scheme)
             for coords in itertools.product(*axes)
         ]
 
@@ -224,7 +204,7 @@ def _geometry(cell: Cell) -> tuple:
 
 def _seed(master_seed: int, cell: Cell, replicate: int, *stream) -> int:
     """The seed of one stream of a replicate of the cell's geometry."""
-    base = (int(master_seed), *_geometry(cell), int(replicate), *stream)
+    base = (master_seed, *_geometry(cell), replicate, *stream)
     return int(np.random.SeedSequence(base).generate_state(1, np.uint64)[0])
 
 
@@ -301,6 +281,8 @@ def run_cell(cell: Cell, replicate: int, master_seed: int) -> ExperimentRecord:
     and one replicate: draw a mixture and a sample, then analyze them as a
     stack of one, giving the subspace similarity on the raw and weighted
     data and the distinctness shift against the closed-form bound."""
+    replicate = check_int("replicate", replicate, 0)
+    master_seed = check_int("master_seed", master_seed, 0, count=False)
     return _run_geometry([cell], [replicate], master_seed)[0]
 
 
@@ -367,9 +349,7 @@ def run_sweep(config: ExperimentConfig, out_path=None, threads: int = 1) -> list
     dies before sending gives a StructdrError; every helper is stopped
     and joined before run_sweep returns or raises.
     """
-    check_integer("threads", threads)
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
+    threads = check_int("threads", threads, 1)
     cells = config.cells()
     groups = {}
     for i, cell in enumerate(cells):
@@ -549,7 +529,7 @@ def recipe(name: str) -> ExperimentConfig:
     """The canned sweep configuration `name`, one of RECIPE_NAMES: the
     fig3_d7 grid with the recipe's changes, copied, so that no two configs
     share a list or dict."""
-    if name not in _RECIPES:
+    if name not in RECIPE_NAMES:
         raise ConfigError(
             f"unknown recipe {name!r}; valid names: {', '.join(RECIPE_NAMES)}"
         )

@@ -4,36 +4,15 @@ sampling, and a seeded separation/dispersion family for simulation sweeps.
 
 import csv
 import json
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DefinitenessError
-from .linalg import cluster_counts, symmetrize
+from .errors import ConfigError, DefinitenessError, check_int, check_real, check_seed, is_int
+from .linalg import cluster_counts, raise_first, symmetrize
 
 MIN_ROWS_PER_DIM = 10
 COVARIANCE_CONDITION_CAP = 10.0
-
-
-def is_number(value, kind=int) -> bool:
-    """True for an integer (kind=int) or a finite real within the float
-    range (kind=float), so not for an int beyond it; bools are neither."""
-    if isinstance(value, bool):
-        return False
-    if kind is int:
-        return isinstance(value, numbers.Integral)
-    try:
-        return isinstance(value, numbers.Real) and math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-def check_integer(name: str, value):
-    """Raise ConfigError naming `name` unless value is an integer."""
-    if not is_number(value):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -42,8 +21,9 @@ class MixtureSpec:
 
     means: (k, d) component means; covariances: (k, d, d) SPD matrices.
     Requires d > k - 1 so there is room to reduce dimension. factors holds
-    the lower Cholesky factor L_l of each covariance, computed once when
-    the covariances are validated and used by every draw.
+    the lower Cholesky factor L_l of each covariance, computed as one stack
+    when the covariances are validated (the first bad one in order is
+    named) and used by every draw.
     """
 
     means: np.ndarray
@@ -64,19 +44,23 @@ class MixtureSpec:
             raise ConfigError(f"need dimension d > k - 1, got d = {d}, k = {k}")
         if not (np.isfinite(means).all() and np.isfinite(covs).all()):
             raise ConfigError("means and covariances must be finite")
-        factors = []
-        for l, cov in enumerate(covs):
-            if np.abs(cov - cov.T).max() > 1e-10 * np.abs(cov).max():
-                raise ConfigError(f"covariance {l} is not symmetric")
-            try:
-                factors.append(np.linalg.cholesky(cov))
-            except np.linalg.LinAlgError:
-                raise DefinitenessError(
-                    f"covariance {l} is not positive definite (Cholesky failed)"
-                ) from None
+        dev = np.abs(covs - np.swapaxes(covs, 1, 2)).max(axis=(1, 2))
+        symmetric = dev <= 1e-10 * np.abs(covs).max(axis=(1, 2))
+        try:  # Cholesky reads the lower triangles only, so asymmetry cannot fail it
+            factors = np.linalg.cholesky(covs)
+        except np.linalg.LinAlgError:  # in turn, so that the first bad covariance is named
+            for l, cov in enumerate(covs):
+                if not symmetric[l]:
+                    break
+                try:
+                    np.linalg.cholesky(cov)
+                except np.linalg.LinAlgError:
+                    raise DefinitenessError(
+                        f"covariance {l} is not positive definite (Cholesky failed)") from None
+        raise_first(symmetric, lambda l: ConfigError(f"covariance {l} is not symmetric"))
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covariances", covs)
-        object.__setattr__(self, "factors", np.stack(factors))
+        object.__setattr__(self, "factors", factors)
 
     @property
     def k(self) -> int:
@@ -159,7 +143,7 @@ class LabeledDataset:
         if labels.dtype.kind == "f":
             bad = np.flatnonzero(~np.isfinite(labels) | (labels != np.round(labels)))
         elif labels.dtype.kind not in "iu":  # a bool, a string or None is not an integer
-            bad = [i for i, label in enumerate(labels.tolist()) if not is_number(label)]
+            bad = [i for i, label in enumerate(labels.tolist()) if not is_int(label)]
         if len(bad):
             raise ConfigError(
                 f"row {bad[0] + 1}, column label: {labels[bad[0]]} is not an integer"
@@ -259,16 +243,15 @@ def sample(spec: MixtureSpec, n_per_cluster: int, seed) -> LabeledDataset:
     z i.i.d. standard normal from a PCG64 stream (`MixtureSpec.draw`), so
     output is bit reproducible for a fixed seed.
     """
-    check_integer("n_per_cluster", n_per_cluster)
-    if n_per_cluster < 1:
-        raise ConfigError(f"n_per_cluster must be >= 1, got {n_per_cluster}")
+    n_per_cluster = check_int("n_per_cluster", n_per_cluster, 1)
+    rng = np.random.default_rng(check_seed("seed", seed))
     n = n_per_cluster * spec.k
     if n < MIN_ROWS_PER_DIM * spec.d:
         raise ConfigError(
             f"sample too small: n = {n} but need n >= {MIN_ROWS_PER_DIM}*d = "
             f"{MIN_ROWS_PER_DIM * spec.d} for d = {spec.d}"
         )
-    rows = spec.draw((n_per_cluster,) * spec.k, np.random.default_rng(seed))
+    rows = spec.draw((n_per_cluster,) * spec.k, rng)
     labels = np.repeat(np.arange(1, spec.k + 1), n_per_cluster)
     return LabeledDataset(data=rows, labels=labels)
 
@@ -298,7 +281,7 @@ def make_separation_family(d: int, k: int, separation: float, dispersion: float,
     family is monotone: doubling `separation` doubles every pairwise mean
     distance. This is `make_separation_families` for one seed.
     """
-    return make_separation_families(d, k, separation, dispersion, [seed])[0]
+    return make_separation_families(d, k, separation, dispersion, [check_seed("seed", seed)])[0]
 
 
 def make_separation_families(d: int, k: int, separation: float, dispersion: float,
@@ -309,28 +292,18 @@ def make_separation_families(d: int, k: int, separation: float, dispersion: floa
     gives the means' frame, then per cluster the log-spectrum and the
     Gaussian block of the covariance's axes Q. Then the QRs of all blocks
     and the covariance products are one numpy call each over the stack,
-    and every spec is the one its seed gets alone, bit for bit. A d or k
-    that is not an integer, a separation that is not a finite real >= 0,
-    or a dispersion outside [sqrt(tiny * 10), sqrt(max / 10)], raises
-    ConfigError naming it before any draw. Each spec is then built by
-    `MixtureSpec`, which checks its covariances and computes their
-    Cholesky factors as for a spec read from JSON.
+    and every spec is the one its seed gets alone, bit for bit. Every
+    parameter is checked before any draw; the dispersion must lie in
+    [sqrt(tiny * 10), sqrt(max / 10)]. Each spec is then built, checked
+    and factored by `MixtureSpec`, as a spec read from JSON is.
     """
-    check_integer("d", d)
-    check_integer("k", k)
-    if k < 1:
-        raise ConfigError(f"need k >= 1, got k = {k}")
+    d = check_int("d", d)
+    k = check_int("k", k, 1)
     if d <= k - 1:
         raise ConfigError(f"need d > k - 1, got d = {d}, k = {k}")
-    if not (is_number(separation, float) and separation >= 0):
-        raise ConfigError(f"separation must be finite and >= 0, got {separation!r}")
-    # an infinite dispersion or an int beyond the float range passes here, so
-    # that the overflow check names it
-    if not ((is_number(dispersion, float) or is_number(dispersion) or dispersion == np.inf)
-            and dispersion > 0):
-        raise ConfigError(f"dispersion must be > 0, got {dispersion!r}")
-    if not (is_number(dispersion, float)
-            and dispersion <= np.sqrt(np.finfo(float).max / COVARIANCE_CONDITION_CAP)):
+    separation = check_real("separation", separation, 0, strict=False)
+    dispersion = check_real("dispersion", dispersion, 0)
+    if dispersion > np.sqrt(np.finfo(float).max / COVARIANCE_CONDITION_CAP):
         raise ConfigError(f"dispersion = {dispersion} is too large: the covariances overflow")
     if dispersion < np.sqrt(np.finfo(float).tiny * COVARIANCE_CONDITION_CAP):
         raise ConfigError(f"dispersion = {dispersion} is too small: the covariances underflow")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_int, check_real, check_seed
 from .linalg import (
     EigenSolution,
     apply_centering,
@@ -32,8 +32,8 @@ from .subspace import SubspaceBasis, leading_basis, sss
 from .transform import (
     DEFAULT_ALPHA,
     IsotropicDataset,
-    check_alpha,
     check_rows,
+    check_weighting,
     compute_weights,
     isotropize,
     weighted_rows,
@@ -93,9 +93,8 @@ def scatter_matrices(data: LabeledDataset) -> ScatterPair:
 
 
 def _check_cluster_count(k: int, d: int):
-    """Reject a cluster count with no proper Fisher subspace: k - 1 must
-    lie in [1, d)."""
-    if not 2 <= k <= d:
+    """Reject a cluster count with no proper Fisher subspace: k - 1 in [1, d)."""
+    if not 2 <= check_int("k", k) <= d:
         raise ConfigError(f"need 2 <= k <= d, got k = {k} with d = {d}")
 
 
@@ -114,7 +113,7 @@ def fisher_solve(s: ScatterPair, k: int) -> FisherSolution:
     Raises RankError when the total scatter is numerically singular.
     """
     _check_cluster_count(k, s.total.shape[-1])
-    between = check_symmetric(s.between, name="k_mat")
+    between = check_symmetric(s.between, name="between scatter")
     spectrum = sym_eig(s.total)
     eigen = unwhiten(total_whitener(spectrum), between)
     return FisherSolution(eigen, _distinctness(eigen.values, k), spectrum)
@@ -133,10 +132,10 @@ def sdist_overlap(spec: MixtureSpec, mc_samples: int = DEFAULT_MC_SAMPLES,
         raise ConfigError(
             f"integral distinctness is defined here for k = 2 only, got k = {spec.k}"
         )
-    if not isinstance(mc_samples, (int, np.integer)) or mc_samples < MIN_MC_SAMPLES:
-        raise ConfigError(f"mc_samples must be an int >= {MIN_MC_SAMPLES}, got {mc_samples!r}")
+    mc_samples = check_int("mc_samples", mc_samples, MIN_MC_SAMPLES)
+    rng = np.random.default_rng(check_seed("seed", seed))
     half = mc_samples // 2
-    points = spec.draw((half, mc_samples - half), np.random.default_rng(seed))
+    points = spec.draw((half, mc_samples - half), rng)
     # log f_l(x) = -log det L_l - |L_l^{-1}(x - mu_l)|^2 / 2 - (d/2) log(2 pi),
     # where L_l L_l^T = Sigma_l; the shared constant cancels in the ratio
     log_f = [-np.log(np.diag(factor)).sum()
@@ -170,10 +169,9 @@ def perturb_eigs_first_order(solution: EigenSolution, delta_k, delta_m) -> np.nd
 def proposition1_bound(n: int, d: int, k: int, alpha: float, lambda_bar_x: float) -> float:
     """Closed-form ceiling on |distinctness(Z) - distinctness(X)|:
     (1/sqrt(n)) * (d/alpha) * (lambda_bar + sqrt(k))."""
-    if min(n, d, k) <= 0:
-        raise ConfigError(f"n, d, k must all be positive, got n={n}, d={d}, k={k}")
-    check_alpha(alpha)
-    if not 0.0 <= lambda_bar_x <= 1.0:
+    n, d, k = (check_int(name, value, 1) for name, value in (("n", n), ("d", d), ("k", k)))
+    alpha = check_weighting(alpha)
+    if check_real("lambda_bar_x", lambda_bar_x, 0, strict=False) > 1.0:
         raise ConfigError(f"lambda_bar_x must be in [0, 1], got {lambda_bar_x}")
     return (d / alpha) * (lambda_bar_x + math.sqrt(k)) / math.sqrt(n)
 
@@ -207,6 +205,7 @@ def row_pass(x: LabeledDataset, alpha: float = DEFAULT_ALPHA,
              scheme: str = "hyperbolic") -> RowSummary:
     """The pass over a dataset's rows that `analyze` starts with: the
     steps of `transform_pipeline`, with Z0 kept as an array."""
+    alpha = check_weighting(alpha, scheme)
     _check_cluster_count(x.k, x.d)
     iso = isotropize(x)
     weights = compute_weights(iso, alpha=alpha, scheme=scheme)
@@ -244,6 +243,7 @@ def distinctness_delta_check(x: LabeledDataset, z0: LabeledDataset, alpha: float
     already, and `isotropic`, when given, is `isotropize(x)`, which then
     is not rerun: the result is `analyze(x, alpha)` bit for bit.
     """
+    check_weighting(alpha)
     if x.labels.shape != z0.labels.shape or np.any(x.labels != z0.labels):
         raise ShapeError("x and z0 must carry identical labels")
     if x.d != z0.d:

@@ -10,9 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, RankError, ShapeError
+from .errors import ConfigError, RankError, ShapeError, check_int
 from .linalg import RANK_RTOL, column_means, raise_first, sym_eig, total_scatter
-from .mixture import LabeledDataset, check_integer
+from .mixture import LabeledDataset
 
 CONDITIONING_WARN_TOL = 1e-6
 CENTERED_TOL = 1e-8
@@ -78,11 +78,11 @@ def pc_subspace(data, m: int) -> SubspaceBasis:
     unique, so an ambiguity warning is attached to the (still returned)
     result.
     """
+    m = check_int("m", m)
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
         raise ConfigError(f"data must be 2-D, got shape {data.shape}")
     n, d = data.shape
-    check_integer("m", m)
     if not 1 <= m < d:
         raise ConfigError(f"need 1 <= m < d, got m = {m}, d = {d}")
     if not np.isfinite(data).all():

@@ -14,9 +14,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_real
 from .linalg import EigenSolution, column_means, sym_eig, total_scatter, total_whitener
-from .mixture import LabeledDataset, is_number
+from .mixture import LabeledDataset
 
 DEFAULT_ALPHA = 0.5
 SCHEMES = ("hyperbolic", "exponential")
@@ -62,10 +62,12 @@ def check_rows(x: LabeledDataset):
         raise ConfigError(f"need n > d, got n = {x.n}, d = {x.d}")
 
 
-def check_alpha(alpha):
-    """Reject a weighting parameter that is not a finite real > 0."""
-    if not (is_number(alpha, float) and alpha > 0):
-        raise ConfigError(f"weighting parameter alpha must be finite and > 0, got {alpha!r}")
+def check_weighting(alpha, scheme="hyperbolic") -> float:
+    """alpha as a float, once it is a finite real > 0 and scheme is in SCHEMES."""
+    alpha = check_real("weighting parameter alpha", alpha, 0)
+    if scheme not in SCHEMES:
+        raise ConfigError(f"unknown weighting scheme {scheme!r}; expected one of {SCHEMES}")
+    return alpha
 
 
 def isotropize(x: LabeledDataset) -> IsotropicDataset:
@@ -109,9 +111,7 @@ def compute_weights(y: IsotropicDataset, alpha: float = DEFAULT_ALPHA,
     |y|^2 / alpha above about 745 (exponential) or beyond the largest
     double (hyperbolic): a zero-weight row would vanish from Z0 and
     distort its scatter without a word."""
-    check_alpha(alpha)
-    if scheme not in SCHEMES:
-        raise ConfigError(f"unknown weighting scheme {scheme!r}; expected one of {SCHEMES}")
+    alpha = check_weighting(alpha, scheme)
     with np.errstate(over="ignore"):  # an overflow gives weight 0, reported below
         ratio = y.sqnorms / alpha
     if scheme == "hyperbolic":
@@ -146,6 +146,7 @@ def transform_pipeline(x: LabeledDataset, alpha: float = DEFAULT_ALPHA,
                        scheme: str = "hyperbolic") -> PipelineResult:
     """Isotropize, weight, and center in one call, returning every
     intermediate for diagnostics."""
+    check_weighting(alpha, scheme)
     iso = isotropize(x)
     weights = compute_weights(iso, alpha=alpha, scheme=scheme)
     return PipelineResult(isotropic=iso, weights=weights, weighted=apply_weights(iso, weights))

@@ -91,7 +91,7 @@ class TestGenerate:
         code = run_cli("generate", "--d", "3", "--k", k, "--n-per-cluster", "20",
                        "--out", str(tmp_path / "x.csv"))
         assert code == 2
-        assert f"need k >= 1, got k = {k}" in capsys.readouterr().err
+        assert f"k must be >= 1, got {k}" in capsys.readouterr().err
 
     def test_dispersion_whose_covariances_overflow_is_config_error(self, tmp_path, capsys):
         code = run_cli("generate", "--d", "3", "--k", "2", "--dispersion", "1e200",
@@ -102,7 +102,7 @@ class TestGenerate:
     @pytest.mark.parametrize("argument,value,message", [
         ("--separation", "nan", "separation must be finite and >= 0, got nan"),
         ("--separation", "inf", "separation must be finite and >= 0, got inf"),
-        ("--dispersion", "nan", "dispersion must be > 0, got nan"),
+        ("--dispersion", "nan", "dispersion must be finite and > 0, got nan"),
         ("--dispersion", "1e-200", "dispersion = 1e-200 is too small: the covariances underflow"),
     ], ids=["separation-nan", "separation-inf", "dispersion-nan", "dispersion-underflow"])
     def test_bad_family_parameter_exits_2_naming_it(self, tmp_path, capsys, argument, value,
@@ -354,14 +354,14 @@ class TestSweepAndRecipe:
         ({"replicates": 1.5}, "replicates must be an integer, got 1.5"),
         ({"replicates": True}, "replicates must be an integer, got True"),
         ({"seed": 2.0}, "seed must be an integer, got 2.0"),
-        ({"dims": ["a"]}, "dims must be a list of integers, got ['a']"),
-        ({"dims": 7}, "dims must be a list of integers, got 7"),
-        ({"alphas": [0.5, None]}, "alphas must be a list of finite numbers"),
-        ({"clusters": [1]}, "clusters must all be >= 2, got [1]"),
-        ({"alphas": [0.5, 0.0]}, "alphas must all be > 0.0, got [0.5, 0.0]"),
-        ({"dispersions": [-1.0]}, "dispersions must all be > 0.0, got [-1.0]"),
-        ({"separations": [2.0, -0.5]}, "separations must all be >= 0, got [2.0, -0.5]"),
-        ({"n_per_cluster": [0, 30]}, "n_per_cluster must all be >= 1, got [0, 30]"),
+        ({"dims": ["a"]}, "dims must be an integer, got 'a'"),
+        ({"dims": 7}, "dims must be a list, got 7"),
+        ({"alphas": [0.5, None]}, "alphas must be finite and > 0, got None"),
+        ({"clusters": [1]}, "clusters must be >= 2, got 1"),
+        ({"alphas": [0.5, 0.0]}, "alphas must be finite and > 0, got 0.0"),
+        ({"dispersions": [-1.0]}, "dispersions must be finite and > 0, got -1.0"),
+        ({"separations": [2.0, -0.5]}, "separations must be finite and >= 0, got -0.5"),
+        ({"n_per_cluster": [0, 30]}, "n_per_cluster must be >= 1, got 0"),
     ])
     def test_bad_config_exits_2_naming_the_field(self, tmp_path, capsys, overrides, message):
         config_path = tmp_path / "config.json"
@@ -402,6 +402,37 @@ class TestSweepAndRecipe:
         run_cli("sweep", "--config", str(config_path), "--out", str(out_a), "--seed", "1")
         run_cli("sweep", "--config", str(config_path), "--out", str(out_b), "--seed", "2")
         assert out_a.read_bytes() != out_b.read_bytes()
+
+
+class TestCountsBeyondInt64:
+    """A count that int64 cannot hold is a configuration error, raised before
+    any array is sized by it or any output file is opened."""
+
+    HUGE = str(10**400)
+
+    @pytest.mark.parametrize("flag,name", [("--n-per-cluster", "n_per_cluster"), ("--d", "d")])
+    def test_generate_exits_2_naming_the_count(self, tmp_path, capsys, flag, name):
+        argv = {"--d": "3", "--k": "2", "--n-per-cluster": "15", flag: self.HUGE}
+        out = tmp_path / "x.csv"
+        code = run_cli("generate", *[t for item in argv.items() for t in item], "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"structdr: configuration error: {name} must be below 2**63, got {self.HUGE}\n"
+        assert not out.exists()
+
+    def test_sweep_replicates_exit_2_before_the_file_opens(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        run_cli("recipe", "prop1", "--out", str(config_path))
+        config = json.loads(config_path.read_text())
+        config["replicates"] = 10**400
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "r.csv"
+        capsys.readouterr()
+        code = run_cli("sweep", "--config", str(config_path), "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"structdr: configuration error: replicates must be below 2**63, got {self.HUGE}\n"
+        assert not out.exists()
 
 
 class TestEntryPoints:

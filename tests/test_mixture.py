@@ -62,6 +62,13 @@ class TestMixtureSpec:
         with pytest.raises(ConfigError, match="^covariance 3 is not symmetric$"):
             MixtureSpec(means=means, covariances=covs)
 
+    def test_stacked_factors_are_those_of_each_covariance(self):
+        # one Cholesky over the (k, d, d) stack gives each covariance's own
+        # factor, bit for bit
+        for spec in make_separation_families(7, 5, 3.0, 1.7, [4, 5]):
+            alone = np.stack([np.linalg.cholesky(cov) for cov in spec.covariances])
+            assert spec.factors.tobytes() == alone.tobytes()
+
     def test_json_round_trip(self):
         # bit for bit: JSON keeps each double's repr, and a spec read back is
         # factored by the same constructor as a family's own specs
@@ -285,12 +292,12 @@ class TestSeparationFamily:
             (np.inf, 1.0, "separation must be finite and >= 0, got inf"),
             (-np.inf, 1.0, "separation must be finite and >= 0, got -inf"),
             (-1.0, 1.0, "separation must be finite and >= 0, got -1.0"),
-            (1.0, np.nan, "dispersion must be > 0, got nan"),
-            (1.0, -np.inf, "dispersion must be > 0, got -inf"),
-            (1.0, 0.0, "dispersion must be > 0, got 0.0"),
+            (1.0, np.nan, "dispersion must be finite and > 0, got nan"),
+            (1.0, -np.inf, "dispersion must be finite and > 0, got -inf"),
+            (1.0, 0.0, "dispersion must be finite and > 0, got 0.0"),
             (1.0, 1e-200, "dispersion = 1e-200 is too small: the covariances underflow"),
             (1.0, np.nextafter(lower, 0.0), "is too small: the covariances underflow"),
-            (1.0, np.inf, "dispersion = inf is too large: the covariances overflow"),
+            (1.0, np.inf, "dispersion must be finite and > 0, got inf"),
         ]:
             with pytest.raises(ConfigError, match=re.escape(message)):
                 make_separation_families(3, 2, separation, dispersion, [1, -1])
@@ -304,13 +311,12 @@ class TestSeparationFamily:
         (3, 2, "4", 1.0, "separation must be finite and >= 0, got '4'"),
         (3, 2, None, 1.0, "separation must be finite and >= 0, got None"),
         (3, 2, True, 1.0, "separation must be finite and >= 0, got True"),
-        (3, 2, 4.0, "1", "dispersion must be > 0, got '1'"),
-        (3, 2, 4.0, None, "dispersion must be > 0, got None"),
-        (3, 2, 4.0, True, "dispersion must be > 0, got True"),
-        # an int beyond the float range is no finite real, and a dispersion
-        # that large overflows the covariances, as an infinite one does
+        (3, 2, 4.0, "1", "dispersion must be finite and > 0, got '1'"),
+        (3, 2, 4.0, None, "dispersion must be finite and > 0, got None"),
+        (3, 2, 4.0, True, "dispersion must be finite and > 0, got True"),
+        # an int beyond the float range is no finite real
         (3, 2, 10**400, 1.0, f"separation must be finite and >= 0, got {10**400!r}"),
-        (3, 2, 4.0, 10**400, f"dispersion = {10**400} is too large: the covariances overflow"),
+        (3, 2, 4.0, 10**400, f"dispersion must be finite and > 0, got {10**400!r}"),
     ], ids=["d-str", "d-float", "d-bool", "k-float", "k-none", "separation-str",
             "separation-none", "separation-bool", "dispersion-str", "dispersion-none",
             "dispersion-bool", "separation-huge-int", "dispersion-huge-int"])

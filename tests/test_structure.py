@@ -18,6 +18,7 @@ from structdr import (
     RankError,
     ScatterPair,
     ShapeError,
+    SymmetryError,
     distinctness_delta_check,
     fisher_solve,
     fisher_subspace,
@@ -182,6 +183,11 @@ class TestFisherSolve:
         with pytest.raises(ConfigError):
             fisher_solve(pair, 5)
 
+    def test_asymmetric_between_scatter_is_named(self):
+        pair = ScatterPair(total=np.eye(3), between=np.triu(np.ones((3, 3))))
+        with pytest.raises(SymmetryError, match="^between scatter not symmetric: "):
+            fisher_solve(pair, 2)
+
 
 class TestSdistOverlap:
     def test_identical_components(self):
@@ -327,6 +333,23 @@ class TestPropositionBound:
         for alpha in (np.nan, np.inf):
             with pytest.raises(ConfigError, match="alpha must be finite and > 0"):
                 proposition1_bound(100, 5, 3, alpha, 0.5)
+
+    @pytest.mark.parametrize("args,message", [
+        (("100", 5, 3, 0.5, 0.5), "n must be an integer, got '100'"),
+        ((100.5, 5, 3, 0.5, 0.5), "n must be an integer, got 100.5"),
+        ((True, 5, 3, 0.5, 0.5), "n must be an integer, got True"),
+        ((100, 5, 10**400, 0.5, 0.5), f"k must be below 2**63, got {10**400}"),
+        ((100, 5, 3, 0.5, "0.5"), "lambda_bar_x must be finite and >= 0, got '0.5'"),
+        ((100, 5, 3, 0.5, np.nan), "lambda_bar_x must be finite and >= 0, got nan"),
+    ], ids=["n-str", "n-float", "n-bool", "k-huge", "lambda-str", "lambda-nan"])
+    def test_non_numbers_rejected_naming_them(self, args, message):
+        with pytest.raises(ConfigError) as caught:
+            proposition1_bound(*args)
+        assert str(caught.value) == message
+
+    def test_numpy_integers_give_a_float(self):
+        bound = proposition1_bound(np.int64(100), np.int32(5), np.int64(3), 0.5, 0.5)
+        assert type(bound) is float and bound == proposition1_bound(100, 5, 3, 0.5, 0.5)
 
 
 class TestDistinctnessDeltaCheck:
