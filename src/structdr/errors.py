@@ -9,6 +9,8 @@ rules of the public boundary, below, raise ConfigError naming the argument.
 import contextlib
 import math
 import numbers
+import os
+import sys
 
 
 class StructdrError(Exception):
@@ -75,3 +77,20 @@ def check_real(name: str, value, low=0, strict=True) -> float:
         if real and math.isfinite(value) and (value > low if strict else value >= low):
             return float(value)
     raise ConfigError(f"{name} must be finite and {'>' if strict else '>='} {low}, got {value!r}")
+
+
+def check_size(name: str, value, *shape):
+    """value, once numpy can size the float64 array of `shape` that value
+    sizes: the array's bytes must fit in a signed machine word."""
+    if math.prod(shape) * 8 > sys.maxsize:
+        raise ConfigError(f"{name} = {value} is too large: a {' x '.join(map(str, shape))} "
+                          "float64 array is more than numpy can size")
+    return value
+
+
+def check_path(name: str, value):
+    """A file path: a str or an os.PathLike. Anything else is rejected before
+    `open`, which would take an int (or a bool) as a file descriptor."""
+    if not isinstance(value, (str, os.PathLike)):
+        raise ConfigError(f"{name} must be a str or os.PathLike path, got {value!r}")
+    return value

@@ -9,10 +9,12 @@ sample-size effects are paired rather than confounded.
 
 A sweep's unit of work is a block of replicates of the cells that share
 a geometry (d, k, separation, dispersion), run in three steps. One
-stacked build makes the block's mixtures, one per replicate. Each
-(replicate, n_per_cluster, alpha) cell in turn is then sampled and
-reduced to its d x d row summary, so a unit holds one cell's rows at a
-time, and one stacked d x d pass analyzes every summary of the block.
+stacked build makes the block's mixtures, one per replicate. Then, per
+n_per_cluster, the replicates' rows are drawn into C-ordered (R, n, d)
+stacks of at most STACK_VALUES values, which the cells that differ only
+in alpha share, and each stack is reduced to d x d row summaries with one
+numpy call per step, so a unit holds one stack's rows at a time. One
+stacked d x d pass then analyzes every summary of the block.
 Serially a block holds all of a geometry's replicates. On N processes
 (the calling one and N - 1 helpers it forks, each taking the next unit
 from one shared counter), each geometry's replicates are split into the
@@ -39,10 +41,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, StructdrError, check_int, check_real
-from .mixture import make_separation_families, sample
+from .errors import ConfigError, StructdrError, check_int, check_path, check_real
+from .linalg import Clusters
+from .mixture import draw_rows, make_separation_families, stratified_labels
 from .structure import analyze_stack, row_pass
-from .transform import SCHEMES
+from .transform import SCHEMES, check_weighting
 
 CSV_SCHEMA_LINE = "# schema=1"
 MAX_CLUSTER_CAP = 10
@@ -55,6 +58,10 @@ MAX_CLUSTER_CAP = 10
 DEFAULT_SEPARATION = 10.0
 # The errors that mark a record failed.
 FAILURES = (StructdrError, np.linalg.LinAlgError)
+# The most values in one (R, n, d) stack of a row pass, 2 MiB of float64:
+# stacking replicates saves per-call overhead on small cells but slows the
+# row kernels on large ones, so a replicate larger than this is a stack of one.
+STACK_VALUES = 2**18
 
 
 # Each grid axis in canonical (grid-major) order: its Cell coordinate and its values' rule.
@@ -237,32 +244,60 @@ def _each(stacked, items: list) -> list:
         return [result for item in items for result in _each(stacked, [item])]
 
 
+def _row_items(specs: list, n_per_cluster: int, seeds: list, clusters: Clusters, scheme: str,
+               items: list) -> list:
+    """The rows drawn for (replicate, alpha) pairs of a stack and their
+    `row_pass`: all of the stack's pairs, replicate-major, or one pair, whose
+    replicate is drawn again as a stack of one, with the same bits. A spec
+    whose build failed raises its error."""
+    first, last = items[0][0], items[-1][0] + 1
+    alphas = [alpha for i, alpha in items if i == first]
+    for spec in specs[first:last]:
+        if isinstance(spec, Exception):
+            raise spec
+    return row_pass(draw_rows(specs[first:last], n_per_cluster, seeds[first:last]), clusters,
+                    alphas, scheme)
+
+
 def _run_geometry(cells: list, replicates: list, master_seed: int) -> list:
-    """A block of replicates of cells that share a geometry, in three
-    steps: one stacked build of the replicates' mixtures; each (replicate,
-    cell) row pass in turn, so that no two cells' rows are held at once;
-    then one stacked d x d pass over every summary. Records come replicate
-    by replicate, in cell order. Module errors mark a record failed instead
-    of aborting the sweep; each record's elapsed_seconds is an equal share
-    of the block's time."""
+    """A block of replicates of cells that share a geometry. One stacked
+    build makes the replicates' mixtures. The cells that share a sample
+    size share their rows, since the data seed leaves alpha out: per such
+    group, the replicates' rows are drawn into stacks of at most
+    STACK_VALUES values, each stack row-passed with one numpy call per
+    step, and dropped before the next is drawn. Then one stacked d x d pass
+    analyzes every summary. Records come replicate by replicate, in cell
+    order. Module errors mark a record failed instead of aborting the
+    sweep; each record's elapsed_seconds is an equal share of the block's
+    time."""
     start = time.perf_counter()
     first = cells[0]
     build = partial(make_separation_families, first.d, first.k, first.separation, first.dispersion)
     specs = _each(build, [_seed(master_seed, first, rep, 1) for rep in replicates])
-    records, pending = [], []
-    for replicate, spec in zip(replicates, specs):
-        for cell in cells:
-            record = ExperimentRecord(*cell, replicate=replicate, seed=_seed(
-                master_seed, cell, replicate, 2, cell.n_per_cluster))
-            records.append(record)
-            try:
-                if isinstance(spec, Exception):
-                    raise spec
-                summary = row_pass(sample(spec, cell.n_per_cluster, seed=record.seed),
-                                   alpha=cell.alpha, scheme=cell.scheme)
-                pending.append((record, summary))
-            except FAILURES as exc:
-                _fail(record, exc)
+    groups = {}  # n_per_cluster -> indices of its cells
+    for i, cell in enumerate(cells):
+        groups.setdefault(cell.n_per_cluster, []).append(i)
+    # the data seed is stream (2, n_per_cluster) of the geometry's replicate
+    seeds = {(rep, n): _seed(master_seed, first, rep, 2, n) for rep in replicates for n in groups}
+    records = [ExperimentRecord(*cell, replicate=rep, seed=seeds[rep, cell.n_per_cluster])
+               for rep in replicates for cell in cells]
+    pending = []
+    for n, indices in groups.items():
+        clusters = Clusters.of(stratified_labels(first.k, n))
+        alphas = [cells[i].alpha for i in indices]
+        per_stack = max(1, STACK_VALUES // (n * first.k * first.d))
+        for lo in range(0, len(replicates), per_stack):
+            stack = range(lo, min(lo + per_stack, len(replicates)))
+            row_items = partial(_row_items, [specs[p] for p in stack], n,
+                                [seeds[replicates[p], n] for p in stack], clusters, first.scheme)
+            items = [(j, alpha) for j in range(len(stack)) for alpha in alphas]
+            summaries = _each(row_items, items)
+            slots = [records[p * len(cells) + i] for p in stack for i in indices]
+            for record, summary in zip(slots, summaries):
+                if isinstance(summary, Exception):
+                    _fail(record, summary)
+                else:
+                    pending.append((record, summary))
     analyses = _each(analyze_stack, [summary for _, summary in pending])
     for (record, _), result in zip(pending, analyses):
         if isinstance(result, Exception):
@@ -280,7 +315,14 @@ def run_cell(cell: Cell, replicate: int, master_seed: int) -> ExperimentRecord:
     """Execute one replicate of one grid cell as a sweep unit of one cell
     and one replicate: draw a mixture and a sample, then analyze them as a
     stack of one, giving the subspace similarity on the raw and weighted
-    data and the distinctness shift against the closed-form bound."""
+    data and the distinctness shift against the closed-form bound. The
+    cell's fields pass the rules of the grid axes and the scheme's before
+    any work."""
+    if not isinstance(cell, Cell):
+        raise ConfigError(f"cell must be a Cell, got {cell!r}")
+    cell = cell._replace(**{coord: rule(f"cell.{coord}", getattr(cell, coord))
+                            for coord, rule in GRID_AXES.values()})
+    check_weighting(cell.alpha, cell.scheme)
     replicate = check_int("replicate", replicate, 0)
     master_seed = check_int("master_seed", master_seed, 0, count=False)
     return _run_geometry([cell], [replicate], master_seed)[0]
@@ -350,6 +392,8 @@ def run_sweep(config: ExperimentConfig, out_path=None, threads: int = 1) -> list
     and joined before run_sweep returns or raises.
     """
     threads = check_int("threads", threads, 1)
+    if out_path is not None:
+        check_path("out_path", out_path)
     cells = config.cells()
     groups = {}
     for i, cell in enumerate(cells):
@@ -443,7 +487,7 @@ def read_records_csv(path) -> list:
     content raises ConfigError naming the file, the data row (from 1,
     blank lines skipped) and the column."""
     records = []
-    with open(path, newline="") as fh:
+    with open(check_path("path", path), newline="") as fh:
         schema = fh.readline().strip()
         if schema != CSV_SCHEMA_LINE:
             raise ConfigError(f"{path}: unexpected schema line {schema!r}")

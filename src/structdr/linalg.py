@@ -10,6 +10,7 @@ none mutate their inputs.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,16 +67,15 @@ def symmetrize(m) -> np.ndarray:
 
 
 def total_scatter(centered: np.ndarray) -> np.ndarray:
-    """Total scatter X0^T X0 of centered rows, symmetrized. Raises
-    NumericalError when it, or its symmetrization, overflows."""
+    """Total scatter X0^T X0 of centered rows (n, d), or of each matrix of a
+    stack (..., n, d), symmetrized. Raises NumericalError when it, or its
+    symmetrization, overflows."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, by name
-        total = centered.T @ centered
-    largest = float(np.abs(total).max())
+        total = np.swapaxes(centered, -1, -2) @ centered
+    largest = np.abs(total).max(axis=(-2, -1))
     limit = np.finfo(float).max / 2  # larger entries overflow when symmetrized
-    if not largest <= limit:
-        raise NumericalError(
-            f"total scatter overflows: max |entry| = {largest:.3e} (limit {limit:.3e})"
-        )
+    raise_first(largest <= limit, lambda i: NumericalError(
+        f"total scatter overflows: max |entry| = {largest.flat[i]:.3e} (limit {limit:.3e})"))
     return symmetrize(total)
 
 
@@ -152,9 +152,10 @@ def gen_eig(k_mat, m_mat) -> EigenSolution:
 
 
 def column_means(a: np.ndarray) -> np.ndarray:
-    """Column means of (n, d) rows: on C-ordered rows with d >= 2, numpy's
-    axis-0 `mean` bit for bit, without its slow strided reduction."""
-    return np.einsum("ij->j", a) / len(a)
+    """Column means of (n, d) rows, or of each matrix of a stack (..., n, d):
+    on C-ordered rows with d >= 2, numpy's `mean` over axis -2 bit for bit,
+    without its slow strided reduction."""
+    return np.einsum("...ij->...j", a) / a.shape[-2]
 
 
 def apply_centering(data) -> np.ndarray:
@@ -196,3 +197,18 @@ def cluster_indicator(labels, k: int) -> np.ndarray:
     indicator = np.zeros((labels.size, k))
     indicator[np.arange(labels.size), labels - 1] = 1.0
     return indicator
+
+
+class Clusters(NamedTuple):
+    """What datasets with the same labels in {1..k} share: the labels, the
+    count of each cluster and the (n, k) cluster indicator."""
+
+    labels: np.ndarray
+    counts: np.ndarray
+    indicator: np.ndarray
+
+    @classmethod
+    def of(cls, labels):
+        """The clusters of labels in {1..k}, each of which must occur."""
+        counts = cluster_counts(labels)
+        return cls(labels, counts, cluster_indicator(labels, counts.size))

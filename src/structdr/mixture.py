@@ -8,7 +8,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DefinitenessError, check_int, check_real, check_seed, is_int
+from .errors import (
+    ConfigError,
+    DefinitenessError,
+    check_int,
+    check_path,
+    check_real,
+    check_seed,
+    check_size,
+    is_int,
+)
 from .linalg import cluster_counts, raise_first, symmetrize
 
 MIN_ROWS_PER_DIM = 10
@@ -70,13 +79,14 @@ class MixtureSpec:
     def d(self) -> int:
         return self.means.shape[1]
 
-    def draw(self, counts, rng) -> np.ndarray:
+    def draw(self, counts, rng, out=None) -> np.ndarray:
         """counts[l] rows from component l, in component order: the rows
         mu_l + z @ L_l^T for i.i.d. standard normal z. All the z come from
         one draw, which is the same PCG64 stream as one draw per component,
-        and each block's product is written in place, so no block is copied."""
+        and each block's product is written in place, into `out` when it is
+        given, so no block is copied."""
         z = rng.standard_normal((sum(counts), self.d))
-        rows = np.empty_like(z)
+        rows = np.empty_like(z) if out is None else out
         start = 0
         for mean, factor, count in zip(self.means, self.factors, counts):
             block = slice(start, start + count)
@@ -178,7 +188,7 @@ class LabeledDataset:
         header raises ConfigError naming the file and quoting the header;
         malformed content raises ConfigError naming the file, the data row
         (from 1, blank lines skipped) and the column."""
-        with open(path, newline="") as fh:
+        with open(check_path("path", path), newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None) or []
             d = len(header) - 1
@@ -227,7 +237,7 @@ def write_labeled_csv(path, names, values, labels):
     integer label. Lines end in CRLF, so the bytes are those that
     `csv.writer` writes. Rows are converted one at a time, so memory does
     not grow with the file."""
-    with open(path, "w", newline="") as fh:
+    with open(check_path("path", path), "w", newline="") as fh:
         fh.write(",".join(names) + ",label\r\n")
         fh.writelines(
             ",".join(map(repr, row.tolist())) + f",{label}\r\n"
@@ -241,19 +251,36 @@ def sample(spec: MixtureSpec, n_per_cluster: int, seed) -> LabeledDataset:
     Stratified (exact-count) sampling keeps cluster sizes balanced in every
     finite sample. Rows for component l are mu_l + z @ chol(Sigma_l)^T with
     z i.i.d. standard normal from a PCG64 stream (`MixtureSpec.draw`), so
-    output is bit reproducible for a fixed seed.
+    output is bit reproducible for a fixed seed. This is `draw_rows` for
+    one spec and seed.
     """
     n_per_cluster = check_int("n_per_cluster", n_per_cluster, 1)
-    rng = np.random.default_rng(check_seed("seed", seed))
-    n = n_per_cluster * spec.k
-    if n < MIN_ROWS_PER_DIM * spec.d:
+    rows = draw_rows([spec], n_per_cluster, [check_seed("seed", seed)])[0]
+    return LabeledDataset(data=rows, labels=stratified_labels(spec.k, n_per_cluster))
+
+
+def draw_rows(specs: list, n_per_cluster: int, seeds: list) -> np.ndarray:
+    """The rows that `sample` draws for each (spec, seed), specs of one k and
+    d, as one C-ordered stack (len(specs), n, d): each spec draws from its
+    own seed's PCG64 stream straight into its slot, so no rows are copied.
+    The size is checked before the stack is allocated."""
+    k, d = specs[0].k, specs[0].d
+    n = n_per_cluster * k
+    if n < MIN_ROWS_PER_DIM * d:
         raise ConfigError(
             f"sample too small: n = {n} but need n >= {MIN_ROWS_PER_DIM}*d = "
-            f"{MIN_ROWS_PER_DIM * spec.d} for d = {spec.d}"
+            f"{MIN_ROWS_PER_DIM * d} for d = {d}"
         )
-    rows = spec.draw((n_per_cluster,) * spec.k, rng)
-    labels = np.repeat(np.arange(1, spec.k + 1), n_per_cluster)
-    return LabeledDataset(data=rows, labels=labels)
+    check_size("n_per_cluster", n_per_cluster, len(specs), n, d)
+    rows = np.empty((len(specs), n, d))
+    for spec, seed, slot in zip(specs, seeds, rows):
+        spec.draw((n_per_cluster,) * k, np.random.default_rng(seed), out=slot)
+    return rows
+
+
+def stratified_labels(k: int, n_per_cluster: int) -> np.ndarray:
+    """The labels of a stratified sample: n_per_cluster each of 1..k, in order."""
+    return np.repeat(np.arange(1, k + 1), n_per_cluster)
 
 
 def _simplex_vertices(k: int) -> np.ndarray:
@@ -307,6 +334,7 @@ def make_separation_families(d: int, k: int, separation: float, dispersion: floa
         raise ConfigError(f"dispersion = {dispersion} is too large: the covariances overflow")
     if dispersion < np.sqrt(np.finfo(float).tiny * COVARIANCE_CONDITION_CAP):
         raise ConfigError(f"dispersion = {dispersion} is too small: the covariances underflow")
+    check_size("d", d, len(seeds), k + 1, d, d)
     half = np.log(COVARIANCE_CONDITION_CAP) / 2.0
     blocks = np.empty((len(seeds), k + 1, d, d))
     log_spectra = np.empty((len(seeds), k, d))

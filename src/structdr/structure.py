@@ -3,11 +3,12 @@ and its distinctness coefficient, a Monte-Carlo overlap measure for
 two-component mixtures, first-order perturbation tooling with the
 closed-form bound on how much weighting can move the distinctness, and
 `analyze`, the analysis of a dataset before and after the transform that
-sweeps and the CLI share. It runs in two phases: `row_pass` reduces a
-dataset's rows to the d x d results of a `RowSummary`, where Y's total
-scatter is I by construction, and `analyze_stack` runs the d x d steps
-on a stack of summaries, one numpy call per step; `analyze` and
-`distinctness_delta_check` each run it as a stack of one.
+sweeps and the CLI share. It runs in two phases, each on a stack with one
+numpy call per step: `row_pass` reduces the rows of a stack (R, n, d) of
+datasets with the same labels to the d x d results of a `RowSummary` per
+(dataset, alpha), where Y's total scatter is I by construction, and
+`analyze_stack` runs the d x d steps on a stack of summaries. `analyze`
+runs both on a stack of one, and `distinctness_delta_check` the second.
 """
 
 import math
@@ -17,10 +18,10 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError, check_int, check_real, check_seed
 from .linalg import (
+    Clusters,
     EigenSolution,
     apply_centering,
     check_symmetric,
-    cluster_indicator,
     sym_eig,
     symmetrize,
     total_scatter,
@@ -31,10 +32,10 @@ from .mixture import LabeledDataset, MixtureSpec
 from .subspace import SubspaceBasis, leading_basis, sss
 from .transform import (
     DEFAULT_ALPHA,
-    IsotropicDataset,
     check_rows,
     check_weighting,
     compute_weights,
+    isotropic,
     isotropize,
     weighted_rows,
 )
@@ -76,20 +77,25 @@ class SdistEstimate:
     std_error: float
 
 
-def _between(centered: np.ndarray, indicator: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Between-cluster scatter of already-centered rows: one product with
-    the (n, k) cluster indicator for the cluster sums."""
-    offsets = (indicator.T @ centered) / counts[:, None]  # cluster means of the centered data
-    return symmetrize((offsets * counts[:, None]).T @ offsets)
+def _between(centered: np.ndarray, clusters: Clusters) -> np.ndarray:
+    """Between-cluster scatter of already-centered rows (n, d), or of each
+    dataset of a stack (..., n, d): one product with the (n, k) cluster
+    indicator for the cluster sums."""
+    counts = clusters.counts[:, None]
+    offsets = (clusters.indicator.T @ centered) / counts  # cluster means of the centered data
+    return symmetrize(np.swapaxes(offsets * counts, -1, -2) @ offsets)
+
+
+def _scatter_pair(centered: np.ndarray, clusters: Clusters) -> ScatterPair:
+    """The scatter pair of centered rows, or of each dataset of a stack; the
+    total first, so that an overflow is reported by name."""
+    return ScatterPair(total=total_scatter(centered), between=_between(centered, clusters))
 
 
 def scatter_matrices(data: LabeledDataset) -> ScatterPair:
     """Total and between-cluster scatter of a labeled dataset with n > d."""
-    check_rows(data)
-    centered = apply_centering(data.data)
-    total = total_scatter(centered)  # first, so that an overflow is reported by name
-    between = _between(centered, cluster_indicator(data.labels, data.k), data.counts)
-    return ScatterPair(total=total, between=between)
+    check_rows(data.data)
+    return _scatter_pair(apply_centering(data.data), Clusters.of(data.labels))
 
 
 def _check_cluster_count(k: int, d: int):
@@ -191,25 +197,40 @@ class RowSummary:
     spectrum: EigenSolution
 
 
-def _summarize(x: LabeledDataset, iso: IsotropicDataset, z0: np.ndarray,
-               alpha: float) -> RowSummary:
-    """The row summary of X, given its isotropic rows Y = iso.data and the
-    centered weighted rows z0."""
-    indicator = cluster_indicator(x.labels, x.k)
-    z_pair = ScatterPair(total=total_scatter(z0), between=_between(z0, indicator, x.counts))
-    return RowSummary(x.n, x.k, alpha, _between(iso.data, indicator, x.counts), z_pair,
-                      float(iso.sqnorms.std(ddof=0)), iso.spectrum)
+def _summarize(y: np.ndarray, sqnorms: np.ndarray, spectrum: EigenSolution,
+               clusters: Clusters, alphas: list, weighted) -> list:
+    """The row summaries of a stack (R, n, d) of isotropic rows y, given
+    their squared norms (R, n) and the spectra (R, d) and (R, d, d) that
+    isotropized them: one per (dataset, alpha), dataset-major.
+    weighted(alpha) gives the stack of Z0's rows, which is dropped once its
+    scatter pair is formed."""
+    z_pairs = [_scatter_pair(weighted(alpha), clusters) for alpha in alphas]
+    y_between = _between(y, clusters)
+    sd_norms = sqnorms.std(axis=-1).tolist()
+    n, k = y.shape[-2], clusters.counts.size
+    return [RowSummary(n, k, alpha, y_between[i],
+                       ScatterPair(total=z.total[i], between=z.between[i]), sd_norms[i],
+                       EigenSolution(spectrum.values[i], spectrum.vectors[i]))
+            for i in range(len(y_between)) for alpha, z in zip(alphas, z_pairs)]
 
 
-def row_pass(x: LabeledDataset, alpha: float = DEFAULT_ALPHA,
-             scheme: str = "hyperbolic") -> RowSummary:
-    """The pass over a dataset's rows that `analyze` starts with: the
-    steps of `transform_pipeline`, with Z0 kept as an array."""
-    alpha = check_weighting(alpha, scheme)
-    _check_cluster_count(x.k, x.d)
-    iso = isotropize(x)
-    weights = compute_weights(iso, alpha=alpha, scheme=scheme)
-    return _summarize(x, iso, weighted_rows(iso, weights), alpha)
+def row_pass(rows: np.ndarray, clusters: Clusters, alphas: list,
+             scheme: str = "hyperbolic") -> list:
+    """The pass over the rows that `analyze` starts with, for a stack
+    (R, n, d) of datasets with the same labels: the steps of
+    `transform_pipeline`, with Z0 kept as arrays, one numpy call per step
+    for the whole stack. Y and X's spectrum are shared by the alphas. One
+    RowSummary per (dataset, alpha), dataset-major; each dataset of a
+    C-ordered stack gets the summary it gets as a stack of one. The rows
+    are centered in place and dropped once Y is formed, so a caller that
+    keeps no other reference to them holds two stacks of rows at most."""
+    alphas = [check_weighting(alpha, scheme) for alpha in alphas]
+    _check_cluster_count(clusters.counts.size, rows.shape[-1])
+    check_rows(rows)
+    iso = isotropic(rows, clusters.labels)
+    del rows
+    return _summarize(iso.data, iso.sqnorms, iso.spectrum, clusters, alphas,
+                      lambda alpha: weighted_rows(iso, compute_weights(iso, alpha, scheme)))
 
 
 @dataclass(frozen=True)
@@ -249,7 +270,10 @@ def distinctness_delta_check(x: LabeledDataset, z0: LabeledDataset, alpha: float
     if x.d != z0.d:
         raise ShapeError(f"x and z0 must have the same columns, got d = {x.d} and {z0.d}")
     iso = isotropic or isotropize(x)
-    return analyze_stack([_summarize(x, iso, z0.data, alpha)])[0]
+    spectrum = EigenSolution(iso.spectrum.values[None], iso.spectrum.vectors[None])
+    summaries = _summarize(iso.data[None], iso.sqnorms[None], spectrum, Clusters.of(x.labels),
+                           [alpha], lambda _: z0.data[None])
+    return analyze_stack(summaries)[0]
 
 
 def analyze_stack(rows: list) -> list:
@@ -308,7 +332,7 @@ def analyze(x: LabeledDataset, alpha: float = DEFAULT_ALPHA,
     The same numbers as `transform_pipeline` followed by
     `distinctness_delta_check` and `sss(pc_subspace, fisher_subspace)` on
     X and Z0, computed with one pass over X's rows (`row_pass`) and then
-    the d x d pass (`analyze_stack`) as a stack of one.
+    the d x d pass (`analyze_stack`), each on a stack of one.
 
     Raises
     ------
@@ -318,4 +342,5 @@ def analyze(x: LabeledDataset, alpha: float = DEFAULT_ALPHA,
     RankError
         If X's (or Z0's) total scatter is numerically singular.
     """
-    return analyze_stack([row_pass(x, alpha, scheme)])[0]
+    summaries = row_pass(x.data.copy(order="K")[None], Clusters.of(x.labels), [alpha], scheme)
+    return analyze_stack(summaries)[0]

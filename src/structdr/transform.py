@@ -27,7 +27,8 @@ class IsotropicDataset:
     """Data in isotropic position (zero column means, Y^T Y = I) plus the
     affine map that produced it: y = (x - center) @ whitener. `spectrum`
     is X0^T X0 = A L A^T, which holds X's principal axes, and
-    whitener = A L^{-1/2}."""
+    whitener = A L^{-1/2}. A stack of datasets with the same labels has a
+    leading axis on every array but the labels."""
 
     data: np.ndarray
     labels: np.ndarray
@@ -37,13 +38,13 @@ class IsotropicDataset:
 
     @property
     def n(self) -> int:
-        return self.data.shape[0]
+        return self.data.shape[-2]
 
     @cached_property
     def sqnorms(self) -> np.ndarray:
         """Squared row norms |y_i|^2, computed on first use: the weights
         and the analysis's norm spread read the same array."""
-        return np.einsum("ij,ij->i", self.data, self.data)
+        return np.einsum("...ij,...ij->...i", self.data, self.data)
 
     def as_labeled(self) -> LabeledDataset:
         return LabeledDataset(data=self.data, labels=self.labels)
@@ -56,10 +57,12 @@ class PipelineResult:
     weighted: LabeledDataset
 
 
-def check_rows(x: LabeledDataset):
-    """Reject a dataset with n <= d, whose total scatter cannot be full rank."""
-    if x.n <= x.d:
-        raise ConfigError(f"need n > d, got n = {x.n}, d = {x.d}")
+def check_rows(rows: np.ndarray):
+    """Reject rows (..., n, d) with n <= d, whose total scatter cannot be
+    full rank."""
+    n, d = rows.shape[-2:]
+    if n <= d:
+        raise ConfigError(f"need n > d, got n = {n}, d = {d}")
 
 
 def check_weighting(alpha, scheme="hyperbolic") -> float:
@@ -87,15 +90,23 @@ def isotropize(x: LabeledDataset) -> IsotropicDataset:
         If the total scatter is numerically rank deficient (no silent
         regularization is attempted).
     """
-    check_rows(x)
+    check_rows(x.data)
+    return isotropic(x.data.copy(order="K"), x.labels)
+
+
+def isotropic(rows: np.ndarray, labels) -> IsotropicDataset:
+    """`isotropize` of rows (n, d), or of each dataset of a stack
+    (..., n, d), one numpy call per step; each dataset of a C-ordered
+    stack gets the bits it gets alone. The rows are centered in place, so
+    that no copy of them is made."""
     with np.errstate(over="ignore", invalid="ignore"):  # total_scatter reports it
-        center = column_means(x.data)
-        centered = x.data - center
-    spectrum = sym_eig(total_scatter(centered))
+        center = column_means(rows)
+        rows -= center[..., None, :]
+    spectrum = sym_eig(total_scatter(rows))
     whitener = total_whitener(spectrum)
     return IsotropicDataset(
-        data=centered @ whitener,
-        labels=x.labels,
+        data=rows @ whitener,
+        labels=labels,
         center=center,
         whitener=whitener,
         spectrum=spectrum,
@@ -104,8 +115,8 @@ def isotropize(x: LabeledDataset) -> IsotropicDataset:
 
 def compute_weights(y: IsotropicDataset, alpha: float = DEFAULT_ALPHA,
                     scheme: str = "hyperbolic") -> np.ndarray:
-    """Row weights in (0, 1], an (n,) array, from the squared norms of the
-    isotropic data.
+    """Row weights in (0, 1], an (n,) array (a stack (..., n) for a stack),
+    from the squared norms of the isotropic data.
 
     Raises ConfigError when a weight underflows to 0, which takes
     |y|^2 / alpha above about 745 (exponential) or beyond the largest
@@ -119,19 +130,19 @@ def compute_weights(y: IsotropicDataset, alpha: float = DEFAULT_ALPHA,
     else:
         weights = np.exp(-ratio)
     if not weights.all():
-        row = int(np.flatnonzero(weights == 0.0)[0])
+        first = int(np.flatnonzero(weights == 0.0)[0])
         raise ConfigError(
-            f"alpha = {alpha} is too small for {scheme} weights: row {row + 1} "
-            f"(|y|^2 = {y.sqnorms[row]:.6g}) gets weight 0"
+            f"alpha = {alpha} is too small for {scheme} weights: row {first % y.n + 1} "
+            f"(|y|^2 = {y.sqnorms.flat[first]:.6g}) gets weight 0"
         )
     return weights
 
 
 def weighted_rows(y: IsotropicDataset, weights: np.ndarray) -> np.ndarray:
     """The rows of Z0 = F diag(w) Y: each row scaled by its weight, then
-    re-centered."""
-    weighted = weights[:, None] * y.data
-    weighted -= column_means(weighted)
+    re-centered; a stack of them for a stack."""
+    weighted = weights[..., None] * y.data
+    weighted -= column_means(weighted)[..., None, :]
     return weighted
 
 

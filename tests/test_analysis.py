@@ -39,6 +39,7 @@ from structdr import (
 )
 from structdr import experiment
 from structdr.experiment import derive_seeds
+from structdr.linalg import Clusters
 from structdr.structure import analyze_stack, row_pass
 
 # Reordered floating-point sums (indicator product against scattered adds,
@@ -103,6 +104,11 @@ def cell_data(cell, replicate, master_seed):
     spec = make_separation_family(cell.d, cell.k, cell.separation, cell.dispersion,
                                   seed=spec_seed)
     return sample(spec, cell.n_per_cluster, seed=data_seed)
+
+
+def summarize(x, alpha=0.5, scheme="hyperbolic"):
+    """x's row summary: `row_pass` on a stack of one, which it centers in place."""
+    return row_pass(x.data.copy()[None], Clusters.of(x.labels), [alpha], scheme)[0]
 
 
 def shuffled(data, rng, relabel):
@@ -173,10 +179,13 @@ def test_failures_keep_exception_class_and_message(monkeypatch, cell, degrade, e
     data = cell_data(cell, 0, 0)
     if degrade is not None:
         data = degrade(data)
-        monkeypatch.setattr(experiment, "sample", lambda spec, n, seed: data)
+        monkeypatch.setattr(experiment, "draw_rows",
+                            lambda specs, n, seeds: data.data.copy()[None])
     want = reference_error(data, cell.alpha, cell.scheme)
     assert want.startswith(error)
-    record = run_cell(cell, replicate=0, master_seed=0)
+    # the sweep's unit of one cell and one replicate: run_cell would reject
+    # the one-cluster cell before any work
+    record = experiment._run_geometry([cell], [0], 0)[0]
     assert record.status == "failed"
     assert record.reason == want
     with pytest.raises((ConfigError, RankError)) as caught:
@@ -202,7 +211,7 @@ def test_stack_equals_each_dataset_alone(name, k):
     assert len(cells) == 3
     datasets = [cell_data(cell, 1, config.seed) for cell in cells]
     stacked, stacked_warnings = recorded_warnings(lambda: analyze_stack(
-        [row_pass(x, cell.alpha, cell.scheme) for x, cell in zip(datasets, cells)]))
+        [summarize(x, cell.alpha, cell.scheme) for x, cell in zip(datasets, cells)]))
     alone, alone_warnings = recorded_warnings(lambda: [
         analyze(x, cell.alpha, cell.scheme) for x, cell in zip(datasets, cells)])
     assert stacked_warnings == alone_warnings
@@ -227,7 +236,7 @@ def test_delta_check_equals_analyze():
                          ids=["d", "k"])
 def test_stack_rejects_summaries_of_another_shape(other):
     cell = Cell(7, 3, 100, 0.5, 10.0, 1.0, "hyperbolic")
-    rows = [row_pass(cell_data(c, 0, 0)) for c in (cell, other)]
+    rows = [summarize(cell_data(c, 0, 0)) for c in (cell, other)]
     with pytest.raises(ShapeError, match="must share d and k"):
         analyze_stack(rows)
 
@@ -243,7 +252,7 @@ def test_stacked_pass_checks_each_basis_once(monkeypatch):
     config = recipe("fig3_d7")
     cells = [cell for cell in config.cells() if cell.k == 3]
     assert len(cells) == 3
-    rows = [row_pass(cell_data(cell, 0, config.seed), cell.alpha, cell.scheme)
+    rows = [summarize(cell_data(cell, 0, config.seed), cell.alpha, cell.scheme)
             for cell in cells]
     counts = {"basis": 0, "svd": 0}
     check, svd = SubspaceBasis.__post_init__, np.linalg.svd

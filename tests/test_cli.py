@@ -420,6 +420,18 @@ class TestCountsBeyondInt64:
         assert err == f"structdr: configuration error: {name} must be below 2**63, got {self.HUGE}\n"
         assert not out.exists()
 
+    def test_generate_dimension_numpy_cannot_size_exits_2(self, tmp_path, capsys):
+        # below 2**63, but the family's (k + 1, d, d) stack is not
+        d = 2**40
+        out = tmp_path / "x.csv"
+        code = run_cli("generate", "--d", str(d), "--k", "2", "--n-per-cluster", "15",
+                       "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (f"structdr: configuration error: d = {d} is too large: a 1 x 3 x {d} x "
+                       f"{d} float64 array is more than numpy can size\n")
+        assert not out.exists()
+
     def test_sweep_replicates_exit_2_before_the_file_opens(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         run_cli("recipe", "prop1", "--out", str(config_path))

@@ -333,6 +333,15 @@ class TestRunSweep:
         parsed = read_records_csv(out)
         assert [record_key(r) for r in parsed] == [record_key(r) for r in records]
 
+    def test_elapsed_seconds_share_the_wall_time(self, monkeypatch):
+        # stacks of one replicate, so that the row pass loops over stacks
+        monkeypatch.setattr(experiment, "STACK_VALUES", 1)
+        start = time.perf_counter()
+        records = run_sweep(small_config(dims=[3, 4], replicates=3))
+        wall = time.perf_counter() - start
+        assert all(r.elapsed_seconds > 0 for r in records)
+        assert sum(r.elapsed_seconds for r in records) <= wall
+
     def test_repeat_runs_byte_identical(self, tmp_path):
         config = small_config()
         paths = [tmp_path / f"run{i}.csv" for i in range(2)]
@@ -650,15 +659,20 @@ class TestSpecReuse:
             streams.append(args[3:])
             return seed(*args)
 
-        for module in (mixture, transform, structure, experiment):
+        for module in (linalg, mixture, transform, structure, experiment):
             if getattr(module, "cluster_counts", None) is count:
                 monkeypatch.setattr(module, "cluster_counts", counting)
         monkeypatch.setattr(experiment, "_seed", recording_seed)
         config = reuse_config()
         records = run_sweep(config)
-        # one count per sampled dataset, one spec seed per mixture
-        assert len(counted) == len(records) == 32 * config.replicates
+        assert len(records) == 32 * config.replicates
+        # one count per sample size of each unit (8 geometries, 2 sizes), one
+        # spec seed per mixture and one data seed per drawn sample, which
+        # the sample's 2 alphas share
+        assert sorted(counted) == sorted(n * k for _, k in ((3, 2), (3, 3), (4, 2), (4, 3))
+                                         for n in (30, 45) for _ in (2.0, 3.0))
         assert streams.count((1,)) == 8 * config.replicates
+        assert sum(stream[0] == 2 for stream in streams) == 8 * 2 * config.replicates
 
     def test_every_sweep_builds_its_own(self, builds):
         config = reuse_config()

@@ -7,7 +7,10 @@ and float columns must agree within its FLOAT_ATOL (1e-9).
 
 `fig3_d20_largen` at 1 replicate (up to 20000 x 20 rows, the large row
 kernel), `fig3_d7` at 2 replicates and `prop1` at 3 must reproduce their
-goldens byte for byte, on one worker process and on two.
+goldens byte for byte, on one worker process and on two. `prop1` at 3
+replicates with alphas 0.25 and 0.5, whose cells share one sample per
+replicate, must reproduce `tests/data/prop1_two_alphas_r3.csv`, written
+before the cells shared it, on one, two and three processes.
 """
 
 import importlib.util
@@ -45,3 +48,11 @@ def test_sweep_writes_golden_bytes(tmp_path, name, replicates, threads):
     run_sweep(replace(recipe(name), replicates=replicates, seed=0), out_path=out,
               threads=threads)
     assert out.read_bytes() == (DATA / f"{name}_r{replicates}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_two_alphas_sharing_a_sample_write_golden_bytes(tmp_path, threads):
+    out = tmp_path / "prop1_two_alphas.csv"
+    run_sweep(replace(recipe("prop1"), replicates=3, seed=0, alphas=[0.25, 0.5]), out_path=out,
+              threads=threads)
+    assert out.read_bytes() == (DATA / "prop1_two_alphas_r3.csv").read_bytes()

@@ -195,6 +195,25 @@ class TestSample:
         )
 
 
+class TestCountsNumpyCannotSize:
+    """A count below 2**63 whose array numpy cannot size is a ConfigError that
+    names the count, raised before the allocation."""
+
+    def test_family_dimension(self):
+        d = 2**40
+        with pytest.raises(ConfigError) as caught:
+            make_separation_family(d, 2, 1.0, 1.0, 0)
+        assert str(caught.value) == (
+            f"d = {d} is too large: a 1 x 3 x {d} x {d} float64 array is more than numpy can size")
+
+    def test_sample_size(self):
+        with pytest.raises(ConfigError) as caught:
+            sample(two_component_spec(), 2**62, 0)
+        assert str(caught.value) == (
+            f"n_per_cluster = {2**62} is too large: a 1 x {2**63} x 2 float64 array is more "
+            "than numpy can size")
+
+
 class TestPopulationMoments:
     def test_hand_case(self):
         mom = population_moments(two_component_spec(sep=2.0))

@@ -52,15 +52,18 @@ SCALARS = {
     "pc_subspace": ("m",),
     "proposition1_bound": ("n", "d", "k", "alpha", "lambda_bar_x"),
     "recipe": ("name",),
-    "run_cell": ("replicate", "master_seed"),
+    "run_cell": ("replicate", "master_seed", "cell.d", "cell.k", "cell.n_per_cluster",
+                 "cell.alpha", "cell.separation", "cell.dispersion", "cell.scheme"),
     "run_sweep": ("threads",),
     "sample": ("n_per_cluster", "seed"),
     "sdist_overlap": ("mc_samples", "seed"),
     "transform_pipeline": ("alpha", "scheme"),
 }
 # Public callables with no scalar argument: they take arrays, datasets,
-# solutions or bases, or (read_records_csv) a path, whose errors are I/O
-# errors. Records that hold what the library computed check nothing.
+# solutions or bases, or (read_records_csv) a path, which must be a str or
+# an os.PathLike (see PATH_CALLS) and whose other errors are I/O errors.
+# Records that hold what the library computed check nothing. A field of
+# run_cell's cell is fuzzed as the argument "cell.<field>".
 NO_SCALARS = {
     "LabeledDataset", "MixtureSpec", "SubspaceBasis", "apply_centering", "apply_weights",
     "fisher_subspace", "gen_eig", "isotropize", "perturb_eigs_first_order",
@@ -121,7 +124,12 @@ def test_valid_calls_succeed(valid_calls):
 def test_only_structdr_errors_escape(valid_calls, name, argument, data):
     kind = data.draw(st.sampled_from(sorted(KINDS)), label="kind")
     value = data.draw(KINDS[kind], label="value")
-    kwargs = dict(valid_calls[name], **{argument: value})
+    kwargs = dict(valid_calls[name])
+    owner, _, field = argument.rpartition(".")
+    if owner:
+        kwargs[owner] = kwargs[owner]._replace(**{field: value})
+    else:
+        kwargs[argument] = value
     try:
         getattr(structdr, name)(**kwargs)
     except StructdrError as exc:
@@ -130,6 +138,58 @@ def test_only_structdr_errors_escape(valid_calls, name, argument, data):
         failed = None
     if kind in NEVER_VALID:
         assert isinstance(failed, ConfigError), (kind, value)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("d", "x", "cell.d must be an integer, got 'x'"),
+    ("k", 1, "cell.k must be >= 2, got 1"),
+    ("n_per_cluster", 1.5, "cell.n_per_cluster must be an integer, got 1.5"),
+    ("alpha", 0.0, "cell.alpha must be finite and > 0, got 0.0"),
+    ("separation", "x", "cell.separation must be finite and >= 0, got 'x'"),
+    ("dispersion", math.inf, "cell.dispersion must be finite and > 0, got inf"),
+    ("scheme", "parabolic",
+     "unknown weighting scheme 'parabolic'; expected one of ('hyperbolic', 'exponential')"),
+])
+def test_run_cell_checks_its_cell_before_any_work(monkeypatch, field, value, message):
+    def no_build(*args):
+        raise AssertionError("a mixture was built")
+
+    monkeypatch.setattr(structdr.experiment, "make_separation_families", no_build)
+    cell = structdr.Cell(2, 2, 50, 0.5, 4.0, 1.0, "hyperbolic")._replace(**{field: value})
+    with pytest.raises(ConfigError) as caught:
+        structdr.run_cell(cell, 0, 0)
+    assert str(caught.value) == message
+
+
+def test_run_cell_takes_only_a_cell():
+    with pytest.raises(ConfigError, match=r"^cell must be a Cell, got \(2, 2\)$"):
+        structdr.run_cell((2, 2), 0, 0)
+
+
+# Each public call that takes a file path, as (callable, the path's name).
+PATH_CALLS = {
+    "read_records_csv": (structdr.read_records_csv, "path"),
+    "run_sweep": (lambda path: structdr.run_sweep(structdr.recipe("prop1"), out_path=path),
+                  "out_path"),
+    "LabeledDataset.from_csv": (structdr.LabeledDataset.from_csv, "path"),
+    "LabeledDataset.to_csv": (lambda path: structdr.LabeledDataset(
+        data=np.eye(2), labels=[1, 2]).to_csv(path), "path"),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, 0, 1, 1.5, ["out.csv"]],
+                         ids=["True", "False", "0", "1", "1.5", "list"])
+@pytest.mark.parametrize("call", sorted(PATH_CALLS))
+def test_a_path_that_is_no_path_is_rejected_before_open(monkeypatch, call, value):
+    # an int or a bool would be opened as a file descriptor, and closed
+    def no_open(*args, **kwargs):
+        raise AssertionError("open was called")
+
+    monkeypatch.setattr("builtins.open", no_open)
+    run, name = PATH_CALLS[call]
+    with pytest.raises(ConfigError) as caught:
+        run(value)
+    assert str(caught.value) == f"{name} must be a str or os.PathLike path, got {value!r}"
 
 
 # A valid call of each verb, with its numeric flags at valid values.

@@ -32,7 +32,7 @@ from structdr import (
     transform_pipeline,
 )
 from structdr import structure, transform
-from structdr.linalg import cluster_counts, symmetrize, total_scatter
+from structdr.linalg import Clusters, cluster_counts, symmetrize, total_scatter
 from structdr.structure import row_pass
 
 from oracles import hat_matrix
@@ -430,5 +430,5 @@ class TestRowPass:
 
         monkeypatch.setattr(structure, "total_scatter", counting)
         monkeypatch.setattr(transform, "total_scatter", counting)
-        row_pass(data)
-        assert shapes == [data.data.shape, data.data.shape]
+        row_pass(data.data.copy()[None], Clusters.of(data.labels), [0.5])
+        assert shapes == [(1, *data.data.shape)] * 2
