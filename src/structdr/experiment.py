@@ -16,13 +16,14 @@ in alpha share, and each stack is reduced to d x d row summaries with one
 numpy call per step, so a unit holds one stack's rows at a time. One
 stacked d x d pass then analyzes every summary of the block.
 Serially a block holds all of a geometry's replicates. On N processes
-(the calling one and N - 1 helpers it forks, each taking the next unit
-from one shared counter), each geometry's replicates are split into the
-fewest near-equal blocks that give every process at least four units.
-Records are put back in canonical order (grid-major, replicate-minor)
-either way, so repeated runs and any process count produce
-byte-identical CSV bodies. Wall-clock timings are kept on the in-memory
-records only, never serialized.
+(the calling one and N - 1 helpers it forks, each started on a CPU of its
+own and taking the next unit from one shared counter), each geometry's
+replicates are split into the fewest near-equal blocks that give every
+process at least two units, handed out largest first. Records are put
+back in canonical order (grid-major, replicate-minor) either way, so
+repeated runs and any process count produce byte-identical CSV bodies.
+Wall-clock timings are kept on the in-memory records only, never
+serialized.
 """
 
 import copy
@@ -34,7 +35,7 @@ import math
 import os
 import platform
 import time
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from typing import NamedTuple
@@ -209,10 +210,19 @@ def _geometry(cell: Cell) -> tuple:
     return (cell.d, cell.k, _float_bits(cell.separation), _float_bits(cell.dispersion))
 
 
-def _seed(master_seed: int, cell: Cell, replicate: int, *stream) -> int:
-    """The seed of one stream of a replicate of the cell's geometry."""
-    base = (master_seed, *_geometry(cell), replicate, *stream)
-    return int(np.random.SeedSequence(base).generate_state(1, np.uint64)[0])
+def _words(*values) -> list:
+    """The uint32 words that SeedSequence reads from ints >= 0: each one's,
+    low word first, 0 as one word."""
+    return [value >> shift & 0xFFFFFFFF
+            for value in values for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _seed(prefix: list, replicate: int, *stream) -> int:
+    """The seed of one stream of a replicate of a geometry: that of
+    SeedSequence((master seed, *geometry, replicate, *stream)), given the
+    _words of (master seed, *geometry) as `prefix`."""
+    words = np.array(prefix + _words(replicate, *stream), np.uint32)
+    return int(np.random.SeedSequence(words).generate_state(1, np.uint64)[0])
 
 
 def derive_seeds(master_seed: int, cell: Cell, replicate: int) -> tuple:
@@ -223,8 +233,8 @@ def derive_seeds(master_seed: int, cell: Cell, replicate: int) -> tuple:
     mixture configurations recur across sample sizes and weighting
     strengths; the data seed is stream (2, n_per_cluster).
     """
-    return (_seed(master_seed, cell, replicate, 1),
-            _seed(master_seed, cell, replicate, 2, cell.n_per_cluster))
+    prefix = _words(master_seed, *_geometry(cell))
+    return _seed(prefix, replicate, 1), _seed(prefix, replicate, 2, cell.n_per_cluster)
 
 
 def _fail(record: ExperimentRecord, exc: Exception):
@@ -272,13 +282,14 @@ def _run_geometry(cells: list, replicates: list, master_seed: int) -> list:
     time."""
     start = time.perf_counter()
     first = cells[0]
+    prefix = _words(master_seed, *_geometry(first))
     build = partial(make_separation_families, first.d, first.k, first.separation, first.dispersion)
-    specs = _each(build, [_seed(master_seed, first, rep, 1) for rep in replicates])
+    specs = _each(build, [_seed(prefix, rep, 1) for rep in replicates])
     groups = {}  # n_per_cluster -> indices of its cells
     for i, cell in enumerate(cells):
         groups.setdefault(cell.n_per_cluster, []).append(i)
     # the data seed is stream (2, n_per_cluster) of the geometry's replicate
-    seeds = {(rep, n): _seed(master_seed, first, rep, 2, n) for rep in replicates for n in groups}
+    seeds = {(rep, n): _seed(prefix, rep, 2, n) for rep in replicates for n in groups}
     records = [ExperimentRecord(*cell, replicate=rep, seed=seeds[rep, cell.n_per_cluster])
                for rep in replicates for cell in cells]
     pending = []
@@ -363,9 +374,23 @@ def _run_units(take, tasks: list, master_seed: int) -> dict:
     return done
 
 
-def _run_helper(conn, take, tasks: list, master_seed: int):
-    """A helper process: run units as the calling process does, then send
-    it their records, or the exception that stopped them."""
+def _cpu():
+    """The CPU this process last ran on, field 39 of /proc/self/stat, or
+    None where that cannot be read."""
+    with suppress(OSError, IndexError, ValueError), open("/proc/self/stat", "rb") as fh:
+        return int(fh.read().rpartition(b")")[2].split()[36])
+
+
+def _run_helper(conn, take, tasks: list, master_seed: int, cpu):
+    """A helper process: move to CPU `cpu` (if not None; skipped if the OS
+    refuses) and restore the mask it inherited, so that it starts off the
+    caller's CPU but is not left pinned. Then run units as the caller does,
+    and send it their records, or the exception that stopped them."""
+    if cpu is not None:
+        with suppress(OSError):
+            mask = os.sched_getaffinity(0)
+            os.sched_setaffinity(0, {cpu})
+            os.sched_setaffinity(0, mask)
     try:
         result = _run_units(take, tasks, master_seed)
     except Exception as exc:  # re-raised by the calling process
@@ -380,7 +405,8 @@ def run_sweep(config: ExperimentConfig, out_path=None, threads: int = 1) -> list
     threads is the number of processes that run units, the calling one
     included, capped at the number of (geometry, replicate) pairs and of
     CPUs this process may use. The calling process forks the others as
-    helpers, then every process takes the next unit from one shared
+    helpers, each started on a CPU other than the caller's, on which the OS
+    would leave it. Then every process takes the next unit from one shared
     counter until none is left; with one process the units run in the
     calling thread, in order. A unit is a block of replicates of one
     geometry (see the module docstring). Records and CSV are the same for
@@ -398,15 +424,21 @@ def run_sweep(config: ExperimentConfig, out_path=None, threads: int = 1) -> list
     groups = {}
     for i, cell in enumerate(cells):
         groups.setdefault(_geometry(cell), []).append(i)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    processes = min(threads, len(groups) * config.replicates, cpus or 1)
-    # Each geometry's replicates are split into the fewest near-equal blocks
-    # that give every process at least four units, which evens out units of
-    # unequal cost; serially a block is all of a geometry's replicates.
+    cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
+            else range(os.cpu_count() or 1))
+    processes = min(threads, len(groups) * config.replicates, len(cpus))
+    # Serially a block is all of a geometry's replicates, in grid order. On
+    # more processes each geometry is split into the fewest near-equal blocks
+    # that give every process at least two units, and the units go largest
+    # first by rows drawn (block size x k x d x the sum of the distinct
+    # n_per_cluster), ties in grid order, so that no large unit starts last.
     per_geometry = 1 if processes < 2 else min(config.replicates,
-                                               math.ceil(4 * processes / len(groups)))
+                                               math.ceil(2 * processes / len(groups)))
     blocks = [block.tolist() for block in np.array_split(range(config.replicates), per_geometry)]
     units = [(indices, block) for indices in groups.values() for block in blocks]
+    if processes > 1:
+        units.sort(reverse=True, key=lambda unit: len(unit[1]) * cells[unit[0][0]].k
+                   * cells[unit[0][0]].d * sum({cells[i].n_per_cluster for i in unit[0]}))
     tasks = [([cells[i] for i in indices], block) for indices, block in units]
     with open(out_path, "w", newline="") if out_path else nullcontext() as fh:
         _keep_heap()
@@ -421,11 +453,13 @@ def run_sweep(config: ExperimentConfig, out_path=None, threads: int = 1) -> list
                 fork = "fork" in multiprocessing.get_all_start_methods()
                 context = multiprocessing.get_context("fork" if fork else None)
                 take = partial(_take, context.Value("i", 0))
-                for _ in range(processes - 1):
+                here = _cpu() if hasattr(os, "sched_setaffinity") else None
+                targets = [None] * processes if here is None else sorted(set(cpus) - {here})
+                for cpu in targets[:processes - 1]:
                     reader, writer = context.Pipe(duplex=False)
                     with writer:  # so that recv sees EOF if the helper dies
                         helper = context.Process(target=_run_helper,
-                                                 args=(writer, take, tasks, config.seed))
+                                                 args=(writer, take, tasks, config.seed, cpu))
                         helper.start()
                     helpers.append((reader, helper))
             done = _run_units(take, tasks, config.seed)

@@ -79,14 +79,14 @@ class MixtureSpec:
     def d(self) -> int:
         return self.means.shape[1]
 
-    def draw(self, counts, rng, out=None) -> np.ndarray:
+    def draw(self, counts, rng) -> np.ndarray:
         """counts[l] rows from component l, in component order: the rows
         mu_l + z @ L_l^T for i.i.d. standard normal z. All the z come from
         one draw, which is the same PCG64 stream as one draw per component,
-        and each block's product is written in place, into `out` when it is
-        given, so no block is copied."""
+        and each block's product is written in place, so no block is copied.
+        `draw_rows` draws equal counts for a stack of specs."""
         z = rng.standard_normal((sum(counts), self.d))
-        rows = np.empty_like(z) if out is None else out
+        rows = np.empty_like(z)
         start = 0
         for mean, factor, count in zip(self.means, self.factors, counts):
             block = slice(start, start + count)
@@ -261,9 +261,11 @@ def sample(spec: MixtureSpec, n_per_cluster: int, seed) -> LabeledDataset:
 
 def draw_rows(specs: list, n_per_cluster: int, seeds: list) -> np.ndarray:
     """The rows that `sample` draws for each (spec, seed), specs of one k and
-    d, as one C-ordered stack (len(specs), n, d): each spec draws from its
-    own seed's PCG64 stream straight into its slot, so no rows are copied.
-    The size is checked before the stack is allocated."""
+    d, as one C-ordered stack (len(specs), n, d): each seed's PCG64 stream
+    fills its slot of one (len(specs), k, n_per_cluster, d) block of normals,
+    then one stacked product by the Cholesky factors and one broadcast add of
+    the means make the rows, each slice with the bits of `MixtureSpec.draw`.
+    The size is checked before the block is allocated."""
     k, d = specs[0].k, specs[0].d
     n = n_per_cluster * k
     if n < MIN_ROWS_PER_DIM * d:
@@ -272,10 +274,12 @@ def draw_rows(specs: list, n_per_cluster: int, seeds: list) -> np.ndarray:
             f"{MIN_ROWS_PER_DIM * d} for d = {d}"
         )
     check_size("n_per_cluster", n_per_cluster, len(specs), n, d)
-    rows = np.empty((len(specs), n, d))
-    for spec, seed, slot in zip(specs, seeds, rows):
-        spec.draw((n_per_cluster,) * k, np.random.default_rng(seed), out=slot)
-    return rows
+    z = np.empty((len(specs), k, n_per_cluster, d))
+    for seed, slot in zip(seeds, z):
+        np.random.default_rng(seed).standard_normal(out=slot)
+    rows = z @ np.swapaxes(np.array([spec.factors for spec in specs]), -1, -2)
+    rows += np.array([spec.means for spec in specs])[:, :, None, :]
+    return rows.reshape(len(specs), n, d)
 
 
 def stratified_labels(k: int, n_per_cluster: int) -> np.ndarray:

@@ -179,6 +179,11 @@ def proposition1_bound(n: int, d: int, k: int, alpha: float, lambda_bar_x: float
     alpha = check_weighting(alpha)
     if check_real("lambda_bar_x", lambda_bar_x, 0, strict=False) > 1.0:
         raise ConfigError(f"lambda_bar_x must be in [0, 1], got {lambda_bar_x}")
+    return _bound(n, d, k, alpha, lambda_bar_x)
+
+
+def _bound(n: int, d: int, k: int, alpha: float, lambda_bar_x: float) -> float:
+    """`proposition1_bound` of arguments that are checked already."""
     return (d / alpha) * (lambda_bar_x + math.sqrt(k)) / math.sqrt(n)
 
 
@@ -309,7 +314,7 @@ def analyze_stack(rows: list) -> list:
     for r, lambda_x, lambda_z, predictions, (sss_x, sss_z) in zip(
             rows, _distinctness(y_eigen.values, k).tolist(), z_fisher.distinctness.tolist(),
             predicted, similarity):
-        bound = proposition1_bound(r.n, d, k, r.alpha, lambda_x)
+        bound = _bound(r.n, d, k, r.alpha, lambda_x)
         delta = abs(lambda_z - lambda_x)
         analyses.append(Analysis(
             lambda_bar_x=lambda_x,

@@ -19,6 +19,8 @@ from dataclasses import asdict, astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from structdr import (
     Cell,
@@ -123,6 +125,31 @@ def helper_failing_run_geometry(marker, caller, fail, cells, replicates, master_
         marker.touch()
         fail()
     wait_for(marker.exists)
+    return run_geometry(cells, replicates, master_seed)
+
+
+def task_logging_help(log, conn, take, tasks, master_seed, cpu):
+    """The helper process body, appending the (d, k, block) of each unit,
+    in the order that units are handed out, to `log` first."""
+    with open(log, "a") as fh:
+        fh.write(json.dumps([[cells[0].d, cells[0].k, block] for cells, block in tasks]) + "\n")
+    return run_helper(conn, take, tasks, master_seed, cpu)
+
+
+# The CPU a process last ran on, as the sweep reads it.
+read_cpu = experiment._cpu
+
+
+def placement_logging_run_geometry(log, caller, cells, replicates, master_seed):
+    """The unit function, appending [process id, CPU, affinity mask] to
+    `log` first; `caller` then waits (up to 10 s) until another process has
+    logged, so that a helper runs a unit however the processes are
+    scheduled."""
+    with open(log, "a") as fh:
+        fh.write(json.dumps([os.getpid(), read_cpu(), sorted(os.sched_getaffinity(0))]) + "\n")
+    if os.getpid() == caller:
+        wait_for(lambda: any(json.loads(line)[0] != caller
+                             for line in log.read_text().splitlines()))
     return run_geometry(cells, replicates, master_seed)
 
 
@@ -262,6 +289,19 @@ class TestSeeds:
         assert spec_a == spec_b
         assert data_a != data_b
 
+    @settings(max_examples=200, deadline=None)
+    @given(master=st.integers(0, 2**64 - 1), geometry=st.lists(st.integers(0, 2**64 - 1),
+                                                               min_size=4, max_size=4),
+           replicate=st.integers(0, 2**64 - 1),
+           stream=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=2))
+    @example(master=0, geometry=[2**32 - 1, 2**32, 0, 2**64 - 1], replicate=0, stream=[2, 0])
+    def test_seed_is_the_seed_sequence_of_the_whole_tuple(self, master, geometry, replicate,
+                                                          stream):
+        # the words of (master seed, *geometry) are computed once per unit
+        want = np.random.SeedSequence((master, *geometry, replicate, *stream))
+        got = experiment._seed(experiment._words(master, *geometry), replicate, *stream)
+        assert got == int(want.generate_state(1, np.uint64)[0])
+
 
 class TestRunCell:
     def test_deterministic_record(self):
@@ -374,10 +414,10 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("threads, blocks", [
         (1, [[0, 1, 2, 3, 4, 5, 6]]),
-        # 2 geometries: at least 4 units per process means 4 blocks of each
-        # geometry on 2 processes and 6 on 3
-        (2, [[0, 1], [2, 3], [4, 5], [6]]),
-        (3, [[0, 1], [2], [3], [4], [5], [6]]),
+        # 2 geometries: at least 2 units per process means 2 blocks of each
+        # geometry on 2 processes and 3 on 3
+        (2, [[0, 1, 2, 3], [4, 5, 6]]),
+        (3, [[0, 1, 2], [3, 4], [5, 6]]),
     ])
     def test_uneven_blocks_match_serial(self, monkeypatch, tmp_path, threads, blocks):
         config = small_config(dims=[3, 4], n_per_cluster=[30, 45], replicates=7)
@@ -398,15 +438,23 @@ class TestRunSweep:
         config = small_config(dims=[3, 4], clusters=[2, 3], replicates=10)
         serial = run_sweep(config)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)), raising=False)
+        # 4 geometries, so ceil(2 * 5 / 4) = 3 blocks, of 4, 3 and 3 replicates
+        blocks = [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]
+        # handed out largest first by rows drawn, block size x k x d x 30,
+        # ties in grid order: 1440, 1080 (x3), 960, 810 (x2), 720 (x3), 540 (x2)
+        order = [[4, 3, blocks[0]], [3, 3, blocks[0]], [4, 3, blocks[1]], [4, 3, blocks[2]],
+                 [4, 2, blocks[0]], [3, 3, blocks[1]], [3, 3, blocks[2]], [3, 2, blocks[0]],
+                 [4, 2, blocks[1]], [4, 2, blocks[2]], [3, 2, blocks[1]], [3, 2, blocks[2]]]
         for attempt in range(3):
-            log = tmp_path / f"blocks{attempt}"
+            log, tasks = tmp_path / f"blocks{attempt}", tmp_path / f"tasks{attempt}"
             monkeypatch.setattr(experiment, "_run_geometry",
                                 functools.partial(block_logging_run_geometry, log))
+            monkeypatch.setattr(experiment, "_run_helper",
+                                functools.partial(task_logging_help, tasks))
             assert_same_records(run_sweep(config, threads=5), serial)
             units = sorted(map(json.loads, log.read_text().splitlines()))
-            # 4 geometries, so ceil(4 * 5 / 4) = 5 blocks of 2 replicates each
-            blocks = [[2 * b, 2 * b + 1] for b in range(5)]
             assert units == sorted([d, block] for d in (3, 3, 4, 4) for block in blocks)
+            assert list(map(json.loads, tasks.read_text().splitlines())) == [order] * 4
             assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(available_cpus() < 2, reason="needs 2 CPUs for 2 processes")
@@ -422,11 +470,14 @@ class TestRunSweep:
         assert len(set(pids)) <= 2
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("cpus, helpers", [({0}, 0), ({0, 1}, 1), ({0, 1, 2}, 2)],
-                             ids=["one-cpu", "two-cpus", "three-cpus"])
+    @pytest.mark.parametrize("cpus, helpers", [
+        ({0}, 0), ({0, 1}, 1), ({0, 1, 2}, 2), ({1022, 1023}, 1),
+    ], ids=["one-cpu", "two-cpus", "three-cpus", "absent-cpus"])
     def test_workers_capped_at_available_cpus(self, monkeypatch, tmp_path, cpus, helpers):
         # 8 tasks, so that even a broken cap starts at most 7 helpers; the
-        # calling process is one of the processes that run units
+        # calling process is one of the processes that run units. A helper
+        # moved to a CPU the host lacks stays where it is and runs its units
+        # (the OS refuses the move).
         log = tmp_path / "helpers"
         monkeypatch.setattr(experiment, "_run_helper", functools.partial(pid_logging_help, log))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
@@ -454,6 +505,26 @@ class TestRunSweep:
         assert pooled.read_bytes() == serial.read_bytes()
         assert_same_records(got, want)
         assert any(r.status == "failed" for r in want) == (7 in config.dims)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or available_cpus() < 2,
+                        reason="needs Linux's affinity calls and 2 CPUs for 2 processes")
+    def test_helper_starts_off_the_callers_cpu_with_its_full_mask(self, monkeypatch, tmp_path):
+        # the kernel would leave a forked helper on the caller's CPU; the
+        # helper moves to another, then takes back the mask it inherited
+        config = small_config(dims=[3, 4], replicates=4)
+        serial = run_sweep(config)
+        at_fork = []
+        monkeypatch.setattr(experiment, "_cpu", lambda: at_fork.append(read_cpu()) or at_fork[-1])
+        log = tmp_path / "units"
+        monkeypatch.setattr(experiment, "_run_geometry", functools.partial(
+            placement_logging_run_geometry, log, os.getpid()))
+        assert_same_records(run_sweep(config, threads=2), serial)
+        assert len(at_fork) == 1 and at_fork[0] is not None
+        units = [json.loads(line) for line in log.read_text().splitlines()]
+        helper = [cpu for pid, cpu, _ in units if pid != os.getpid()]
+        assert helper and helper[0] != at_fork[0]
+        assert all(mask == sorted(os.sched_getaffinity(0)) for _, _, mask in units)
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("fail, error, message", [
         (raise_runtime_error, RuntimeError, "a helper's unit failed"),
@@ -655,9 +726,9 @@ class TestSpecReuse:
             counted.append(labels.size)
             return count(labels)
 
-        def recording_seed(*args):
-            streams.append(args[3:])
-            return seed(*args)
+        def recording_seed(prefix, replicate, *stream):
+            streams.append(stream)
+            return seed(prefix, replicate, *stream)
 
         for module in (linalg, mixture, transform, structure, experiment):
             if getattr(module, "cluster_counts", None) is count:
@@ -793,16 +864,25 @@ class TestKeepHeap:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_without_glibc_nothing_is_loaded(self, monkeypatch, tmp_path, threads):
+        # nor can a helper be moved to a CPU of its own: the OS refuses the
+        # move, or has no call for it, and the helper skips the move
         def no_library(*args, **kwargs):
             raise OSError("no C library here")
 
+        def no_move(pid, mask):
+            raise OSError("no affinity here")
+
         monkeypatch.setattr(platform, "libc_ver", lambda: ("", ""))
         monkeypatch.setattr(ctypes, "CDLL", no_library)
-        out = tmp_path / "fig3_d7.csv"
-        run_sweep(replace(recipe("fig3_d7"), replicates=2, seed=0), out_path=out,
-                  threads=threads)
-        with open(os.path.join(DATA, "fig3_d7_r2.csv"), "rb") as fh:
-            assert out.read_bytes() == fh.read()
+        monkeypatch.setattr(os, "sched_setaffinity", no_move, raising=False)
+        for affinity in ("refused", "missing"):
+            if affinity == "missing":
+                monkeypatch.delattr(os, "sched_setaffinity")
+            out = tmp_path / f"fig3_d7_{affinity}.csv"
+            run_sweep(replace(recipe("fig3_d7"), replicates=2, seed=0), out_path=out,
+                      threads=threads)
+            with open(os.path.join(DATA, "fig3_d7_r2.csv"), "rb") as fh:
+                assert out.read_bytes() == fh.read()
 
     @pytest.mark.skipif(not GLIBC, reason="the heap policy applies on glibc only")
     def test_second_sweep_faults_no_rows_back_in(self):

@@ -20,7 +20,7 @@ from structdr import (
 )
 from structdr.errors import DefinitenessError
 from structdr.linalg import cluster_counts
-from structdr.mixture import make_separation_families
+from structdr.mixture import draw_rows, make_separation_families
 
 from oracles import (
     blockwise_sample,
@@ -172,11 +172,19 @@ class TestSample:
     def test_one_draw_equals_blockwise_draws(self, d, k, n_per):
         # one standard-normal draw for all rows is the same PCG64 stream as
         # one draw per component, and the cached factors are the fresh ones
-        for seed in range(3):
-            spec = make_separation_family(d, k, 3.0, 1.5, seed=seed)
+        specs = [make_separation_family(d, k, 3.0, 1.5, seed=seed) for seed in range(4)]
+        for seed, spec in enumerate(specs[:3]):
             got, want = sample(spec, n_per, seed=seed + 10), blockwise_sample(spec, n_per, seed + 10)
             assert got.data.tobytes() == want.data.tobytes()
             np.testing.assert_array_equal(got.labels, want.labels)
+        # a stack of R specs draws each slice from its own stream, and its one
+        # stacked product gives each slice the bits of a per-component draw
+        for replicates in range(1, 5):
+            seeds = [20 + seed for seed in range(replicates)]
+            rows = draw_rows(specs[:replicates], n_per, seeds)
+            assert rows.flags.c_contiguous and rows.shape == (replicates, n_per * k, d)
+            for slot, spec, seed in zip(rows, specs, seeds):
+                assert slot.tobytes() == blockwise_sample(spec, n_per, seed).data.tobytes()
 
     def test_cached_factors_are_the_cholesky_factors(self):
         spec = make_separation_family(6, 4, 2.0, 1.3, seed=3)
@@ -284,7 +292,10 @@ class TestSeparationFamily:
         est = sdist_overlap(spec, 200_000, seed=1)
         assert est.value > 0.95
 
-    @pytest.mark.parametrize("d,mc_samples,seed", [(2, 10_000, 0), (4, 20_001, 1), (9, 30_000, 7)])
+    # draw_rows draws equal counts only; sdist_overlap's odd mc_samples draws
+    # unequal ones through MixtureSpec.draw
+    @pytest.mark.parametrize("d,mc_samples,seed", [(2, 10_000, 0), (4, 20_001, 1), (9, 30_000, 7),
+                                                   (3, 10_003, 5)])
     def test_overlap_estimate_unchanged_by_one_draw(self, d, mc_samples, seed):
         spec = make_separation_family(d, 2, 3.0, 1.0, seed=seed)
         est = sdist_overlap(spec, mc_samples, seed=seed + 1)

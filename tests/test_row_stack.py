@@ -22,7 +22,7 @@ from structdr import (
     run_cell,
     run_sweep,
 )
-from structdr import experiment, mixture
+from structdr import experiment
 from structdr.experiment import derive_seeds
 from structdr.linalg import Clusters
 from structdr.mixture import draw_rows, make_separation_families, sample, stratified_labels
@@ -78,19 +78,20 @@ def test_analyze_and_isotropize_leave_their_data_unchanged():
 def test_two_alphas_share_one_draw_per_replicate(monkeypatch):
     # the data seed leaves alpha out, so both alphas' cells read one sample
     draws = []
-    draw = mixture.MixtureSpec.draw
 
-    def counting(self, counts, rng, out=None):
-        draws.append((self.k, self.d, tuple(counts)))
-        return draw(self, counts, rng, out=out)
+    def counting(specs, n_per_cluster, seeds):
+        draws.extend((spec.k, spec.d, n_per_cluster, seed) for spec, seed in zip(specs, seeds))
+        return draw_rows(specs, n_per_cluster, seeds)
 
-    monkeypatch.setattr(mixture.MixtureSpec, "draw", counting)
+    monkeypatch.setattr(experiment, "draw_rows", counting)
     config = replace(recipe("prop1"), replicates=3, alphas=[0.25, 0.5],
                      n_per_cluster=[100, 300])
     records = run_sweep(config)
-    # 1 geometry x 2 sample sizes x 3 replicates
-    assert len(records) == 12 and len(draws) == 6
-    assert sorted(draws) == sorted((3, 7, (n,) * 3) for n in (100, 300) for _ in range(3))
+    # 1 geometry x 2 sample sizes x 3 replicates, each from its own data seed
+    assert len(records) == 12 and len(draws) == len(set(draws)) == 6
+    assert sorted(draw[:3] for draw in draws) == sorted(
+        (3, 7, n) for n in (100, 300) for _ in range(3))
+    assert {draw[3] for draw in draws} == {r.seed for r in records}
 
 
 def stack_shapes(monkeypatch):
