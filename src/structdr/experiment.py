@@ -8,22 +8,21 @@ size, so cells that differ only in n share the same 50 mixture draws and
 sample-size effects are paired rather than confounded.
 
 A sweep's unit of work is a block of replicates of the cells that share
-a geometry (d, k, separation, dispersion), run in three steps. One
-stacked build makes the block's mixtures, one per replicate. Then, per
-n_per_cluster, the replicates' rows are drawn into C-ordered (R, n, d)
-stacks of at most STACK_VALUES values, which the cells that differ only
-in alpha share, and each stack is reduced to d x d row summaries with one
-numpy call per step, so a unit holds one stack's rows at a time. One
-stacked d x d pass then analyzes every summary of the block.
-Serially a block holds all of a geometry's replicates. On N processes
-(the calling one and N - 1 helpers it forks, each started on a CPU of its
-own and taking the next unit from one shared counter), each geometry's
-replicates are split into the fewest near-equal blocks that give every
-process at least two units, handed out largest first. Records are put
-back in canonical order (grid-major, replicate-minor) either way, so
-repeated runs and any process count produce byte-identical CSV bodies.
-Wall-clock timings are kept on the in-memory records only, never
-serialized.
+a geometry (d, k, separation, dispersion), run as one stack: one build of
+its mixtures, per n_per_cluster C-ordered (R, n, d) row stacks of at most
+STACK_VALUES values (shared by the cells that differ only in alpha, and
+held one at a time), and one d x d pass. If any step raises a module
+error, each record of the block is computed alone, as run_cell computes
+it; each slice of a stack has the bits it has alone, so either way a
+record is the same. Serially a block is all of a geometry's replicates.
+On N processes (the calling one and N - 1 helpers it forks, each started
+on a CPU of its own and taking the next unit from one shared counter),
+each geometry's replicates are split into the fewest near-equal blocks
+that give every process at least two units, handed out largest first.
+Records are put back in canonical order (grid-major, replicate-minor)
+either way, so repeated runs and any process count produce
+byte-identical CSV bodies. Wall-clock timings are kept on the in-memory
+records only, never serialized.
 """
 
 import copy
@@ -46,7 +45,7 @@ from .errors import ConfigError, StructdrError, check_int, check_path, check_rea
 from .linalg import Clusters
 from .mixture import draw_rows, make_separation_families, stratified_labels
 from .structure import analyze_stack, row_pass
-from .transform import SCHEMES, check_weighting
+from .transform import check_scheme
 
 CSV_SCHEMA_LINE = "# schema=1"
 MAX_CLUSTER_CAP = 10
@@ -76,6 +75,14 @@ GRID_AXES = {
 }
 
 
+def _check_grid_pair(d: int, k: int):
+    """The rule for a grid pair (d, k), of a config's grid or of run_cell's cell."""
+    if d <= k - 1:
+        raise ConfigError(f"grid pair (d={d}, k={k}) violates d > k - 1")
+    if k > min(d, MAX_CLUSTER_CAP):
+        raise ConfigError(f"grid pair (d={d}, k={k}) violates k <= min(d, {MAX_CLUSTER_CAP})")
+
+
 @dataclass
 class ExperimentConfig:
     """Sweep grid plus execution parameters. Grid axes may be empty, in
@@ -100,15 +107,9 @@ class ExperimentConfig:
             setattr(self, name, [rule(name, value) for value in values])
         self.replicates = check_int("replicates", self.replicates, 1)
         self.seed = check_int("seed", self.seed, 0, count=False)
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
+        check_scheme(self.scheme)
         for d, k in itertools.product(self.dims, self.clusters):
-            if d <= k - 1:
-                raise ConfigError(f"grid pair (d={d}, k={k}) violates d > k - 1")
-            if k > min(d, MAX_CLUSTER_CAP):
-                raise ConfigError(
-                    f"grid pair (d={d}, k={k}) violates k <= min(d, {MAX_CLUSTER_CAP})"
-                )
+            _check_grid_pair(d, k)
 
     def cells(self) -> list:
         """Grid cells in canonical (grid-major) order."""
@@ -237,85 +238,65 @@ def derive_seeds(master_seed: int, cell: Cell, replicate: int) -> tuple:
     return _seed(prefix, replicate, 1), _seed(prefix, replicate, 2, cell.n_per_cluster)
 
 
-def _fail(record: ExperimentRecord, exc: Exception):
-    record.status = "failed"
-    record.reason = f"{type(exc).__name__}: {exc}"
-
-
-def _each(stacked, items: list) -> list:
-    """One result per item from one stacked call, stacked(items). When that
-    fails, each item is rerun as a stack of one, so that a failing item gets
-    its own error in place of a result."""
-    try:
-        return stacked(items)
-    except FAILURES as exc:
-        if len(items) == 1:
-            return [exc]
-        return [result for item in items for result in _each(stacked, [item])]
-
-
-def _row_items(specs: list, n_per_cluster: int, seeds: list, clusters: Clusters, scheme: str,
-               items: list) -> list:
-    """The rows drawn for (replicate, alpha) pairs of a stack and their
-    `row_pass`: all of the stack's pairs, replicate-major, or one pair, whose
-    replicate is drawn again as a stack of one, with the same bits. A spec
-    whose build failed raises its error."""
-    first, last = items[0][0], items[-1][0] + 1
-    alphas = [alpha for i, alpha in items if i == first]
-    for spec in specs[first:last]:
-        if isinstance(spec, Exception):
-            raise spec
-    return row_pass(draw_rows(specs[first:last], n_per_cluster, seeds[first:last]), clusters,
-                    alphas, scheme)
-
-
-def _run_geometry(cells: list, replicates: list, master_seed: int) -> list:
-    """A block of replicates of cells that share a geometry. One stacked
-    build makes the replicates' mixtures. The cells that share a sample
-    size share their rows, since the data seed leaves alpha out: per such
-    group, the replicates' rows are drawn into stacks of at most
-    STACK_VALUES values, each stack row-passed with one numpy call per
-    step, and dropped before the next is drawn. Then one stacked d x d pass
-    analyzes every summary. Records come replicate by replicate, in cell
-    order. Module errors mark a record failed instead of aborting the
-    sweep; each record's elapsed_seconds is an equal share of the block's
-    time."""
-    start = time.perf_counter()
+def _analyze_block(cells: list, replicates: list, prefix: list, seeds: dict, specs: dict) -> list:
+    """The Analysis of each (replicate, cell) of a block of cells that share
+    a geometry, replicate-major, as one stack; the first error is raised.
+    One stacked build adds the mixtures that `specs` (replicate -> mixture)
+    lacks. Cells that differ only in alpha share their rows (the data seed
+    leaves alpha out), drawn into stacks of at most STACK_VALUES values, each
+    row-passed with one numpy call per step and freed before the next is
+    drawn; then one stacked d x d pass analyzes every summary."""
     first = cells[0]
-    prefix = _words(master_seed, *_geometry(first))
-    build = partial(make_separation_families, first.d, first.k, first.separation, first.dispersion)
-    specs = _each(build, [_seed(prefix, rep, 1) for rep in replicates])
-    groups = {}  # n_per_cluster -> indices of its cells
-    for i, cell in enumerate(cells):
-        groups.setdefault(cell.n_per_cluster, []).append(i)
-    # the data seed is stream (2, n_per_cluster) of the geometry's replicate
-    seeds = {(rep, n): _seed(prefix, rep, 2, n) for rep in replicates for n in groups}
-    records = [ExperimentRecord(*cell, replicate=rep, seed=seeds[rep, cell.n_per_cluster])
-               for rep in replicates for cell in cells]
-    pending = []
-    for n, indices in groups.items():
+    new = [rep for rep in replicates if rep not in specs]
+    if new:
+        specs.update(zip(new, make_separation_families(
+            first.d, first.k, first.separation, first.dispersion,
+            [_seed(prefix, rep, 1) for rep in new])))
+    summaries = {}  # (replicate, cell index) -> its row summary
+    for n in dict.fromkeys(cell.n_per_cluster for cell in cells):
+        indices = [i for i, cell in enumerate(cells) if cell.n_per_cluster == n]
         clusters = Clusters.of(stratified_labels(first.k, n))
         alphas = [cells[i].alpha for i in indices]
         per_stack = max(1, STACK_VALUES // (n * first.k * first.d))
         for lo in range(0, len(replicates), per_stack):
-            stack = range(lo, min(lo + per_stack, len(replicates)))
-            row_items = partial(_row_items, [specs[p] for p in stack], n,
-                                [seeds[replicates[p], n] for p in stack], clusters, first.scheme)
-            items = [(j, alpha) for j in range(len(stack)) for alpha in alphas]
-            summaries = _each(row_items, items)
-            slots = [records[p * len(cells) + i] for p in stack for i in indices]
-            for record, summary in zip(slots, summaries):
-                if isinstance(summary, Exception):
-                    _fail(record, summary)
-                else:
-                    pending.append((record, summary))
-    analyses = _each(analyze_stack, [summary for _, summary in pending])
-    for (record, _), result in zip(pending, analyses):
-        if isinstance(result, Exception):
-            _fail(record, result)
-            continue
-        for name in ExperimentRecord.CSV_FIELDS[_OUTCOME_START:]:
-            setattr(record, name, getattr(result, _ANALYSIS_FIELDS.get(name, name)))
+            stack = replicates[lo:lo + per_stack]
+            # row_pass frees the rows only if no other reference holds them
+            passed = row_pass(draw_rows([specs[rep] for rep in stack], n,
+                                        [seeds[rep, n] for rep in stack]),
+                              clusters, alphas, first.scheme)
+            summaries.update(zip(itertools.product(stack, indices), passed))
+    return analyze_stack([summaries[rep, i] for rep in replicates for i in range(len(cells))])
+
+
+def _run_geometry(cells: list, replicates: list, master_seed: int, specs=None) -> list:
+    """A block of replicates of cells that share a geometry, as one stack
+    (_analyze_block); records come replicate by replicate, in cell order.
+    If the stack raises a module error, each (replicate, cell) of a larger
+    block runs alone as run_cell runs it, reusing its replicate's mixture
+    once the unit has built it (`specs`), and a block of one is recorded as
+    failed with that error. Each elapsed_seconds is an equal share of the
+    block's time."""
+    start = time.perf_counter()
+    specs = {} if specs is None else specs
+    prefix = _words(master_seed, *_geometry(cells[0]))
+    # the data seed is stream (2, n_per_cluster) of the geometry's replicate
+    seeds = {(rep, n): _seed(prefix, rep, 2, n)
+             for rep in replicates for n in {cell.n_per_cluster for cell in cells}}
+    records = [ExperimentRecord(*cell, replicate=rep, seed=seeds[rep, cell.n_per_cluster])
+               for rep in replicates for cell in cells]
+    try:
+        analyses = _analyze_block(cells, replicates, prefix, seeds, specs)
+    except FAILURES as exc:
+        if len(records) > 1:
+            records = [_run_geometry([cell], [rep], master_seed, specs)[0]
+                       for rep in replicates for cell in cells]
+        else:
+            records[0].status = "failed"
+            records[0].reason = f"{type(exc).__name__}: {exc}"
+    else:
+        for record, result in zip(records, analyses):
+            for name in ExperimentRecord.CSV_FIELDS[_OUTCOME_START:]:
+                setattr(record, name, getattr(result, _ANALYSIS_FIELDS.get(name, name)))
     elapsed = (time.perf_counter() - start) / len(records)
     for record in records:
         record.elapsed_seconds = elapsed
@@ -327,13 +308,14 @@ def run_cell(cell: Cell, replicate: int, master_seed: int) -> ExperimentRecord:
     and one replicate: draw a mixture and a sample, then analyze them as a
     stack of one, giving the subspace similarity on the raw and weighted
     data and the distinctness shift against the closed-form bound. The
-    cell's fields pass the rules of the grid axes and the scheme's before
-    any work."""
+    cell passes a config's rules before any work: each field its grid
+    axis's, (d, k) the grid pair's and the scheme check_scheme."""
     if not isinstance(cell, Cell):
         raise ConfigError(f"cell must be a Cell, got {cell!r}")
     cell = cell._replace(**{coord: rule(f"cell.{coord}", getattr(cell, coord))
                             for coord, rule in GRID_AXES.values()})
-    check_weighting(cell.alpha, cell.scheme)
+    _check_grid_pair(cell.d, cell.k)
+    check_scheme(cell.scheme)
     replicate = check_int("replicate", replicate, 0)
     master_seed = check_int("master_seed", master_seed, 0, count=False)
     return _run_geometry([cell], [replicate], master_seed)[0]

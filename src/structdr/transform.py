@@ -65,11 +65,17 @@ def check_rows(rows: np.ndarray):
         raise ConfigError(f"need n > d, got n = {n}, d = {d}")
 
 
+def check_scheme(scheme) -> str:
+    """scheme, once it is one of SCHEMES."""
+    if scheme not in SCHEMES:
+        raise ConfigError(f"unknown weighting scheme {scheme!r}; expected one of {SCHEMES}")
+    return scheme
+
+
 def check_weighting(alpha, scheme="hyperbolic") -> float:
     """alpha as a float, once it is a finite real > 0 and scheme is in SCHEMES."""
     alpha = check_real("weighting parameter alpha", alpha, 0)
-    if scheme not in SCHEMES:
-        raise ConfigError(f"unknown weighting scheme {scheme!r}; expected one of {SCHEMES}")
+    check_scheme(scheme)
     return alpha
 
 

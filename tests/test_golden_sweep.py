@@ -11,6 +11,16 @@ goldens byte for byte, on one worker process and on two. `prop1` at 3
 replicates with alphas 0.25 and 0.5, whose cells share one sample per
 replicate, must reproduce `tests/data/prop1_two_alphas_r3.csv`, written
 before the cells shared it, on one, two and three processes.
+
+`prop1` at 3 replicates over clusters 3 and 5, n_per_cluster 100 and 300,
+alphas 1e-5 and 0.5 and dispersions 1.0 and 1e-200, with exponential
+weights, must reproduce `tests/data/prop1_failures_r3.csv` on one, two and
+three processes. Of its 48 records, 24 fail in the mixture build (the
+covariances underflow at dispersion 1e-200) and 12 in the row pass (a
+weight underflows at alpha 1e-5), and the other 12 are ok records of units
+that have failing records. It was written before a failing unit fell back
+to running each of its records alone, and no reason in it prints a number
+at roundoff level.
 """
 
 import importlib.util
@@ -56,3 +66,13 @@ def test_two_alphas_sharing_a_sample_write_golden_bytes(tmp_path, threads):
     run_sweep(replace(recipe("prop1"), replicates=3, seed=0, alphas=[0.25, 0.5]), out_path=out,
               threads=threads)
     assert out.read_bytes() == (DATA / "prop1_two_alphas_r3.csv").read_bytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_failing_units_write_golden_bytes(tmp_path, threads):
+    out = tmp_path / "prop1_failures.csv"
+    config = replace(recipe("prop1"), replicates=3, seed=0, clusters=[3, 5],
+                     n_per_cluster=[100, 300], alphas=[1e-5, 0.5], dispersions=[1.0, 1e-200],
+                     scheme="exponential")
+    run_sweep(config, out_path=out, threads=threads)
+    assert out.read_bytes() == (DATA / "prop1_failures_r3.csv").read_bytes()

@@ -149,13 +149,16 @@ def test_only_structdr_errors_escape(valid_calls, name, argument, data):
     ("dispersion", math.inf, "cell.dispersion must be finite and > 0, got inf"),
     ("scheme", "parabolic",
      "unknown weighting scheme 'parabolic'; expected one of ('hyperbolic', 'exponential')"),
+    # the grid pair's rule, as a config states it
+    ("k", 21, "grid pair (d=20, k=21) violates d > k - 1"),
+    ("k", 12, "grid pair (d=20, k=12) violates k <= min(d, 10)"),
 ])
 def test_run_cell_checks_its_cell_before_any_work(monkeypatch, field, value, message):
     def no_build(*args):
         raise AssertionError("a mixture was built")
 
     monkeypatch.setattr(structdr.experiment, "make_separation_families", no_build)
-    cell = structdr.Cell(2, 2, 50, 0.5, 4.0, 1.0, "hyperbolic")._replace(**{field: value})
+    cell = structdr.Cell(20, 2, 100, 0.5, 10.0, 1.0, "hyperbolic")._replace(**{field: value})
     with pytest.raises(ConfigError) as caught:
         structdr.run_cell(cell, 0, 0)
     assert str(caught.value) == message

@@ -2,11 +2,13 @@
 C-ordered (R, n, d) stack and row-passes it with one numpy call per step.
 Each dataset of a stack must get, bit for bit, the row summary it gets as a
 stack of one; a stack is cut so that it holds at most STACK_VALUES values
-unless one replicate is larger; and a failing replicate in the middle of a
-stack fails alone, with its own error.
+unless one replicate is larger; each stack is freed before the next is
+weighted; and a failing replicate in the middle of a stack fails alone,
+with its own error, while a failing unit of one runs once.
 """
 
 import math
+import weakref
 from dataclasses import asdict, replace
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structdr import (
+    Cell,
     ExperimentConfig,
     LabeledDataset,
     RankError,
@@ -22,7 +25,7 @@ from structdr import (
     run_cell,
     run_sweep,
 )
-from structdr import experiment
+from structdr import experiment, structure
 from structdr.experiment import derive_seeds
 from structdr.linalg import Clusters
 from structdr.mixture import draw_rows, make_separation_families, sample, stratified_labels
@@ -94,6 +97,28 @@ def test_two_alphas_share_one_draw_per_replicate(monkeypatch):
     assert {draw[3] for draw in draws} == {r.seed for r in records}
 
 
+def test_each_drawn_stack_is_freed_before_the_next_is_weighted(monkeypatch):
+    # row_pass drops the rows once Y is formed, which frees them only if the
+    # sweep keeps no reference to the stack: one held in a local would stay
+    # alive while the next sample size's stack is drawn and weighted
+    drawn = []
+    weighted_rows = structure.weighted_rows
+
+    def tracked(specs, n_per_cluster, seeds):
+        rows = draw_rows(specs, n_per_cluster, seeds)
+        drawn.append(weakref.ref(rows))
+        return rows
+
+    def checked(iso, weights):
+        assert drawn and all(ref() is None for ref in drawn)
+        return weighted_rows(iso, weights)
+
+    monkeypatch.setattr(experiment, "draw_rows", tracked)
+    monkeypatch.setattr(structure, "weighted_rows", checked)
+    records = run_sweep(replace(recipe("prop1"), replicates=2, n_per_cluster=[100, 300]))
+    assert len(drawn) == 2 and all(r.status == "ok" for r in records)
+
+
 def stack_shapes(monkeypatch):
     """The shape of every stack that the sweep draws."""
     shapes = []
@@ -148,6 +173,32 @@ def test_stacks_cut_by_the_budget_equal_each_replicate_alone(monkeypatch):
     for record in got + fresh:
         record.pop("elapsed_seconds")
     assert repr(got) == repr(fresh)
+
+
+def test_a_failing_unit_of_one_runs_once(monkeypatch):
+    # a unit of one (replicate, cell), such as run_cell's, records the error
+    # of its one attempt, with no second run alone
+    shapes = stack_shapes(monkeypatch)
+    record = run_cell(Cell(7, 3, 100, 1e-5, 10.0, 1.0, "exponential"), 0, 0)
+    assert record.status == "failed" and record.reason.startswith("ConfigError: alpha = 1e-05")
+    assert shapes == [(1, 300, 7)]
+
+
+def test_a_failing_unit_builds_each_mixture_once(monkeypatch):
+    # the unit's row pass fails at alpha 1e-5, so each of its records runs
+    # alone, with the mixture that the unit's stacked build made for its
+    # replicate
+    built = []
+
+    def counting(d, k, separation, dispersion, seeds):
+        built.extend(seeds)
+        return make_separation_families(d, k, separation, dispersion, seeds)
+
+    monkeypatch.setattr(experiment, "make_separation_families", counting)
+    records = run_sweep(replace(recipe("prop1"), replicates=3, alphas=[1e-5, 0.5],
+                                scheme="exponential"))
+    assert [r.status for r in records] == ["failed"] * 3 + ["ok"] * 3
+    assert len(built) == len(set(built)) == 3
 
 
 def rank_deficient(rows):
