@@ -15,10 +15,12 @@ held one at a time), and one d x d pass. If any step raises a module
 error, each record of the block is computed alone, as run_cell computes
 it; each slice of a stack has the bits it has alone, so either way a
 record is the same. Serially a block is all of a geometry's replicates.
-On N processes (the calling one and N - 1 helpers it forks, each started
-on a CPU of its own and taking the next unit from one shared counter),
-each geometry's replicates are split into the fewest near-equal blocks
-that give every process at least two units, handed out largest first.
+On N processes (the calling one and N - 1 helpers, forked by its first
+sweep that needs them and kept, idle, for its later ones; at every sweep
+each helper moves to a CPU other than the caller's, and every process
+takes the next unit from one shared counter), each geometry's replicates
+are split into the fewest near-equal blocks that give every process at
+least two units, handed out largest first.
 Records are put back in canonical order (grid-major, replicate-minor)
 either way, so repeated runs and any process count produce
 byte-identical CSV bodies. Wall-clock timings are kept on the in-memory
@@ -33,6 +35,7 @@ import json
 import math
 import os
 import platform
+import threading
 import time
 from contextlib import nullcontext, suppress
 from dataclasses import asdict, dataclass, field, fields
@@ -364,10 +367,11 @@ def _cpu():
 
 
 def _run_helper(conn, take, tasks: list, master_seed: int, cpu):
-    """A helper process: move to CPU `cpu` (if not None; skipped if the OS
-    refuses) and restore the mask it inherited, so that it starts off the
-    caller's CPU but is not left pinned. Then run units as the caller does,
-    and send it their records, or the exception that stopped them."""
+    """One sweep in a helper process: move to CPU `cpu` (if not None;
+    skipped if the OS refuses) and restore the mask it inherited, so that
+    it runs off the caller's CPU but is not left pinned. Then run units as
+    the caller does, and send it their records, or the exception that
+    stopped them."""
     if cpu is not None:
         with suppress(OSError):
             mask = os.sched_getaffinity(0)
@@ -380,24 +384,111 @@ def _run_helper(conn, take, tasks: list, master_seed: int, cpu):
     conn.send(result)
 
 
+def _serve(conn, take):
+    """A helper process: run each sweep that the calling process sends over
+    `conn`, as (tasks, master seed, CPU), with _run_helper, until the
+    caller's end of the pipe closes."""
+    while True:
+        try:
+            sweep = conn.recv()
+        except EOFError:
+            return
+        _run_helper(conn, take, *sweep)
+
+
+# This process's sweep helpers, each (connection, process) in fork order
+# and idle between sweeps, the unit counter that they share with it, made
+# with the first helper, and the lock that a sweep on more than one
+# process holds while it uses them.
+_helpers = []
+_counter = None
+_helpers_lock = threading.Lock()
+
+
+def _fork_helpers(count: int) -> list:
+    """The first `count` of this process's helpers, forking those it lacks
+    (all of them again if one has died), with the unit counter reset."""
+    global _counter
+    import multiprocessing
+
+    if not all(helper.is_alive() for _, helper in _helpers):
+        _stop_helpers()
+    # Forked helpers start with numpy and structdr imported; a fresh import
+    # in each would cost more than a short sweep.
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if fork else None)
+    if _counter is None:
+        _counter = context.Value("i", 0)
+    while len(_helpers) < count:
+        conn, end = context.Pipe()
+        helper = context.Process(target=_serve, args=(end, partial(_take, _counter)),
+                                 daemon=True)
+        # listed before the fork, so that _forget_helpers closes the helper's
+        # copy of conn: its recv sees EOF once the caller's end closes
+        _helpers.append((conn, helper))
+        with end:
+            helper.start()
+    _counter.value = 0
+    return _helpers[:count]
+
+
+def _stop_helpers():
+    """Stop and join every helper of this process and close its pipe; the
+    next sweep on more than one process forks new ones."""
+    while _helpers:
+        conn, helper = _helpers.pop()
+        if helper.pid is not None:  # None if its fork failed
+            helper.terminate()
+            helper.join()
+        conn.close()
+
+
+def _forget_helpers():
+    """In a child forked from this process, a helper included: forget the
+    caller's helpers, counter and lock (which a thread of the caller may
+    hold). The child's copies of the caller's pipe ends are closed, so that
+    each helper still sees EOF when the caller's end closes, and
+    multiprocessing forgets the helpers too, or it would stop them when the
+    child exits."""
+    global _counter, _helpers_lock
+    if _helpers:
+        from multiprocessing import process
+
+        for conn, helper in _helpers:
+            conn.close()
+            process._children.discard(helper)
+        _helpers.clear()
+    _counter = None
+    _helpers_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
+
+
 def run_sweep(config: ExperimentConfig, out_path=None, threads: int = 1) -> list:
     """Run every (cell, replicate) pair and write the CSV to out_path if
     one is given.
 
     threads is the number of processes that run units, the calling one
     included, capped at the number of (geometry, replicate) pairs and of
-    CPUs this process may use. The calling process forks the others as
-    helpers, each started on a CPU other than the caller's, on which the OS
-    would leave it. Then every process takes the next unit from one shared
-    counter until none is left; with one process the units run in the
-    calling thread, in order. A unit is a block of replicates of one
-    geometry (see the module docstring). Records and CSV are the same for
-    any threads. The output file is opened before any computation so an
-    unwritable path fails fast, and only the calling process writes it.
-    Every process that runs units keeps its freed heap; see _keep_heap.
-    The exception that stops a helper is raised here, and a helper that
-    dies before sending gives a StructdrError; every helper is stopped
-    and joined before run_sweep returns or raises.
+    CPUs this process may use. The calling process runs units beside
+    threads - 1 helpers. It forks only those it lacks and keeps them,
+    idle, for its later sweeps; a child forked from it forks its own, and
+    the sweeps of its threads take turns on them. At every sweep each
+    helper is sent the units and a CPU other than the caller's, moves
+    there and takes back its inherited mask. Then every process takes the
+    next unit from one shared counter until none is left; with one
+    process the units run in the calling thread, in order. A unit is a
+    block of replicates of one geometry (see the module docstring).
+    Records and CSV are the same for any threads. The output file is
+    opened before any computation so an unwritable path fails fast, and
+    only the calling process writes it. Every process that runs units
+    keeps its freed heap; see _keep_heap. The exception that stops a
+    helper is raised here, and a helper that dies before sending gives a
+    StructdrError. On any exception in a sweep with helpers, every helper
+    is stopped and joined before it propagates; helpers left idle exit
+    with the calling process.
     """
     threads = check_int("threads", threads, 1)
     if out_path is not None:
@@ -422,32 +513,23 @@ def run_sweep(config: ExperimentConfig, out_path=None, threads: int = 1) -> list
         units.sort(reverse=True, key=lambda unit: len(unit[1]) * cells[unit[0][0]].k
                    * cells[unit[0][0]].d * sum({cells[i].n_per_cluster for i in unit[0]}))
     tasks = [([cells[i] for i in indices], block) for indices, block in units]
-    with open(out_path, "w", newline="") if out_path else nullcontext() as fh:
+    with (open(out_path, "w", newline="") if out_path else nullcontext() as fh,
+          _helpers_lock if processes > 1 else nullcontext()):
         _keep_heap()
-        helpers = []  # (connection, process) of each helper started
+        helpers = []
         try:
             take = itertools.count().__next__
             if processes > 1:
-                # Forked helpers start with numpy and structdr imported; a
-                # fresh import in each would cost more than a short sweep.
-                import multiprocessing
-
-                fork = "fork" in multiprocessing.get_all_start_methods()
-                context = multiprocessing.get_context("fork" if fork else None)
-                take = partial(_take, context.Value("i", 0))
+                helpers = _fork_helpers(processes - 1)
+                take = partial(_take, _counter)
                 here = _cpu() if hasattr(os, "sched_setaffinity") else None
                 targets = [None] * processes if here is None else sorted(set(cpus) - {here})
-                for cpu in targets[:processes - 1]:
-                    reader, writer = context.Pipe(duplex=False)
-                    with writer:  # so that recv sees EOF if the helper dies
-                        helper = context.Process(target=_run_helper,
-                                                 args=(writer, take, tasks, config.seed, cpu))
-                        helper.start()
-                    helpers.append((reader, helper))
+                for (conn, _), cpu in zip(helpers, targets):
+                    conn.send((tasks, config.seed, cpu))
             done = _run_units(take, tasks, config.seed)
-            for reader, helper in helpers:
+            for conn, helper in helpers:
                 try:
-                    result = reader.recv()
+                    result = conn.recv()
                 except EOFError:  # the helper died without sending
                     helper.join()
                     raise StructdrError(f"a sweep helper process exited with code "
@@ -455,12 +537,10 @@ def run_sweep(config: ExperimentConfig, out_path=None, threads: int = 1) -> list
                 if isinstance(result, Exception):
                     raise result
                 done.update(result)
-        finally:
-            # A helper that has sent its records has nothing left to do.
-            for reader, helper in helpers:
-                helper.terminate()
-                helper.join()
-                reader.close()
+        except BaseException:
+            if processes > 1:  # a helper may still be running units of this sweep
+                _stop_helpers()
+            raise
         order = [i * config.replicates + rep
                  for indices, block in units for rep in block for i in indices]
         results = itertools.chain.from_iterable(done[i] for i in range(len(tasks)))

@@ -140,17 +140,79 @@ def task_logging_help(log, conn, take, tasks, master_seed, cpu):
 read_cpu = experiment._cpu
 
 
-def placement_logging_run_geometry(log, caller, cells, replicates, master_seed):
-    """The unit function, appending [process id, CPU, affinity mask] to
-    `log` first; `caller` then waits (up to 10 s) until another process has
-    logged, so that a helper runs a unit however the processes are
-    scheduled."""
+def placement_logging_run_geometry(log_dir, caller, cells, replicates, master_seed):
+    """The unit function, appending [process id, CPU, affinity mask] first
+    to the log of its sweep, `log_dir` / units<master seed>; `caller` then
+    waits (up to 10 s) until another process has logged there, so that a
+    helper runs a unit of each sweep however the processes are scheduled."""
+    log = log_dir / f"units{master_seed}"
     with open(log, "a") as fh:
         fh.write(json.dumps([os.getpid(), read_cpu(), sorted(os.sched_getaffinity(0))]) + "\n")
     if os.getpid() == caller:
         wait_for(lambda: any(json.loads(line)[0] != caller
                              for line in log.read_text().splitlines()))
     return run_geometry(cells, replicates, master_seed)
+
+
+def assert_helpers_idle(count):
+    """After a sweep that returned: the process keeps `count` helpers for
+    its next sweep, alive, idle (nothing unread on their pipes) and its only
+    child processes, and none is left once they are stopped."""
+    helpers = experiment._helpers
+    assert len(helpers) == count
+    assert all(helper.is_alive() and not conn.poll() for conn, helper in helpers)
+    assert set(multiprocessing.active_children()) == {helper for _, helper in helpers}
+    experiment._stop_helpers()
+    assert experiment._helpers == []
+    assert multiprocessing.active_children() == []
+
+
+def helper_pids():
+    return [helper.pid for _, helper in experiment._helpers]
+
+
+def running(pid):
+    """Whether process `pid` exists and is not a zombie (Linux)."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as fh:
+            return fh.read().rpartition(b")")[2].split()[0] not in (b"Z", b"X")
+    except FileNotFoundError:
+        return False
+
+
+# The body of a helper process, which the tests below wrap.
+serve = experiment._serve
+
+
+def fork_logging_serve(log, *args):
+    """The helper process body, appending its process id to `log` once,
+    when the helper starts."""
+    with open(log, "a") as fh:
+        fh.write(f"{os.getpid()}\n")
+    return serve(*args)
+
+
+def run_script(code, *args):
+    """Run `code` in a fresh interpreter that imports this structdr, with
+    BLAS on one thread; returns the CompletedProcess."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(experiment.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code), *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+# The affinity call, which the test of helper placement wraps.
+set_affinity = getattr(os, "sched_setaffinity", None)
+
+
+def move_logging_set_affinity(log, pid, mask):
+    """os.sched_setaffinity, appending [process id, sorted mask] to `log`
+    first."""
+    with open(log, "a") as fh:
+        fh.write(json.dumps([os.getpid(), sorted(mask)]) + "\n")
+    return set_affinity(pid, mask)
 
 
 def raise_runtime_error():
@@ -445,17 +507,21 @@ class TestRunSweep:
         order = [[4, 3, blocks[0]], [3, 3, blocks[0]], [4, 3, blocks[1]], [4, 3, blocks[2]],
                  [4, 2, blocks[0]], [3, 3, blocks[1]], [3, 3, blocks[2]], [3, 2, blocks[0]],
                  [4, 2, blocks[1]], [4, 2, blocks[2]], [3, 2, blocks[1]], [3, 2, blocks[2]]]
-        for attempt in range(3):
-            log, tasks = tmp_path / f"blocks{attempt}", tmp_path / f"tasks{attempt}"
-            monkeypatch.setattr(experiment, "_run_geometry",
-                                functools.partial(block_logging_run_geometry, log))
-            monkeypatch.setattr(experiment, "_run_helper",
-                                functools.partial(task_logging_help, tasks))
+        # the same 4 helpers serve each sweep, with the counter reset
+        log, tasks = tmp_path / "blocks", tmp_path / "tasks"
+        monkeypatch.setattr(experiment, "_run_geometry",
+                            functools.partial(block_logging_run_geometry, log))
+        monkeypatch.setattr(experiment, "_run_helper",
+                            functools.partial(task_logging_help, tasks))
+        pids = []
+        for sweeps in range(1, 4):
             assert_same_records(run_sweep(config, threads=5), serial)
             units = sorted(map(json.loads, log.read_text().splitlines()))
-            assert units == sorted([d, block] for d in (3, 3, 4, 4) for block in blocks)
-            assert list(map(json.loads, tasks.read_text().splitlines())) == [order] * 4
-            assert multiprocessing.active_children() == []
+            assert units == sorted([d, block] for d in (3, 3, 4, 4) * sweeps for block in blocks)
+            assert list(map(json.loads, tasks.read_text().splitlines())) == [order] * 4 * sweeps
+            pids.append(helper_pids())
+        assert pids == [pids[0]] * 3
+        assert_helpers_idle(4)
 
     @pytest.mark.skipif(available_cpus() < 2, reason="needs 2 CPUs for 2 processes")
     def test_two_threads_compute_records_in_worker_processes(self, monkeypatch, tmp_path):
@@ -468,7 +534,7 @@ class TestRunSweep:
         assert len(records) == len(pids) == 8
         assert os.getpid() in pids
         assert len(set(pids)) <= 2
-        assert multiprocessing.active_children() == []
+        assert_helpers_idle(1)
 
     @pytest.mark.parametrize("cpus, helpers", [
         ({0}, 0), ({0, 1}, 1), ({0, 1, 2}, 2), ({1022, 1023}, 1),
@@ -486,7 +552,7 @@ class TestRunSweep:
         started = log.read_text().split() if log.exists() else []
         assert len(started) == len(set(started)) == helpers
         assert str(os.getpid()) not in started
-        assert multiprocessing.active_children() == []
+        assert_helpers_idle(helpers)
         assert_same_records(records, run_sweep(config))
 
     @pytest.mark.parametrize("threads", [2, 3])
@@ -501,30 +567,43 @@ class TestRunSweep:
         serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
         want = run_sweep(config, out_path=serial, threads=1)
         got = run_sweep(config, out_path=pooled, threads=threads)
-        assert multiprocessing.active_children() == []
+        assert_helpers_idle(min(threads, available_cpus(), len(config.dims) * config.replicates)
+                            - 1)
         assert pooled.read_bytes() == serial.read_bytes()
         assert_same_records(got, want)
         assert any(r.status == "failed" for r in want) == (7 in config.dims)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux") or available_cpus() < 2,
                         reason="needs Linux's affinity calls and 2 CPUs for 2 processes")
-    def test_helper_starts_off_the_callers_cpu_with_its_full_mask(self, monkeypatch, tmp_path):
-        # the kernel would leave a forked helper on the caller's CPU; the
+    def test_helper_leaves_the_callers_cpu_at_every_sweep_with_its_full_mask(self, monkeypatch,
+                                                                              tmp_path):
+        # the kernel would leave a forked helper on the caller's CPU, and may
+        # wake a kept helper there for a later sweep; at every sweep the
         # helper moves to another, then takes back the mask it inherited
-        config = small_config(dims=[3, 4], replicates=4)
-        serial = run_sweep(config)
-        at_fork = []
-        monkeypatch.setattr(experiment, "_cpu", lambda: at_fork.append(read_cpu()) or at_fork[-1])
-        log = tmp_path / "units"
+        configs = [small_config(dims=[3, 4], replicates=4, seed=seed) for seed in (7, 8, 9)]
+        serial = [run_sweep(config) for config in configs]
+        at_sweep, moves = [], tmp_path / "moves"
+        monkeypatch.setattr(experiment, "_cpu", lambda: at_sweep.append(read_cpu()) or at_sweep[-1])
+        monkeypatch.setattr(os, "sched_setaffinity",
+                            functools.partial(move_logging_set_affinity, moves))
         monkeypatch.setattr(experiment, "_run_geometry", functools.partial(
-            placement_logging_run_geometry, log, os.getpid()))
-        assert_same_records(run_sweep(config, threads=2), serial)
-        assert len(at_fork) == 1 and at_fork[0] is not None
-        units = [json.loads(line) for line in log.read_text().splitlines()]
-        helper = [cpu for pid, cpu, _ in units if pid != os.getpid()]
-        assert helper and helper[0] != at_fork[0]
-        assert all(mask == sorted(os.sched_getaffinity(0)) for _, _, mask in units)
-        assert multiprocessing.active_children() == []
+            placement_logging_run_geometry, tmp_path, os.getpid()))
+        full = sorted(os.sched_getaffinity(0))
+        for sweep, config in enumerate(configs):
+            assert_same_records(run_sweep(config, threads=2), serial[sweep])
+            assert len(at_sweep) == sweep + 1 and at_sweep[sweep] is not None
+            [pid] = helper_pids()
+            # this sweep's moves: to the first CPU not the caller's, then back
+            target = min(set(full) - {at_sweep[sweep]})
+            logged = [json.loads(line) for line in moves.read_text().splitlines()]
+            assert logged[2 * sweep:] == [[pid, [target]], [pid, full]]
+            units = [json.loads(line)
+                     for line in (tmp_path / f"units{config.seed}").read_text().splitlines()]
+            helper = [cpu for unit_pid, cpu, _ in units if unit_pid != os.getpid()]
+            assert helper and helper[0] != at_sweep[sweep]
+            assert all(mask == full for _, _, mask in units)
+            assert {unit_pid for unit_pid, _, _ in units} <= {os.getpid(), pid}
+        assert_helpers_idle(1)
 
     @pytest.mark.parametrize("fail, error, message", [
         (raise_runtime_error, RuntimeError, "a helper's unit failed"),
@@ -557,6 +636,115 @@ class TestRunSweep:
         assert time.monotonic() - start < 10
         assert (tmp_path / "started").exists()
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(available_cpus() < 2, reason="needs 2 CPUs for 2 processes")
+    def test_consecutive_sweeps_fork_one_helper_and_keep_it(self, monkeypatch, tmp_path):
+        log = tmp_path / "forks"
+        monkeypatch.setattr(experiment, "_serve", functools.partial(fork_logging_serve, log))
+        config = small_config(dims=[3, 4], replicates=4)
+        serial = tmp_path / "serial.csv"
+        run_sweep(config, out_path=serial)
+        pids = []
+        for sweep in range(3):
+            out = tmp_path / f"pooled{sweep}.csv"
+            run_sweep(config, out_path=out, threads=2)
+            assert out.read_bytes() == serial.read_bytes()
+            pids.append(helper_pids())
+        assert pids == [pids[0]] * 3 and len(pids[0]) == 1
+        assert log.read_text().split() == [str(pids[0][0])]
+        assert_helpers_idle(1)
+
+    @pytest.mark.skipif(available_cpus() < 2, reason="needs 2 CPUs for 2 processes")
+    def test_a_helper_that_died_idle_is_replaced(self):
+        config = small_config(dims=[3, 4], replicates=4)
+        serial = run_sweep(config)
+        run_sweep(config, threads=2)
+        [(_, helper)] = experiment._helpers
+        helper.kill()
+        helper.join(10)
+        assert helper.exitcode == -9
+        assert_same_records(run_sweep(config, threads=2), serial)
+        assert helper_pids() != [helper.pid]
+        assert_helpers_idle(1)
+
+    @pytest.mark.skipif(available_cpus() < 2, reason="needs 2 CPUs for 2 processes")
+    def test_sweeps_from_two_threads_take_turns_on_the_helpers(self):
+        # the helper is forked before the threads start; each thread's
+        # sweeps must get their own records, never the other thread's
+        configs = [small_config(dims=[3, 4], replicates=4, seed=seed) for seed in (7, 8)]
+        serial = [run_sweep(config) for config in configs]
+        run_sweep(configs[0], threads=2)
+        got = [[], []]
+
+        def sweep(i):
+            for _ in range(10):
+                got[i].append(run_sweep(configs[i], threads=2))
+
+        workers = [threading.Thread(target=sweep, args=(i,)) for i in range(2)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(60)
+            assert not worker.is_alive()
+        for records, want in zip(got, serial):
+            assert len(records) == 10
+            for one in records:
+                assert_same_records(one, want)
+        assert_helpers_idle(1)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    @pytest.mark.parametrize("end", ["exit", "sigterm"])
+    def test_no_helper_outlives_its_process(self, end):
+        # two helpers (3 processes, on CPUs the OS may lack), so that each
+        # holds a copy of the pipes forked before it; a helper still sees
+        # EOF once the caller dies without running its exit handlers
+        proc = run_script("""
+            import os, signal, sys, time
+            from dataclasses import replace
+            from structdr import experiment, recipe, run_sweep
+
+            os.sched_getaffinity = lambda pid: {0, 1, 2}
+            for _ in range(2):
+                run_sweep(replace(recipe("prop1"), replicates=4), threads=3)
+            print(*[helper.pid for _, helper in experiment._helpers], flush=True)
+            if sys.argv[1] == "sigterm":
+                os.kill(os.getpid(), signal.SIGTERM)
+                time.sleep(60)
+        """, end)
+        assert (proc.returncode, proc.stderr) == (0 if end == "exit" else -15, "")
+        pids = [int(pid) for pid in proc.stdout.split()]
+        assert len(pids) == 2
+        wait_for(lambda: not any(map(running, pids)))
+        assert not any(map(running, pids))
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or available_cpus() < 2,
+                        reason="needs os.fork and 2 CPUs for 2 processes")
+    def test_a_forked_child_forks_its_own_helpers(self):
+        # the child exits through the interpreter's exit handlers, which
+        # stop the child's helper and leave the parent's alone
+        proc = run_script("""
+            import json, os, sys
+            from dataclasses import replace
+            from structdr import experiment, recipe, run_sweep
+
+            def sweep():
+                records = run_sweep(replace(recipe("prop1"), replicates=4), threads=2)
+                return [helper.pid for _, helper in experiment._helpers], [r.lambda_z for r in records]
+
+            before = sweep()
+            pid = os.fork()
+            if pid == 0:
+                print(json.dumps(sweep()), flush=True)
+                sys.exit()
+            _, status = os.waitpid(pid, 0)
+            print(json.dumps([status, before, sweep()]))
+        """)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        child, (status, before, after) = map(json.loads, proc.stdout.splitlines())
+        assert status == 0
+        assert len(before[0]) == len(child[0]) == 1 and child[0] != before[0]
+        assert after == before and child[1] == before[1]
+        assert not running(child[0][0])
 
     def test_threads_below_one_rejected(self):
         with pytest.raises(ConfigError, match="threads must be >= 1, got 0"):
@@ -889,7 +1077,7 @@ class TestKeepHeap:
         # A fresh process, so that no earlier test has set the policy. The
         # second sweep of 2 records (up to 20000 x 20 rows each) took about
         # 5,120 minor page faults without the policy and about 30 with it.
-        code = textwrap.dedent("""
+        result = run_script("""
             import resource
             from dataclasses import replace
             from structdr import recipe, run_sweep
@@ -900,12 +1088,7 @@ class TestKeepHeap:
             run_sweep(config)
             print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         """)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(experiment.__file__)))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   MKL_NUM_THREADS="1")
-        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                                text=True, timeout=120, check=True)
+        assert result.returncode == 0, result.stderr
         assert int(result.stdout) < 500
 
 

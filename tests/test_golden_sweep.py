@@ -21,6 +21,10 @@ weight underflows at alpha 1e-5), and the other 12 are ok records of units
 that have failing records. It was written before a failing unit fell back
 to running each of its records alone, and no reason in it prints a number
 at roundoff level.
+
+A process keeps its sweep helpers from one sweep to the next, so every
+golden above is also written twice over by ten consecutive sweeps on two
+and on three processes, all served by the helpers that the first forks.
 """
 
 import importlib.util
@@ -29,7 +33,7 @@ from pathlib import Path
 
 import pytest
 
-from structdr import recipe, run_sweep
+from structdr import experiment, recipe, run_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data"
@@ -60,19 +64,39 @@ def test_sweep_writes_golden_bytes(tmp_path, name, replicates, threads):
     assert out.read_bytes() == (DATA / f"{name}_r{replicates}.csv").read_bytes()
 
 
+# Each golden that a sweep writes byte for byte, and its config.
+GOLDENS = {
+    **{f"{name}_r{replicates}.csv": replace(recipe(name), replicates=replicates, seed=0)
+       for name, replicates in [("fig3_d20_largen", 1), ("fig3_d7", 2), ("prop1", 3)]},
+    "prop1_two_alphas_r3.csv": replace(recipe("prop1"), replicates=3, seed=0, alphas=[0.25, 0.5]),
+    "prop1_failures_r3.csv": replace(
+        recipe("prop1"), replicates=3, seed=0, clusters=[3, 5], n_per_cluster=[100, 300],
+        alphas=[1e-5, 0.5], dispersions=[1.0, 1e-200], scheme="exponential"),
+}
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_two_alphas_sharing_a_sample_write_golden_bytes(tmp_path, threads):
     out = tmp_path / "prop1_two_alphas.csv"
-    run_sweep(replace(recipe("prop1"), replicates=3, seed=0, alphas=[0.25, 0.5]), out_path=out,
-              threads=threads)
+    run_sweep(GOLDENS["prop1_two_alphas_r3.csv"], out_path=out, threads=threads)
     assert out.read_bytes() == (DATA / "prop1_two_alphas_r3.csv").read_bytes()
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_failing_units_write_golden_bytes(tmp_path, threads):
     out = tmp_path / "prop1_failures.csv"
-    config = replace(recipe("prop1"), replicates=3, seed=0, clusters=[3, 5],
-                     n_per_cluster=[100, 300], alphas=[1e-5, 0.5], dispersions=[1.0, 1e-200],
-                     scheme="exponential")
-    run_sweep(config, out_path=out, threads=threads)
+    run_sweep(GOLDENS["prop1_failures_r3.csv"], out_path=out, threads=threads)
     assert out.read_bytes() == (DATA / "prop1_failures_r3.csv").read_bytes()
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_consecutive_sweeps_on_kept_helpers_write_golden_bytes(tmp_path, threads):
+    # every golden twice over, all ten sweeps served by the helpers that
+    # the first one forks
+    pids = set()
+    for name, config in [*GOLDENS.items()] * 2:
+        out = tmp_path / name
+        run_sweep(config, out_path=out, threads=threads)
+        assert out.read_bytes() == (DATA / name).read_bytes()
+        pids.add(tuple(helper.pid for _, helper in experiment._helpers))
+    assert len(pids) == 1
