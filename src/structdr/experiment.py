@@ -366,15 +366,14 @@ def _cpu():
         return int(fh.read().rpartition(b")")[2].split()[36])
 
 
-def _run_helper(conn, take, tasks: list, master_seed: int, cpu):
+def _run_helper(conn, take, tasks: list, master_seed: int, cpu, mask):
     """One sweep in a helper process: move to CPU `cpu` (if not None;
-    skipped if the OS refuses) and restore the mask it inherited, so that
-    it runs off the caller's CPU but is not left pinned. Then run units as
-    the caller does, and send it their records, or the exception that
-    stopped them."""
+    skipped if the OS refuses), then take the caller's current CPU mask
+    `mask`, so that it runs off the caller's CPU but is not left pinned.
+    Then run units as the caller does, and send it their records, or the
+    exception that stopped them."""
     if cpu is not None:
         with suppress(OSError):
-            mask = os.sched_getaffinity(0)
             os.sched_setaffinity(0, {cpu})
             os.sched_setaffinity(0, mask)
     try:
@@ -386,8 +385,13 @@ def _run_helper(conn, take, tasks: list, master_seed: int, cpu):
 
 def _serve(conn, take):
     """A helper process: run each sweep that the calling process sends over
-    `conn`, as (tasks, master seed, CPU), with _run_helper, until the
-    caller's end of the pipe closes."""
+    `conn`, as (tasks, master seed, CPU, mask), with _run_helper, until the
+    caller's end of the pipe closes. It ignores SIGINT, which a terminal's
+    Ctrl-C sends to every idle helper too; a sweep that the caller stops
+    on an exception stops its helpers."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
         try:
             sweep = conn.recv()
@@ -433,8 +437,11 @@ def _fork_helpers(count: int) -> list:
 
 
 def _stop_helpers():
-    """Stop and join every helper of this process and close its pipe; the
-    next sweep on more than one process forks new ones."""
+    """Stop and join every helper of this process, close its pipe and drop
+    the unit counter, whose lock a stopped helper may hold; the next sweep
+    on more than one process forks new helpers and a new counter."""
+    global _counter
+    _counter = None
     while _helpers:
         conn, helper = _helpers.pop()
         if helper.pid is not None:  # None if its fork failed
@@ -476,9 +483,10 @@ def run_sweep(config: ExperimentConfig, out_path=None, threads: int = 1) -> list
     threads - 1 helpers. It forks only those it lacks and keeps them,
     idle, for its later sweeps; a child forked from it forks its own, and
     the sweeps of its threads take turns on them. At every sweep each
-    helper is sent the units and a CPU other than the caller's, moves
-    there and takes back its inherited mask. Then every process takes the
-    next unit from one shared counter until none is left; with one
+    helper is sent the units, a CPU other than the caller's and the
+    caller's current mask, moves to that CPU and then takes that mask;
+    helpers ignore SIGINT. Then every process takes the next unit from
+    one shared counter until none is left; with one
     process the units run in the calling thread, in order. A unit is a
     block of replicates of one geometry (see the module docstring).
     Records and CSV are the same for any threads. The output file is
@@ -525,7 +533,7 @@ def run_sweep(config: ExperimentConfig, out_path=None, threads: int = 1) -> list
                 here = _cpu() if hasattr(os, "sched_setaffinity") else None
                 targets = [None] * processes if here is None else sorted(set(cpus) - {here})
                 for (conn, _), cpu in zip(helpers, targets):
-                    conn.send((tasks, config.seed, cpu))
+                    conn.send((tasks, config.seed, cpu, cpus))
             done = _run_units(take, tasks, config.seed)
             for conn, helper in helpers:
                 try:

@@ -505,8 +505,9 @@ class TestEntryPoints:
     def test_function_level_imports_are_only_the_known_ones(self):
         # a new import cycle or lazy import shows up here: multiprocessing
         # is imported only when a sweep forks helpers, or when a child
-        # forked from a process that has helpers forgets them, and
-        # fisher_subspace imports structure, which imports subspace, until
+        # forked from a process that has helpers forgets them; a helper
+        # imports signal (loaded already by multiprocessing) to ignore
+        # SIGINT; and fisher_subspace imports structure, which imports subspace, until
         # it moves there
         found = []
         for path in sorted((Path(__file__).resolve().parents[1] / "src" / "structdr").glob("*.py")):
@@ -522,6 +523,7 @@ class TestEntryPoints:
         assert sorted(found) == [
             ("experiment", "_forget_helpers", "multiprocessing"),
             ("experiment", "_fork_helpers", "multiprocessing"),
+            ("experiment", "_serve", "signal"),
             ("subspace", "fisher_subspace", ".structure"),
         ]
 

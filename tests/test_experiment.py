@@ -128,12 +128,12 @@ def helper_failing_run_geometry(marker, caller, fail, cells, replicates, master_
     return run_geometry(cells, replicates, master_seed)
 
 
-def task_logging_help(log, conn, take, tasks, master_seed, cpu):
+def task_logging_help(log, conn, take, tasks, *args):
     """The helper process body, appending the (d, k, block) of each unit,
     in the order that units are handed out, to `log` first."""
     with open(log, "a") as fh:
         fh.write(json.dumps([[cells[0].d, cells[0].k, block] for cells, block in tasks]) + "\n")
-    return run_helper(conn, take, tasks, master_seed, cpu)
+    return run_helper(conn, take, tasks, *args)
 
 
 # The CPU a process last ran on, as the sweep reads it.
@@ -192,15 +192,16 @@ def fork_logging_serve(log, *args):
     return serve(*args)
 
 
-def run_script(code, *args):
+def run_script(code, *args, timeout=120):
     """Run `code` in a fresh interpreter that imports this structdr, with
-    BLAS on one thread; returns the CompletedProcess."""
+    BLAS on one thread; returns the CompletedProcess, or raises
+    subprocess.TimeoutExpired after `timeout` seconds."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(experiment.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     return subprocess.run([sys.executable, "-c", textwrap.dedent(code), *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 # The affinity call, which the test of helper placement wraps.
@@ -575,11 +576,12 @@ class TestRunSweep:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux") or available_cpus() < 2,
                         reason="needs Linux's affinity calls and 2 CPUs for 2 processes")
-    def test_helper_leaves_the_callers_cpu_at_every_sweep_with_its_full_mask(self, monkeypatch,
-                                                                              tmp_path):
+    def test_helper_leaves_the_callers_cpu_at_every_sweep_with_the_callers_mask(
+            self, monkeypatch, tmp_path):
         # the kernel would leave a forked helper on the caller's CPU, and may
         # wake a kept helper there for a later sweep; at every sweep the
-        # helper moves to another, then takes back the mask it inherited
+        # helper moves to another, then takes the mask that the caller has
+        # at that sweep, not the one it had when the helper was forked
         configs = [small_config(dims=[3, 4], replicates=4, seed=seed) for seed in (7, 8, 9)]
         serial = [run_sweep(config) for config in configs]
         at_sweep, moves = [], tmp_path / "moves"
@@ -589,19 +591,27 @@ class TestRunSweep:
         monkeypatch.setattr(experiment, "_run_geometry", functools.partial(
             placement_logging_run_geometry, tmp_path, os.getpid()))
         full = sorted(os.sched_getaffinity(0))
+        # the caller's mask at each sweep; the second adds CPU 1023, which
+        # the host lacks and the kernel leaves out of the helper's mask
+        sent = [full, sorted({*full, 1023}), full]
         for sweep, config in enumerate(configs):
+            if sweep:  # after the fork, so that the helper reads its real mask
+                monkeypatch.setattr(os, "sched_getaffinity",
+                                    lambda pid, mask=set(sent[sweep]): mask)
             assert_same_records(run_sweep(config, threads=2), serial[sweep])
             assert len(at_sweep) == sweep + 1 and at_sweep[sweep] is not None
             [pid] = helper_pids()
-            # this sweep's moves: to the first CPU not the caller's, then back
+            # this sweep's moves: to the first CPU not the caller's, then to
+            # the caller's mask
             target = min(set(full) - {at_sweep[sweep]})
             logged = [json.loads(line) for line in moves.read_text().splitlines()]
-            assert logged[2 * sweep:] == [[pid, [target]], [pid, full]]
+            assert logged[2 * sweep:] == [[pid, [target]], [pid, sent[sweep]]]
             units = [json.loads(line)
                      for line in (tmp_path / f"units{config.seed}").read_text().splitlines()]
             helper = [cpu for unit_pid, cpu, _ in units if unit_pid != os.getpid()]
             assert helper and helper[0] != at_sweep[sweep]
-            assert all(mask == full for _, _, mask in units)
+            assert all(mask == (sent[sweep] if unit_pid == os.getpid() else full)
+                       for unit_pid, _, mask in units)
             assert {unit_pid for unit_pid, _, _ in units} <= {os.getpid(), pid}
         assert_helpers_idle(1)
 
@@ -716,6 +726,64 @@ class TestRunSweep:
         assert len(pids) == 2
         wait_for(lambda: not any(map(running, pids)))
         assert not any(map(running, pids))
+
+    def test_a_helper_stopped_holding_the_counter_lock_cannot_hang_the_next_sweep(self):
+        # the helper takes the unit counter's lock and keeps it; the caller's
+        # unit then fails, so run_sweep stops the helper with the lock held.
+        # The next sweep must make its own counter, or it waits for ever.
+        proc = run_script("""
+            import os, time
+            from dataclasses import replace
+            from structdr import experiment, recipe, run_sweep
+
+            os.sched_getaffinity = lambda pid: {0, 1}
+            config = replace(recipe("prop1"), replicates=4)
+            serial = [r.lambda_z for r in run_sweep(config)]
+            run_units, caller = experiment._run_units, os.getpid()
+
+            def hold_the_lock(take, tasks, master_seed):
+                lock = take.args[0].get_lock()
+                if os.getpid() != caller:
+                    lock.acquire()
+                    time.sleep(60)
+                while lock.acquire(timeout=0):
+                    lock.release()
+                    time.sleep(0.001)
+                raise RuntimeError("the caller's unit failed")
+
+            experiment._run_units = hold_the_lock
+            try:
+                run_sweep(config, threads=2)
+            except RuntimeError as exc:
+                print(exc, flush=True)
+            experiment._run_units = run_units
+            print([r.lambda_z for r in run_sweep(config, threads=2)] == serial)
+        """, timeout=60)
+        assert (proc.returncode, proc.stderr, proc.stdout.splitlines()) == (
+            0, "", ["the caller's unit failed", "True"])
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    def test_an_idle_helper_ignores_sigint(self):
+        # a terminal's Ctrl-C reaches every process of its group, the idle
+        # helpers included: they stay alive, print nothing, and serve the
+        # next sweep
+        proc = run_script("""
+            import os, signal, time
+            from dataclasses import replace
+            from structdr import experiment, recipe, run_sweep
+
+            os.sched_getaffinity = lambda pid: {0, 1}
+            config = replace(recipe("prop1"), replicates=4)
+            serial = [r.lambda_z for r in run_sweep(config)]
+            run_sweep(config, threads=2)
+            [(_, helper)] = experiment._helpers
+            os.kill(helper.pid, signal.SIGINT)
+            time.sleep(0.5)
+            records = run_sweep(config, threads=2)
+            print(helper.is_alive(), [h.pid for _, h in experiment._helpers] == [helper.pid],
+                  [r.lambda_z for r in records] == serial)
+        """)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "True True True\n")
 
     @pytest.mark.skipif(not hasattr(os, "fork") or available_cpus() < 2,
                         reason="needs os.fork and 2 CPUs for 2 processes")
