@@ -4,6 +4,7 @@ sampling, and a seeded separation/dispersion family for simulation sweeps.
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,7 +188,9 @@ class LabeledDataset:
         """Read a CSV with header exactly x1,...,xd,label, d >= 1. Another
         header raises ConfigError naming the file and quoting the header;
         malformed content raises ConfigError naming the file, the data row
-        (from 1, blank lines skipped) and the column."""
+        (from 1, blank lines skipped) and the column. numpy's C reader parses
+        the rows; a file that it or `_numpy_safe` rejects, or that numpy
+        warns about, is read by the csv loop."""
         with open(check_path("path", path), newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None) or []
@@ -198,8 +201,19 @@ class LabeledDataset:
                     f"{path}: {empty}expected header x1,...,xd,label with d >= 1, "
                     f"found {','.join(header)!r}"
                 )
-            data, labels = [], []
-            for row in reader:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # numpy < 2 only warns on a label 1.5
+                    table = np.loadtxt(
+                        map(_numpy_safe, fh), dtype=[("x", float, (d,)), ("label", np.int64)],
+                        delimiter=",", comments=None, quotechar=None, ndmin=1,
+                    )
+                data, labels = table["x"].copy(), table["label"]
+            except (ValueError, Warning):
+                fh.seek(0)  # from the top, so a decoding error is met where it always was
+                next(reader)
+                data, labels = [], []
+            for row in reader:  # none left after numpy's read
                 if not row:
                     continue
                 if len(row) != d + 1:
@@ -217,6 +231,16 @@ class LabeledDataset:
             return cls(data=np.reshape(data, (len(data), d)), labels=labels)
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from None
+
+
+def _numpy_safe(line: str) -> str:
+    """line, or ValueError if numpy might read it unlike the csv loop: numpy
+    strips \\x1c-\\x1f from a field's ends, its integer parser can crash
+    beyond ASCII (numpy 2.4 on U+90000), and it has no field size limit."""
+    if (len(line) > csv.field_size_limit() or not line.isascii()
+            or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line):
+        raise ValueError("a line for the csv loop")
+    return line
 
 
 def _field_error(where: str, header, row) -> ConfigError:

@@ -2,19 +2,22 @@
 against: the materialized centering and hat operators, the exact
 population moments of an equal-weight Gaussian mixture, mixture draws
 made one component at a time, the separation family built one matrix at
-a time, and the fourth-moment (FOBI) basis of isotropic data.
+a time, the fourth-moment (FOBI) basis of isotropic data, and the dataset
+CSV reader that parses every row with Python's `float` and `int`.
 
 None of them runs on a production path; they are kept here, next to the
 tests, as independent oracles.
 """
 
+import csv
 from dataclasses import dataclass
 
 import math
 
 import numpy as np
 
-from structdr import LabeledDataset, MissingClusterError, MixtureSpec
+from structdr import ConfigError, LabeledDataset, MissingClusterError, MixtureSpec
+from structdr.errors import check_path
 from structdr.linalg import cluster_counts, symmetrize
 from structdr.mixture import COVARIANCE_CONDITION_CAP, _simplex_vertices
 from structdr.subspace import SubspaceBasis
@@ -133,3 +136,50 @@ def fobi_basis(y, m: int) -> SubspaceBasis:
     q = (np.einsum("ij,ij->i", y, y)[:, None] * y).T @ y
     _, vectors = np.linalg.eigh(q)  # eigenvalues ascending
     return SubspaceBasis(columns=vectors[:, :m])
+
+
+def reference_from_csv(path) -> LabeledDataset:
+    """`LabeledDataset.from_csv` as a `csv.reader` loop alone: every row
+    parsed with Python's `float` and `int`, the errors raised as the row
+    is met."""
+    with open(check_path("path", path), newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None) or []
+        d = len(header) - 1
+        if d < 1 or header != [f"x{j + 1}" for j in range(d)] + ["label"]:
+            empty = "data has no feature columns: " if header == ["label"] else ""
+            raise ConfigError(
+                f"{path}: {empty}expected header x1,...,xd,label with d >= 1, "
+                f"found {','.join(header)!r}"
+            )
+        data, labels = [], []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != d + 1:
+                raise ConfigError(
+                    f"{path}: row {len(data) + 1} has {len(row)} fields, expected {d + 1}"
+                )
+            try:
+                values = list(map(float, row[:d]))
+                label = int(row[d])
+            except ValueError:
+                raise _reference_field_error(f"{path}: row {len(data) + 1}", header, row) from None
+            data.append(values)
+            labels.append(label)
+    try:
+        return LabeledDataset(data=np.reshape(data, (len(data), d)), labels=labels)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _reference_field_error(where: str, header, row) -> ConfigError:
+    """The error for a row with a field that `float` or `int` rejects:
+    the first bad value column, else the label."""
+    d = len(header) - 1
+    for name, text in zip(header, row[:d]):
+        try:
+            float(text)
+        except ValueError:
+            return ConfigError(f"{where}, column {name}: {text!r} is not a number")
+    return ConfigError(f"{where}, column label: {row[d]!r} is not an integer")

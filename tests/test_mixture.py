@@ -3,8 +3,11 @@ against hand arithmetic and a large Monte-Carlo draw), and the seeded
 separation/dispersion family.
 """
 
+import csv
 import re
 import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from structdr import (
     scatter_matrices,
     sdist_overlap,
 )
+from structdr import mixture
 from structdr.errors import DefinitenessError
 from structdr.linalg import cluster_counts
 from structdr.mixture import draw_rows, make_separation_families
@@ -27,7 +31,10 @@ from oracles import (
     blockwise_sdist_overlap,
     matrixwise_separation_family,
     population_moments,
+    reference_from_csv,
 )
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def two_component_spec(sep=2.0):
@@ -430,6 +437,33 @@ class TestLabeledDatasetCsv:
         data = LabeledDataset.from_csv(path)
         assert data.data.tolist() == [[1.5, -2.0], [300.0, 4.25]]
         assert data.labels.tolist() == [1, 2]
+
+    def test_numpy_reads_plain_files_without_the_csv_loop(self, tmp_path, monkeypatch):
+        # the csv loop gives the same results, so a numpy release that warned
+        # on every file and sent every read to the loop would show only here
+        rng = np.random.default_rng(0)
+        large = LabeledDataset(data=rng.standard_normal((3000, 20)),
+                               labels=np.arange(3000) % 4 + 1)
+        large.to_csv(tmp_path / "large.csv")
+        golden = DATA / "gen_d4_k2_n30_s1.csv"
+        expected = {golden: reference_from_csv(golden), tmp_path / "large.csv": large}
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_text('x1,label\n"1.5",1\n')
+
+        def header_only(fh):
+            rows = csv.reader(fh)
+            yield next(rows)
+            for _ in rows:
+                raise AssertionError("the csv loop read a row")
+
+        monkeypatch.setattr(mixture, "csv", SimpleNamespace(
+            reader=header_only, field_size_limit=csv.field_size_limit))
+        for path, want in expected.items():
+            data = LabeledDataset.from_csv(path)
+            assert data.data.tobytes() == want.data.tobytes()
+            assert data.labels.tolist() == want.labels.tolist()
+        with pytest.raises(AssertionError, match="the csv loop read a row"):
+            LabeledDataset.from_csv(quoted)  # numpy rejects the quotes
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
