@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, check_seed
+from .errors import ConfigError, NumericalError, check_seed, reading
 from .experiment import RECIPE_NAMES, ExperimentConfig, format_value, recipe, run_sweep
 from .mixture import (
     LabeledDataset,
@@ -92,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_generate(args) -> int:
     check_seed("seed", args.seed)  # before the family's seed is derived from it
     if args.spec:
-        with open(args.spec) as fh:
+        with open(args.spec) as fh, reading(args.spec):
             spec = MixtureSpec.from_json(fh.read())
     elif args.d is not None and args.k is not None:
         # the family draws from its own stream of --seed, and the sample
@@ -159,7 +159,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.config) as fh:
+    with open(args.config) as fh, reading(args.config):
         config = ExperimentConfig.from_json(fh.read())
     if args.seed is not None:
         config = replace(config, seed=args.seed)

@@ -7,6 +7,7 @@ rules of the public boundary, below, raise ConfigError naming the argument.
 """
 
 import contextlib
+import csv
 import math
 import numbers
 import os
@@ -94,3 +95,13 @@ def check_path(name: str, value):
     if not isinstance(value, (str, os.PathLike)):
         raise ConfigError(f"{name} must be a str or os.PathLike path, got {value!r}")
     return value
+
+
+@contextlib.contextmanager
+def reading(path):
+    """Read file `path` within: bytes that do not decode, or a csv field
+    longer than csv.field_size_limit(), raise ConfigError naming it."""
+    try:
+        yield
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"{path}: {exc}") from None

@@ -15,13 +15,10 @@ held one at a time), and one d x d pass. If any step raises a module
 error, each record of the block is computed alone, as run_cell computes
 it; each slice of a stack has the bits it has alone, so either way a
 record is the same. Serially a block is all of a geometry's replicates.
-On N processes (the calling one and N - 1 helpers, forked by its first
-sweep that needs them and kept, idle, for its later ones; at every sweep
-each helper moves to a CPU other than the caller's, and every process
-takes the next unit from one shared counter), each geometry's replicates
-are split into the fewest near-equal blocks that give every process at
-least two units, handed out largest first.
-Records are put back in canonical order (grid-major, replicate-minor)
+On N processes each geometry's replicates are split into the fewest
+near-equal blocks that give every process at least two units, and the
+calling process deals them out before the sweep starts (_deal,
+run_sweep). Records are put back in canonical order (grid-major, replicate-minor)
 either way, so repeated runs and any process count produce
 byte-identical CSV bodies. Wall-clock timings are kept on the in-memory
 records only, never serialized.
@@ -44,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, StructdrError, check_int, check_path, check_real
+from .errors import ConfigError, StructdrError, check_int, check_path, check_real, reading
 from .linalg import Clusters
 from .mixture import draw_rows, make_separation_families, stratified_labels
 from .structure import analyze_stack, row_pass
@@ -343,20 +340,30 @@ def _keep_heap():
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
-def _take(counter) -> int:
-    """The next unit index from a counter that the sweep's processes share."""
-    with counter.get_lock():
-        counter.value += 1
-        return counter.value - 1
+def _rows(unit) -> int:
+    """The rows that a unit (cells, replicates) draws: replicates x k x d x
+    the sum of its cells' distinct n_per_cluster."""
+    cells, replicates = unit
+    return (len(replicates) * cells[0].k * cells[0].d
+            * sum({cell.n_per_cluster for cell in cells}))
 
 
-def _run_units(take, tasks: list, master_seed: int) -> dict:
-    """Run tasks[i] for each index i that take() gives until one is past
-    the last task; returns {i: records of task i}."""
-    done = {}
-    while (i := take()) < len(tasks):
-        done[i] = _run_geometry(*tasks[i], master_seed)
-    return done
+def _deal(units: list, processes: int) -> list:
+    """Each process's share of the units, {unit index: unit} in the order it
+    runs them; the calling process's is last. One process runs them in
+    index order. On more, Graham's list scheduling: largest first by _rows,
+    ties in index order, each unit goes to the share with the fewest rows
+    so far, on a tie the first, so a helper before the calling process,
+    which also collects the records and writes the CSV."""
+    if processes == 1:
+        return [dict(enumerate(units))]
+    shares = [{} for _ in range(processes)]
+    loads = [0] * processes
+    for i in sorted(range(len(units)), key=lambda i: _rows(units[i]), reverse=True):
+        share = loads.index(min(loads))
+        shares[share][i] = units[i]
+        loads[share] += _rows(units[i])
+    return shares
 
 
 def _cpu():
@@ -366,26 +373,26 @@ def _cpu():
         return int(fh.read().rpartition(b")")[2].split()[36])
 
 
-def _run_helper(conn, take, tasks: list, master_seed: int, cpu, mask):
+def _run_helper(conn, share: dict, master_seed: int, cpu, mask):
     """One sweep in a helper process: move to CPU `cpu` (if not None;
     skipped if the OS refuses), then take the caller's current CPU mask
     `mask`, so that it runs off the caller's CPU but is not left pinned.
-    Then run units as the caller does, and send it their records, or the
-    exception that stopped them."""
+    Then run its share of the units in order, and send the caller their
+    records by unit index, or the exception that stopped them."""
     if cpu is not None:
         with suppress(OSError):
             os.sched_setaffinity(0, {cpu})
             os.sched_setaffinity(0, mask)
     try:
-        result = _run_units(take, tasks, master_seed)
+        result = {i: _run_geometry(*unit, master_seed) for i, unit in share.items()}
     except Exception as exc:  # re-raised by the calling process
         result = exc
     conn.send(result)
 
 
-def _serve(conn, take):
+def _serve(conn):
     """A helper process: run each sweep that the calling process sends over
-    `conn`, as (tasks, master seed, CPU, mask), with _run_helper, until the
+    `conn`, as (share, master seed, CPU, mask), with _run_helper, until the
     caller's end of the pipe closes. It ignores SIGINT, which a terminal's
     Ctrl-C sends to every idle helper too; a sweep that the caller stops
     on an exception stops its helpers."""
@@ -397,22 +404,21 @@ def _serve(conn, take):
             sweep = conn.recv()
         except EOFError:
             return
-        _run_helper(conn, take, *sweep)
+        _run_helper(conn, *sweep)
 
 
 # This process's sweep helpers, each (connection, process) in fork order
-# and idle between sweeps, the unit counter that they share with it, made
-# with the first helper, and the lock that a sweep on more than one
+# and idle between sweeps, and the lock that a sweep on more than one
 # process holds while it uses them.
 _helpers = []
-_counter = None
 _helpers_lock = threading.Lock()
 
 
 def _fork_helpers(count: int) -> list:
     """The first `count` of this process's helpers, forking those it lacks
-    (all of them again if one has died), with the unit counter reset."""
-    global _counter
+    (all of them again if one has died). They are kept, idle, for its
+    later sweeps, which take turns on them (_helpers_lock), and exit with
+    it; a child forked from it forks its own (_forget_helpers)."""
     import multiprocessing
 
     if not all(helper.is_alive() for _, helper in _helpers):
@@ -421,27 +427,21 @@ def _fork_helpers(count: int) -> list:
     # in each would cost more than a short sweep.
     fork = "fork" in multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context("fork" if fork else None)
-    if _counter is None:
-        _counter = context.Value("i", 0)
     while len(_helpers) < count:
         conn, end = context.Pipe()
-        helper = context.Process(target=_serve, args=(end, partial(_take, _counter)),
-                                 daemon=True)
+        helper = context.Process(target=_serve, args=(end,), daemon=True)
         # listed before the fork, so that _forget_helpers closes the helper's
         # copy of conn: its recv sees EOF once the caller's end closes
         _helpers.append((conn, helper))
         with end:
             helper.start()
-    _counter.value = 0
     return _helpers[:count]
 
 
 def _stop_helpers():
-    """Stop and join every helper of this process, close its pipe and drop
-    the unit counter, whose lock a stopped helper may hold; the next sweep
-    on more than one process forks new helpers and a new counter."""
-    global _counter
-    _counter = None
+    """Stop and join every helper of this process, even one in the middle
+    of a unit, and close its pipe; the next sweep on more than one process
+    forks new helpers."""
     while _helpers:
         conn, helper = _helpers.pop()
         if helper.pid is not None:  # None if its fork failed
@@ -452,12 +452,11 @@ def _stop_helpers():
 
 def _forget_helpers():
     """In a child forked from this process, a helper included: forget the
-    caller's helpers, counter and lock (which a thread of the caller may
-    hold). The child's copies of the caller's pipe ends are closed, so that
-    each helper still sees EOF when the caller's end closes, and
-    multiprocessing forgets the helpers too, or it would stop them when the
-    child exits."""
-    global _counter, _helpers_lock
+    caller's helpers and lock (which a thread of the caller may hold).
+    The child's copies of the caller's pipe ends are closed, so that each
+    helper still sees EOF when the caller's end closes, and multiprocessing
+    forgets the helpers too, or it would stop them when the child exits."""
+    global _helpers_lock
     if _helpers:
         from multiprocessing import process
 
@@ -465,7 +464,6 @@ def _forget_helpers():
             conn.close()
             process._children.discard(helper)
         _helpers.clear()
-    _counter = None
     _helpers_lock = threading.Lock()
 
 
@@ -479,24 +477,16 @@ def run_sweep(config: ExperimentConfig, out_path=None, threads: int = 1) -> list
 
     threads is the number of processes that run units, the calling one
     included, capped at the number of (geometry, replicate) pairs and of
-    CPUs this process may use. The calling process runs units beside
-    threads - 1 helpers. It forks only those it lacks and keeps them,
-    idle, for its later sweeps; a child forked from it forks its own, and
-    the sweeps of its threads take turns on them. At every sweep each
-    helper is sent the units, a CPU other than the caller's and the
-    caller's current mask, moves to that CPU and then takes that mask;
-    helpers ignore SIGINT. Then every process takes the next unit from
-    one shared counter until none is left; with one
-    process the units run in the calling thread, in order. A unit is a
-    block of replicates of one geometry (see the module docstring).
-    Records and CSV are the same for any threads. The output file is
-    opened before any computation so an unwritable path fails fast, and
-    only the calling process writes it. Every process that runs units
-    keeps its freed heap; see _keep_heap. The exception that stops a
-    helper is raised here, and a helper that dies before sending gives a
-    StructdrError. On any exception in a sweep with helpers, every helper
-    is stopped and joined before it propagates; helpers left idle exit
-    with the calling process.
+    CPUs this process may use; with one, every unit runs in the calling
+    thread. With more, the calling process deals the units (_deal) and
+    sends each of threads - 1 helpers (_fork_helpers) its share, a CPU
+    other than the caller's and the caller's current mask (_run_helper),
+    then runs its own share. Records and CSV are the same for any threads.
+    The output file is opened before any computation so an unwritable
+    path fails fast, and only the calling process writes it. The
+    exception that stops a helper is raised here, and a helper that dies
+    before sending gives a StructdrError. On any exception in a sweep with
+    helpers, every helper is stopped and joined before it propagates.
     """
     threads = check_int("threads", threads, 1)
     if out_path is not None:
@@ -507,34 +497,29 @@ def run_sweep(config: ExperimentConfig, out_path=None, threads: int = 1) -> list
         groups.setdefault(_geometry(cell), []).append(i)
     cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
             else range(os.cpu_count() or 1))
-    processes = min(threads, len(groups) * config.replicates, len(cpus))
-    # Serially a block is all of a geometry's replicates, in grid order. On
-    # more processes each geometry is split into the fewest near-equal blocks
-    # that give every process at least two units, and the units go largest
-    # first by rows drawn (block size x k x d x the sum of the distinct
-    # n_per_cluster), ties in grid order, so that no large unit starts last.
+    # one process, the caller, even for an empty grid
+    processes = max(1, min(threads, len(groups) * config.replicates, len(cpus)))
+    # Serially a block is all of a geometry's replicates. On more processes
+    # each geometry is split into the fewest near-equal blocks that give
+    # every process at least two units.
     per_geometry = 1 if processes < 2 else min(config.replicates,
                                                math.ceil(2 * processes / len(groups)))
     blocks = [block.tolist() for block in np.array_split(range(config.replicates), per_geometry)]
     units = [(indices, block) for indices in groups.values() for block in blocks]
-    if processes > 1:
-        units.sort(reverse=True, key=lambda unit: len(unit[1]) * cells[unit[0][0]].k
-                   * cells[unit[0][0]].d * sum({cells[i].n_per_cluster for i in unit[0]}))
-    tasks = [([cells[i] for i in indices], block) for indices, block in units]
+    *shares, own = _deal([([cells[i] for i in indices], block) for indices, block in units],
+                         processes)
     with (open(out_path, "w", newline="") if out_path else nullcontext() as fh,
           _helpers_lock if processes > 1 else nullcontext()):
         _keep_heap()
         helpers = []
         try:
-            take = itertools.count().__next__
             if processes > 1:
                 helpers = _fork_helpers(processes - 1)
-                take = partial(_take, _counter)
                 here = _cpu() if hasattr(os, "sched_setaffinity") else None
                 targets = [None] * processes if here is None else sorted(set(cpus) - {here})
-                for (conn, _), cpu in zip(helpers, targets):
-                    conn.send((tasks, config.seed, cpu, cpus))
-            done = _run_units(take, tasks, config.seed)
+                for (conn, _), share, cpu in zip(helpers, shares, targets):
+                    conn.send((share, config.seed, cpu, cpus))
+            done = {i: _run_geometry(*unit, config.seed) for i, unit in own.items()}
             for conn, helper in helpers:
                 try:
                     result = conn.recv()
@@ -551,7 +536,7 @@ def run_sweep(config: ExperimentConfig, out_path=None, threads: int = 1) -> list
             raise
         order = [i * config.replicates + rep
                  for indices, block in units for rep in block for i in indices]
-        results = itertools.chain.from_iterable(done[i] for i in range(len(tasks)))
+        results = itertools.chain.from_iterable(done[i] for i in range(len(units)))
         records = [record for _, record in sorted(zip(order, results))]
         if fh is not None:
             write_records_csv(fh, records)
@@ -591,7 +576,7 @@ def read_records_csv(path) -> list:
     content raises ConfigError naming the file, the data row (from 1,
     blank lines skipped) and the column."""
     records = []
-    with open(check_path("path", path), newline="") as fh:
+    with open(check_path("path", path), newline="") as fh, reading(path):
         schema = fh.readline().strip()
         if schema != CSV_SCHEMA_LINE:
             raise ConfigError(f"{path}: unexpected schema line {schema!r}")

@@ -18,6 +18,7 @@ from .errors import (
     check_seed,
     check_size,
     is_int,
+    reading,
 )
 from .linalg import cluster_counts, raise_first, symmetrize
 
@@ -191,7 +192,7 @@ class LabeledDataset:
         (from 1, blank lines skipped) and the column. numpy's C reader parses
         the rows; a file that it or `_numpy_safe` rejects, or that numpy
         warns about, is read by the csv loop."""
-        with open(check_path("path", path), newline="") as fh:
+        with open(check_path("path", path), newline="") as fh, reading(path):
             reader = csv.reader(fh)
             header = next(reader, None) or []
             d = len(header) - 1

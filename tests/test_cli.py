@@ -1,6 +1,7 @@
 """CLI verbs, file formats, and exit-code contract."""
 
 import ast
+import csv
 import json
 import os
 import subprocess
@@ -168,6 +169,17 @@ class TestGenerate:
         assert code == 2
         assert "covariance 1 is not symmetric" in capsys.readouterr().err
 
+    def test_spec_that_is_not_utf_8_exits_2_naming_the_file(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_bytes(b'{"means": [\xff]}')
+        code = run_cli("generate", "--spec", str(spec_path), "--n-per-cluster", "5",
+                       "--out", str(tmp_path / "d.csv"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"structdr: configuration error: {spec_path}: 'utf-8' codec can't decode "
+            "byte 0xff in position 11: invalid start byte\n")
+        assert not (tmp_path / "d.csv").exists()
+
     def test_missing_spec_file_is_io_error(self, tmp_path):
         code = run_cli(
             "generate", "--spec", str(tmp_path / "nope.json"), "--n-per-cluster", "20",
@@ -309,6 +321,21 @@ class TestMalformedDataset:
         assert run_cli(verb, "--data", str(path), "--out", str(tmp_path / "out")) == 2
         assert f"{path}: {missing}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["analyze", "transform"])
+    @pytest.mark.parametrize("content,message", [
+        (b"x1,label\n1.0,1\n\xff,2\n", "'utf-8' codec can't decode byte 0xff in position "),
+        (b"x1,label\n" + b" " * 140_000 + b"1.0,1\n2.0,2\n",
+         f"field larger than field limit ({csv.field_size_limit()})"),
+    ], ids=["not-utf-8", "field-over-the-limit"])
+    def test_unreadable_bytes_exit_2_naming_the_file(self, tmp_path, capsys, content, message,
+                                                     verb):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        assert run_cli(verb, "--data", str(path), "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"structdr: configuration error: {path}: {message}")
+        assert not list(tmp_path.glob("out*"))
+
     def test_transform_weights_file_is_not_a_dataset(self, tmp_path, capsys):
         data = Path(__file__).resolve().parent / "data" / "gen_d4_k2_n30_s1.csv"
         assert run_cli("transform", "--data", str(data), "--out", str(tmp_path / "stage")) == 0
@@ -383,6 +410,16 @@ class TestSweepAndRecipe:
         code = run_cli("sweep", "--config", str(config_path), "--out", str(tmp_path / "r.csv"))
         assert code == 2
         assert message in capsys.readouterr().err
+
+    def test_config_that_is_not_utf_8_exits_2_naming_the_file(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_bytes(b'{"dims": [\xff]}')
+        code = run_cli("sweep", "--config", str(config_path), "--out", str(tmp_path / "r.csv"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"structdr: configuration error: {config_path}: 'utf-8' codec can't decode "
+            "byte 0xff in position 10: invalid start byte\n")
+        assert not (tmp_path / "r.csv").exists()
 
     def test_negative_seed_override_exits_2(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

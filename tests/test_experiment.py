@@ -2,6 +2,7 @@
 and the canned experiment recipes.
 """
 
+import csv
 import ctypes
 import functools
 import json
@@ -128,14 +129,6 @@ def helper_failing_run_geometry(marker, caller, fail, cells, replicates, master_
     return run_geometry(cells, replicates, master_seed)
 
 
-def task_logging_help(log, conn, take, tasks, *args):
-    """The helper process body, appending the (d, k, block) of each unit,
-    in the order that units are handed out, to `log` first."""
-    with open(log, "a") as fh:
-        fh.write(json.dumps([[cells[0].d, cells[0].k, block] for cells, block in tasks]) + "\n")
-    return run_helper(conn, take, tasks, *args)
-
-
 # The CPU a process last ran on, as the sweep reads it.
 read_cpu = experiment._cpu
 
@@ -238,6 +231,25 @@ def block_logging_run_geometry(log, cells, replicates, master_seed):
     with open(log, "a") as fh:
         fh.write(json.dumps([cells[0].d, replicates]) + "\n")
     return run_geometry(cells, replicates, master_seed)
+
+
+def share_logging_run_geometry(log, cells, replicates, master_seed):
+    """The unit function, appending [process id, d, k, block of replicates]
+    to `log` first."""
+    with open(log, "a") as fh:
+        fh.write(json.dumps([os.getpid(), cells[0].d, cells[0].k, replicates]) + "\n")
+    return run_geometry(cells, replicates, master_seed)
+
+
+def logged_shares(log):
+    """The units that each process ran, by process id, in the order it ran
+    them, as [d, k, block] from share_logging_run_geometry's log; the log
+    is removed."""
+    shares = {}
+    for pid, *unit in map(json.loads, log.read_text().splitlines()):
+        shares.setdefault(pid, []).append(unit)
+    log.unlink()
+    return shares
 
 
 def logged_builds(monkeypatch, log):
@@ -411,6 +423,52 @@ class TestRunCell:
                 assert record.empirical_sd_norm > record.d / (record.k * record.n_per_cluster)
 
 
+class Dealt(Exception):
+    """Raised in place of the deal, with the units and process count it got."""
+
+
+def units_of_sweep(config, threads):
+    """The units that run_sweep(config, threads=threads) deals and to how
+    many processes, on a host with 5 CPUs; nothing is run."""
+
+    def stop(units, processes):
+        raise Dealt(units, processes)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)), raising=False)
+        patch.setattr(experiment, "_deal", stop)
+        with pytest.raises(Dealt) as info:
+            run_sweep(config, threads=threads)
+    return info.value.args
+
+
+class TestDeal:
+    @settings(max_examples=150, deadline=None)
+    @given(dims=st.lists(st.integers(3, 6), max_size=3, unique=True),
+           clusters=st.lists(st.integers(2, 3), min_size=1, max_size=2, unique=True),
+           n_per_cluster=st.lists(st.integers(1, 60), min_size=1, max_size=3),
+           alphas=st.lists(st.sampled_from([0.5, 2.0]), min_size=1, max_size=2),
+           replicates=st.integers(1, 6), threads=st.integers(1, 5))
+    def test_each_unit_in_one_share_the_same_on_repeat_and_loads_within_one_unit(
+            self, dims, clusters, n_per_cluster, alphas, replicates, threads):
+        config = small_config(dims=dims, clusters=clusters, n_per_cluster=n_per_cluster,
+                              alphas=alphas, replicates=replicates)
+        units, processes = units_of_sweep(config, threads)
+        assert processes == max(1, min(threads, len(dims) * len(clusters) * replicates))
+        shares = experiment._deal(units, processes)
+        assert len(shares) == processes
+        assert sorted(i for share in shares for i in share) == list(range(len(units)))
+        assert all(unit is units[i] for share in shares for i, unit in share.items())
+        assert experiment._deal(units, processes) == shares
+        rows = [[experiment._rows(unit) for unit in share.values()] for share in shares]
+        # each process runs its share largest first; one runs them in grid order
+        assert all(share == sorted(share, reverse=True) for share in rows) or processes == 1
+        if units:  # every process runs at least one unit
+            loads = [sum(share) for share in rows]
+            assert min(loads) > 0
+            assert max(loads) - min(loads) <= max(map(experiment._rows, units))
+
+
 class TestRunSweep:
     def test_empty_grid_writes_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"
@@ -495,34 +553,56 @@ class TestRunSweep:
         assert units == sorted([d, block] for d in (3, 4) for block in blocks)
 
     def test_every_unit_runs_once_on_more_processes_than_cpus(self, monkeypatch, tmp_path):
-        # 5 processes share the unit counter, so on a host with fewer CPUs
-        # their takes interleave: a lost update would run a unit twice or
-        # not at all
+        # 5 processes, more than a small host has CPUs, each run the share
+        # that the caller dealt it, and nothing else
         config = small_config(dims=[3, 4], clusters=[2, 3], replicates=10)
         serial = run_sweep(config)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)), raising=False)
         # 4 geometries, so ceil(2 * 5 / 4) = 3 blocks, of 4, 3 and 3 replicates
-        blocks = [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]
-        # handed out largest first by rows drawn, block size x k x d x 30,
-        # ties in grid order: 1440, 1080 (x3), 960, 810 (x2), 720 (x3), 540 (x2)
-        order = [[4, 3, blocks[0]], [3, 3, blocks[0]], [4, 3, blocks[1]], [4, 3, blocks[2]],
-                 [4, 2, blocks[0]], [3, 3, blocks[1]], [3, 3, blocks[2]], [3, 2, blocks[0]],
-                 [4, 2, blocks[1]], [4, 2, blocks[2]], [3, 2, blocks[1]], [3, 2, blocks[2]]]
-        # the same 4 helpers serve each sweep, with the counter reset
-        log, tasks = tmp_path / "blocks", tmp_path / "tasks"
+        b0, b1, b2 = [0, 1, 2, 3], [4, 5, 6], [7, 8, 9]
+        # dealt largest first by rows drawn, block size x k x d x 30, ties in
+        # grid order: 1440, 1080 (x3), 960, 810 (x2), 720 (x3), 540 (x2); each
+        # to the process with the fewest rows, a helper before the caller
+        shares = [[[4, 3, b0], [4, 2, b2]],  # 2160 rows
+                  [[3, 3, b0], [3, 3, b2]],  # 1890
+                  [[4, 3, b1], [3, 2, b0], [3, 2, b2]],  # 2340
+                  [[4, 3, b2], [4, 2, b1]],  # 1800
+                  [[4, 2, b0], [3, 3, b1], [3, 2, b1]]]  # 2310, the caller's
+        log = tmp_path / "units"
         monkeypatch.setattr(experiment, "_run_geometry",
-                            functools.partial(block_logging_run_geometry, log))
-        monkeypatch.setattr(experiment, "_run_helper",
-                            functools.partial(task_logging_help, tasks))
+                            functools.partial(share_logging_run_geometry, log))
         pids = []
-        for sweeps in range(1, 4):
+        for _ in range(3):  # the same 4 helpers serve each sweep
             assert_same_records(run_sweep(config, threads=5), serial)
-            units = sorted(map(json.loads, log.read_text().splitlines()))
-            assert units == sorted([d, block] for d in (3, 3, 4, 4) * sweeps for block in blocks)
-            assert list(map(json.loads, tasks.read_text().splitlines())) == [order] * 4 * sweeps
             pids.append(helper_pids())
+            assert logged_shares(log) == dict(zip([*pids[-1], os.getpid()], shares))
         assert pids == [pids[0]] * 3
         assert_helpers_idle(4)
+
+    @pytest.mark.parametrize("processes, shares", [
+        # one unit per geometry: 35, 30, 25, 20 and 15 x 6300 rows
+        (2, [[[7, 7, [0, 1, 2, 3, 4]], [7, 4, [0, 1, 2, 3, 4]], [7, 3, [0, 1, 2, 3, 4]]],
+             [[7, 6, [0, 1, 2, 3, 4]], [7, 5, [0, 1, 2, 3, 4]]]]),
+        # blocks of 3 and 2: 21, 18, 15, 14, 12 (k=4 before k=6), 12, 10, 9,
+        # 8 and 6 x 6300 rows, dealt into loads of 41, 45 and 39
+        (3, [[[7, 7, [0, 1, 2]], [7, 6, [3, 4]], [7, 4, [3, 4]]],
+             [[7, 6, [0, 1, 2]], [7, 4, [0, 1, 2]], [7, 3, [0, 1, 2]], [7, 3, [3, 4]]],
+             [[7, 5, [0, 1, 2]], [7, 7, [3, 4]], [7, 5, [3, 4]]]]),
+    ])
+    def test_the_benchmark_grid_deals_fixed_shares(self, monkeypatch, tmp_path, processes,
+                                                   shares):
+        # fig3_d7 at 5 replicates, as the benchmark's sweep-d7-threads2 runs
+        # it; the last share is the caller's
+        config = replace(recipe("fig3_d7"), replicates=5)
+        serial = run_sweep(config)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(processes)),
+                            raising=False)
+        log = tmp_path / "units"
+        monkeypatch.setattr(experiment, "_run_geometry",
+                            functools.partial(share_logging_run_geometry, log))
+        assert_same_records(run_sweep(config, threads=processes), serial)
+        assert logged_shares(log) == dict(zip([*helper_pids(), os.getpid()], shares))
+        assert_helpers_idle(processes - 1)
 
     @pytest.mark.skipif(available_cpus() < 2, reason="needs 2 CPUs for 2 processes")
     def test_two_threads_compute_records_in_worker_processes(self, monkeypatch, tmp_path):
@@ -727,40 +807,62 @@ class TestRunSweep:
         wait_for(lambda: not any(map(running, pids)))
         assert not any(map(running, pids))
 
-    def test_a_helper_stopped_holding_the_counter_lock_cannot_hang_the_next_sweep(self):
-        # the helper takes the unit counter's lock and keeps it; the caller's
-        # unit then fails, so run_sweep stops the helper with the lock held.
-        # The next sweep must make its own counter, or it waits for ever.
+    def test_a_helper_stopped_mid_unit_cannot_hang_the_next_sweep(self, tmp_path):
+        # the helper's unit sleeps for a minute; the caller's unit then
+        # fails, so run_sweep stops the helper in the middle of its unit. The
+        # next sweep must fork a new helper and get every record from it.
         proc = run_script("""
-            import os, time
+            import os, sys, time
             from dataclasses import replace
             from structdr import experiment, recipe, run_sweep
 
             os.sched_getaffinity = lambda pid: {0, 1}
             config = replace(recipe("prop1"), replicates=4)
             serial = [r.lambda_z for r in run_sweep(config)]
-            run_units, caller = experiment._run_units, os.getpid()
+            run_geometry, caller, started = experiment._run_geometry, os.getpid(), sys.argv[1]
 
-            def hold_the_lock(take, tasks, master_seed):
-                lock = take.args[0].get_lock()
+            def stall_in_the_helper(cells, replicates, master_seed):
                 if os.getpid() != caller:
-                    lock.acquire()
+                    open(started, "w").close()
                     time.sleep(60)
-                while lock.acquire(timeout=0):
-                    lock.release()
+                while not os.path.exists(started):
                     time.sleep(0.001)
                 raise RuntimeError("the caller's unit failed")
 
-            experiment._run_units = hold_the_lock
+            experiment._run_geometry = stall_in_the_helper
             try:
                 run_sweep(config, threads=2)
             except RuntimeError as exc:
                 print(exc, flush=True)
-            experiment._run_units = run_units
-            print([r.lambda_z for r in run_sweep(config, threads=2)] == serial)
-        """, timeout=60)
+            experiment._run_geometry = run_geometry
+            stopped = experiment._helpers == []
+            records = run_sweep(config, threads=2)
+            print(stopped, len(experiment._helpers), [r.lambda_z for r in records] == serial)
+        """, str(tmp_path / "started"), timeout=60)
         assert (proc.returncode, proc.stderr, proc.stdout.splitlines()) == (
-            0, "", ["the caller's unit failed", "True"])
+            0, "", ["the caller's unit failed", "True 1 True"])
+
+    def test_a_sweep_on_two_processes_needs_no_semaphore(self):
+        # where the OS has no POSIX semaphores (multiprocessing's SemLock
+        # fails with ENOSYS), processes that share only their pipes still
+        # run a sweep
+        proc = run_script("""
+            import errno, os
+            import multiprocessing.synchronize
+            from dataclasses import replace
+            from structdr import experiment, recipe, run_sweep
+
+            def no_semaphores(self, *args, **kwargs):
+                raise OSError(errno.ENOSYS, "Function not implemented")
+
+            multiprocessing.synchronize.SemLock.__init__ = no_semaphores
+            os.sched_getaffinity = lambda pid: {0, 1}
+            config = replace(recipe("prop1"), replicates=4)
+            serial = [r.to_csv_row() for r in run_sweep(config)]
+            records = run_sweep(config, threads=2)
+            print(len(records), len(experiment._helpers), [r.to_csv_row() for r in records] == serial)
+        """)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "4 1 True\n")
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
     def test_an_idle_helper_ignores_sigint(self):
@@ -1257,6 +1359,19 @@ class TestRecordCsv:
         with pytest.raises(ConfigError) as info:
             read_records_csv(path)
         assert str(info.value) == f"{path}: {where}"
+
+    @pytest.mark.parametrize("bad,message", [
+        (b"\xff", "'utf-8' codec can't decode byte 0xff in position "),
+        (b" " * 140_000, f"field larger than field limit ({csv.field_size_limit()})"),
+    ], ids=["not-utf-8", "field-over-the-limit"])
+    def test_unreadable_bytes_raise_config_error_naming_the_file(self, tmp_path, bad, message):
+        row = ",".join(OK_RECORD.to_csv_row()).encode()
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"# schema=1\n" + ",".join(ExperimentRecord.CSV_FIELDS).encode()
+                         + b"\n" + row + b"\n" + bad + row + b"\n")
+        with pytest.raises(ConfigError) as info:
+            read_records_csv(path)
+        assert str(info.value).startswith(f"{path}: {message}")
 
     @pytest.mark.parametrize("text,message", [
         ("# schema=2\n" + ",".join(ExperimentRecord.CSV_FIELDS) + "\n",

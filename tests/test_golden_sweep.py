@@ -7,7 +7,7 @@ and float columns must agree within its FLOAT_ATOL (1e-9).
 
 `fig3_d20_largen` at 1 replicate (up to 20000 x 20 rows, the large row
 kernel), `fig3_d7` at 2 replicates and `prop1` at 3 must reproduce their
-goldens byte for byte, on one worker process and on two. `prop1` at 3
+goldens byte for byte, on one, two and three processes. `prop1` at 3
 replicates with alphas 0.25 and 0.5, whose cells share one sample per
 replicate, must reproduce `tests/data/prop1_two_alphas_r3.csv`, written
 before the cells shared it, on one, two and three processes.
@@ -25,9 +25,12 @@ at roundoff level.
 A process keeps its sweep helpers from one sweep to the next, so every
 golden above is also written twice over by ten consecutive sweeps on two
 and on three processes, all served by the helpers that the first forks.
+Each test sees three CPUs, so that three processes run on a smaller host
+too.
 """
 
 import importlib.util
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -38,6 +41,13 @@ from structdr import experiment, recipe, run_sweep
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "prop1_r3.csv"
+
+
+@pytest.fixture(autouse=True)
+def three_cpus(monkeypatch):
+    """Let a sweep use three processes on a host with fewer CPUs: the
+    helpers that the OS cannot move to a missing CPU stay where they are."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
 
 
 def load_gate():
@@ -54,7 +64,7 @@ def test_prop1_sweep_matches_golden_csv(tmp_path):
     assert ok, detail
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("name,replicates",
                          [("fig3_d20_largen", 1), ("fig3_d7", 2), ("prop1", 3)])
 def test_sweep_writes_golden_bytes(tmp_path, name, replicates, threads):
