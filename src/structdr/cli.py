@@ -6,12 +6,15 @@ subspace-similarity report), sweep (config JSON -> records CSV), recipe
 (name -> config JSON).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical error, 4 I/O
-error.
+error (a failed write to stdout included).
 """
 
 import argparse
+import atexit
 import csv
+import os
 import sys
+from contextlib import suppress
 from dataclasses import replace
 
 import numpy as np
@@ -193,7 +196,12 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.verb](args)
+        code = _COMMANDS[args.verb](args)
+        # here, so that a report that cannot be written is an I/O error, and
+        # not a warning at interpreter exit (stdout is None under >&-)
+        if sys.stdout is not None:
+            sys.stdout.flush()
+        return code
     except ConfigError as exc:
         print(f"structdr: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -205,5 +213,22 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
+def run():
+    """The structdr command: `main` on sys.argv, then the exit handlers
+    (multiprocessing's stops and joins a sweep's kept helpers), then
+    `os._exit`, which skips the interpreter's teardown, a final garbage
+    collection and module clearing in a process that is about to end.
+    Usage errors and --help leave by SystemExit, the usual way."""
+    code = main()
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            # only a failed command leaves stdout unflushed, and its code
+            # already says so
+            with suppress(OSError):
+                stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

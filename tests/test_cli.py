@@ -4,6 +4,8 @@ import ast
 import csv
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -13,11 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from structdr import LabeledDataset, cli, make_separation_family, read_records_csv, sample
+from structdr import LabeledDataset, cli, make_separation_family, read_records_csv, recipe, sample
 from structdr.cli import main
 
 
 DATA = Path(__file__).resolve().parent / "data"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*argv):
@@ -484,6 +487,82 @@ class TestCountsBeyondInt64:
         assert not out.exists()
 
 
+def child_env(*paths):
+    """This process's environment for a child that imports structdr from
+    src, with `paths` before it on PYTHONPATH, and with stdout buffered as
+    it is by default: PYTHONUNBUFFERED would write each print at once, and
+    hide output that only a flush at exit writes."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, [*paths, ROOT / "src"])))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def console_script():
+    """What pip's `structdr` console script runs: the entry pyproject.toml names."""
+    module, name = re.search(r'^structdr = "([\w.]+):(\w+)"$',
+                             (ROOT / "pyproject.toml").read_text(), re.M).groups()
+    return [sys.executable, "-c", f"import sys; from {module} import {name}; sys.exit({name}())"]
+
+
+ENTRIES = {
+    "module": [sys.executable, "-m", "structdr"],
+    "cli-module": [sys.executable, "-m", "structdr.cli"],
+    "console-script": console_script(),
+}
+
+# A sitecustomize that appends to entry.log in the working directory when
+# the exit handlers run and when the interpreter's teardown frees its marker.
+TEARDOWN_PROBE = textwrap.dedent("""
+    import atexit
+    import os
+
+
+    def _note(word, fd=os.open("entry.log", os.O_WRONLY | os.O_CREAT | os.O_APPEND),
+              write=os.write):
+        write(fd, f"{word}\\n".encode())
+
+
+    class _Teardown:
+        def __del__(self, note=_note):
+            note("teardown")
+
+
+    atexit.register(_note, "exit handlers")
+    _marker = _Teardown()
+""")
+
+# argv, exit code and the files written, run in a directory that holds
+# golden.csv (a dataset), not_spd.json (a spec whose second covariance is not
+# positive definite) and prop1.json (the prop1 recipe at 2 replicates)
+STAGES = ["stage_isotropic.csv", "stage_weighted.csv", "stage_weights.csv"]
+PARITY = {
+    "generate-0": (["generate", "--d", "3", "--k", "2", "--n-per-cluster", "20", "--seed", "1",
+                    "--out", "data.csv"], 0, ["data.csv"]),
+    "generate-2": (["generate", "--d", "3", "--k", "0", "--n-per-cluster", "20",
+                    "--out", "data.csv"], 2, []),
+    "generate-3": (["generate", "--spec", "not_spd.json", "--n-per-cluster", "20",
+                    "--out", "data.csv"], 3, []),
+    "generate-4": (["generate", "--spec", "missing.json", "--n-per-cluster", "20",
+                    "--out", "data.csv"], 4, []),
+    "transform-0": (["transform", "--data", "golden.csv", "--out", "stage"], 0, STAGES),
+    "transform-2": (["transform", "--data", "golden.csv", "--alpha", "-1", "--out", "stage"],
+                    2, []),
+    "transform-4": (["transform", "--data", "golden.csv", "--out", "missing/stage"], 4, []),
+    "analyze-0": (["analyze", "--data", "golden.csv", "--out", "report.csv"], 0, ["report.csv"]),
+    # the report is printed before the --out file fails to open
+    "analyze-4": (["analyze", "--data", "golden.csv", "--out", "missing/report.csv"], 4, []),
+    "sweep-0": (["sweep", "--config", "prop1.json", "--out", "r.csv"], 0, ["r.csv"]),
+    "sweep-2": (["sweep", "--config", "prop1.json", "--out", "r.csv", "--seed", "-1"], 2, []),
+    "sweep-4": (["sweep", "--config", "prop1.json", "--out", "missing/r.csv"], 4, []),
+    "recipe-0": (["recipe", "fig1", "--out", "fig1.json"], 0, ["fig1.json"]),
+    "recipe-2": (["recipe", "fig99", "--out", "fig99.json"], 2, []),
+    "usage-error": (["bogus-verb"], 2, []),
+    "missing-argument": (["analyze"], 2, []),
+    "help": (["--help"], 0, []),
+    "verb-help": (["sweep", "--help"], 0, []),
+}
+
+
 class TestEntryPoints:
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -565,11 +644,120 @@ class TestEntryPoints:
         ]
 
     def test_module_invocation(self, tmp_path):
-        out = tmp_path / "cfg.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "structdr", "recipe", "fig1", "--out", str(out)],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0
-        assert out.exists()
+        # each way to start the command reaches cli.run: the exit handlers
+        # run, and the interpreter's teardown, in which a marker object's
+        # __del__ would note itself, does not
+        site = tmp_path / "site"
+        site.mkdir()
+        (site / "sitecustomize.py").write_text(TEARDOWN_PROBE)
+        for name, command in ENTRIES.items():
+            cwd = tmp_path / name
+            cwd.mkdir()
+            proc = subprocess.run([*command, "recipe", "fig1", "--out", "cfg.json"],
+                                  capture_output=True, text=True, cwd=cwd, env=child_env(site))
+            assert proc.returncode == 0, (name, proc.stderr)
+            assert (cwd / "cfg.json").read_text() == recipe("fig1").to_json() + "\n"
+            assert (cwd / "entry.log").read_text() == "exit handlers\n", name
+
+    @pytest.mark.parametrize("argv,code,writes", PARITY.values(), ids=PARITY.keys())
+    def test_module_and_main_give_the_same_results(self, tmp_path, monkeypatch, capsys, argv,
+                                                   code, writes):
+        # stdout, stderr, exit code and output files, byte for byte: what
+        # the command writes is all there before os._exit ends the process
+        monkeypatch.setenv("COLUMNS", "80")  # --help wraps at the same width
+        results = []
+        for side in ("module", "main"):
+            cwd = tmp_path / side
+            cwd.mkdir()
+            shutil.copy(DATA / "gen_d4_k2_n30_s1.csv", cwd / "golden.csv")
+            (cwd / "not_spd.json").write_text(json.dumps({
+                "means": [[0.0, 0.0], [5.0, 0.0]],
+                "covariances": [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]]],
+            }))
+            prop1 = json.loads(recipe("prop1").to_json())
+            (cwd / "prop1.json").write_text(json.dumps(dict(prop1, replicates=2)))
+            inputs = {path.name for path in cwd.iterdir()}
+            if side == "module":
+                proc = subprocess.run([sys.executable, "-m", "structdr", *argv], cwd=cwd,
+                                      env=child_env(), capture_output=True, text=True)
+                got, out, err = proc.returncode, proc.stdout, proc.stderr
+            else:
+                monkeypatch.chdir(cwd)
+                try:
+                    got = main(list(argv))
+                except SystemExit as exc:
+                    got = exc.code
+                out, err = capsys.readouterr()
+            files = {path.name: path.read_bytes() for path in cwd.iterdir()
+                     if path.name not in inputs}
+            # the sweep prints its compute time
+            out = re.sub(r"[0-9.]+s compute", "s compute", out)
+            results.append((got, out, err, files))
+        assert results[0] == results[1]
+        assert results[0][0] == code
+        assert sorted(results[0][3]) == sorted(writes)
+
+    @pytest.mark.parametrize("sink", [
+        pytest.param("full", marks=pytest.mark.skipif(not Path("/dev/full").exists(),
+                                                      reason="needs /dev/full")),
+        "closed-pipe", "closed",
+    ])
+    def test_a_report_that_cannot_be_written_exits_4(self, sink):
+        # stdout is buffered, so the report is written when main flushes it,
+        # and a failure there is an I/O error, not a warning at exit with
+        # status 120; with no stdout at all (>&-) there is nothing to write
+        command = [sys.executable, "-m", "structdr", "analyze", "--data",
+                   str(DATA / "gen_d4_k2_n30_s1.csv")]
+        env = child_env()
+        if sink == "closed":
+            proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *command],
+                                  stderr=subprocess.PIPE, text=True, env=env)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            return
+        if sink == "full":
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run(command, stdout=full, stderr=subprocess.PIPE, text=True,
+                                      env=env)
+            reason = "No space left on device"
+        else:
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                proc = subprocess.run(command, stdout=write, stderr=subprocess.PIPE, text=True,
+                                      env=env)
+            finally:
+                os.close(write)
+            reason = "Broken pipe"
+        assert proc.returncode == 4
+        assert re.fullmatch(rf"structdr: I/O error: \[Errno \d+\] {reason}\n", proc.stderr)
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
+                            else range(os.cpu_count() or 1)) < 2,
+                        reason="needs 2 CPUs for 2 processes")
+    def test_a_two_process_sweep_leaves_no_helper(self, tmp_path):
+        # an exit hook registered before the sweep imports multiprocessing
+        # runs after multiprocessing's, which stops and joins the helper
+        config = json.loads(recipe("prop1").to_json())
+        (tmp_path / "prop1.json").write_text(json.dumps(dict(config, replicates=4)))
+        script = textwrap.dedent("""
+            import atexit, json, sys
+            from structdr import cli, experiment
+
+            def record():
+                with open("helpers.json", "w") as fh:
+                    json.dump([[h.pid, h.exitcode] for _, h in experiment._helpers], fh)
+
+            atexit.register(record)
+            sys.argv[1:] = ["sweep", "--config", "prop1.json", "--out", "r.csv", "--threads", "2"]
+            cli.run()
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              cwd=tmp_path, env=child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        helpers = json.loads((tmp_path / "helpers.json").read_text())
+        assert len(helpers) == 1
+        for pid, exitcode in helpers:
+            assert exitcode is not None  # joined before os._exit
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        assert len(read_records_csv(tmp_path / "r.csv")) == 4
