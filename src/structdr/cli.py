@@ -200,7 +200,14 @@ def main(argv=None) -> int:
         # here, so that a report that cannot be written is an I/O error, and
         # not a warning at interpreter exit (stdout is None under >&-)
         if sys.stdout is not None:
-            sys.stdout.flush()
+            try:
+                sys.stdout.flush()
+            except OSError:
+                # so that the flush at exit writes to os.devnull and does not fail again
+                # (the signal docs' note on SIGPIPE); pytest's capture has no descriptor
+                with suppress(OSError), open(os.devnull, "w") as devnull:
+                    os.dup2(devnull.fileno(), sys.stdout.fileno())
+                raise
         return code
     except ConfigError as exc:
         print(f"structdr: configuration error: {exc}", file=sys.stderr)

@@ -81,22 +81,6 @@ class MixtureSpec:
     def d(self) -> int:
         return self.means.shape[1]
 
-    def draw(self, counts, rng) -> np.ndarray:
-        """counts[l] rows from component l, in component order: the rows
-        mu_l + z @ L_l^T for i.i.d. standard normal z. All the z come from
-        one draw, which is the same PCG64 stream as one draw per component,
-        and each block's product is written in place, so no block is copied.
-        `draw_rows` draws equal counts for a stack of specs."""
-        z = rng.standard_normal((sum(counts), self.d))
-        rows = np.empty_like(z)
-        start = 0
-        for mean, factor, count in zip(self.means, self.factors, counts):
-            block = slice(start, start + count)
-            np.matmul(z[block], factor.T, out=rows[block])
-            rows[block] += mean
-            start += count
-        return rows
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -275,9 +259,9 @@ def sample(spec: MixtureSpec, n_per_cluster: int, seed) -> LabeledDataset:
 
     Stratified (exact-count) sampling keeps cluster sizes balanced in every
     finite sample. Rows for component l are mu_l + z @ chol(Sigma_l)^T with
-    z i.i.d. standard normal from a PCG64 stream (`MixtureSpec.draw`), so
-    output is bit reproducible for a fixed seed. This is `draw_rows` for
-    one spec and seed.
+    z i.i.d. standard normal from a PCG64 stream, so output is bit
+    reproducible for a fixed seed. This is `draw_rows` for one spec and
+    seed.
     """
     n_per_cluster = check_int("n_per_cluster", n_per_cluster, 1)
     rows = draw_rows([spec], n_per_cluster, [check_seed("seed", seed)])[0]
@@ -289,8 +273,8 @@ def draw_rows(specs: list, n_per_cluster: int, seeds: list) -> np.ndarray:
     d, as one C-ordered stack (len(specs), n, d): each seed's PCG64 stream
     fills its slot of one (len(specs), k, n_per_cluster, d) block of normals,
     then one stacked product by the Cholesky factors and one broadcast add of
-    the means make the rows, each slice with the bits of `MixtureSpec.draw`.
-    The size is checked before the block is allocated."""
+    the means make the rows, each slice with the bits of one draw per
+    component. The size is checked before the block is allocated."""
     k, d = specs[0].k, specs[0].d
     n = n_per_cluster * k
     if n < MIN_ROWS_PER_DIM * d:

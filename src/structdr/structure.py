@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, check_int, check_real, check_seed
+from .errors import ConfigError, ShapeError, check_int, check_real, check_seed, check_size
 from .linalg import (
     Clusters,
     EigenSolution,
@@ -28,7 +28,7 @@ from .linalg import (
     total_whitener,
     unwhiten,
 )
-from .mixture import LabeledDataset, MixtureSpec
+from .mixture import LabeledDataset, MixtureSpec, draw_rows
 from .subspace import SubspaceBasis, leading_basis, sss
 from .transform import (
     DEFAULT_ALPHA,
@@ -130,18 +130,19 @@ def sdist_overlap(spec: MixtureSpec, mc_samples: int = DEFAULT_MC_SAMPLES,
     """Monte-Carlo estimate of 1 - integral of min(f1, f2)/2 for a
     two-component equal-weight mixture.
 
-    Samples are drawn from the mixture itself and the bounded ratio
-    min(f1, f2) / (f1 + f2) is averaged, which gives an unbiased estimate
-    of the overlap integral with per-sample values in (0, 1/2].
+    The ratio min(f1, f2) / (f1 + f2) is averaged over `sample`'s rows,
+    mc_samples // 2 per component (an odd count drops one row from the
+    mean and its standard error): an unbiased estimate of the overlap
+    integral with per-sample values in (0, 1/2]. As for any sample,
+    mc_samples must be at least max(10 000, 10 d).
     """
     if spec.k != 2:
         raise ConfigError(
             f"integral distinctness is defined here for k = 2 only, got k = {spec.k}"
         )
     mc_samples = check_int("mc_samples", mc_samples, MIN_MC_SAMPLES)
-    rng = np.random.default_rng(check_seed("seed", seed))
-    half = mc_samples // 2
-    points = spec.draw((half, mc_samples - half), rng)
+    check_size("mc_samples", mc_samples, mc_samples, spec.d)
+    points = draw_rows([spec], mc_samples // 2, [check_seed("seed", seed)])[0]
     # log f_l(x) = -log det L_l - |L_l^{-1}(x - mu_l)|^2 / 2 - (d/2) log(2 pi),
     # where L_l L_l^T = Sigma_l; the shared constant cancels in the ratio
     log_f = [-np.log(np.diag(factor)).sum()
@@ -150,9 +151,8 @@ def sdist_overlap(spec: MixtureSpec, mc_samples: int = DEFAULT_MC_SAMPLES,
     # min(f1, f2) / (f1 + f2) = 1 / (1 + exp|log f1 - log f2|), in a form exp cannot overflow
     tail = np.exp(-np.abs(log_f[0] - log_f[1]))
     ratio = tail / (1.0 + tail)
-    overlap = float(ratio.mean())
-    se = float(ratio.std(ddof=1) / math.sqrt(mc_samples))
-    return SdistEstimate(value=1.0 - overlap, std_error=se)
+    se = float(ratio.std(ddof=1) / math.sqrt(ratio.size))
+    return SdistEstimate(value=1.0 - float(ratio.mean()), std_error=se)
 
 
 def perturb_eigs_first_order(solution: EigenSolution, delta_k, delta_m) -> np.ndarray:

@@ -95,17 +95,18 @@ def blockwise_sample(spec: MixtureSpec, n_per_cluster: int, seed) -> LabeledData
 
 
 def blockwise_sdist_overlap(spec: MixtureSpec, mc_samples: int, seed) -> tuple:
-    """(value, std_error) of `sdist_overlap`, from a blockwise draw and
-    Cholesky factors computed afresh."""
+    """(value, std_error) of `sdist_overlap`, from a blockwise draw of
+    mc_samples // 2 rows per component and Cholesky factors computed
+    afresh."""
     half = mc_samples // 2
-    points = blockwise_draw(spec, (half, mc_samples - half), np.random.default_rng(seed))
+    points = blockwise_draw(spec, (half, half), np.random.default_rng(seed))
     factors = [np.linalg.cholesky(cov) for cov in spec.covariances]
     log_f = [-np.log(np.diag(factor)).sum()
              - 0.5 * np.square(np.linalg.solve(factor, (points - mean).T)).sum(axis=0)
              for mean, factor in zip(spec.means, factors)]
     tail = np.exp(-np.abs(log_f[0] - log_f[1]))
     ratio = tail / (1.0 + tail)
-    return 1.0 - float(ratio.mean()), float(ratio.std(ddof=1) / math.sqrt(mc_samples))
+    return 1.0 - float(ratio.mean()), float(ratio.std(ddof=1) / math.sqrt(2 * half))
 
 
 def matrixwise_separation_family(d: int, k: int, separation: float, dispersion: float,

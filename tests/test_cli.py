@@ -702,12 +702,18 @@ class TestEntryPoints:
                                                       reason="needs /dev/full")),
         "closed-pipe", "closed",
     ])
-    def test_a_report_that_cannot_be_written_exits_4(self, sink):
+    @pytest.mark.parametrize("entry", ["module", "main"])
+    def test_a_report_that_cannot_be_written_exits_4(self, entry, sink):
         # stdout is buffered, so the report is written when main flushes it,
         # and a failure there is an I/O error, not a warning at exit with
-        # status 120; with no stdout at all (>&-) there is nothing to write
-        command = [sys.executable, "-m", "structdr", "analyze", "--data",
-                   str(DATA / "gen_d4_k2_n30_s1.csv")]
+        # status 120; with no stdout at all (>&-) there is nothing to write.
+        # main called in process, without run, then points stdout at
+        # os.devnull, so the flush at interpreter exit does not fail again
+        command = {
+            "module": ENTRIES["module"],
+            "main": [sys.executable, "-c",
+                     "import sys; from structdr.cli import main; sys.exit(main(sys.argv[1:]))"],
+        }[entry] + ["analyze", "--data", str(DATA / "gen_d4_k2_n30_s1.csv")]
         env = child_env()
         if sink == "closed":
             proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *command],

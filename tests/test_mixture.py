@@ -228,6 +228,13 @@ class TestCountsNumpyCannotSize:
             f"n_per_cluster = {2**62} is too large: a 1 x {2**63} x 2 float64 array is more "
             "than numpy can size")
 
+    def test_overlap_sample_count(self):
+        with pytest.raises(ConfigError) as caught:
+            sdist_overlap(two_component_spec(), 2**62)
+        assert str(caught.value) == (
+            f"mc_samples = {2**62} is too large: a {2**62} x 2 float64 array is more than "
+            "numpy can size")
+
 
 class TestPopulationMoments:
     def test_hand_case(self):
@@ -299,8 +306,8 @@ class TestSeparationFamily:
         est = sdist_overlap(spec, 200_000, seed=1)
         assert est.value > 0.95
 
-    # draw_rows draws equal counts only; sdist_overlap's odd mc_samples draws
-    # unequal ones through MixtureSpec.draw
+    # sdist_overlap draws mc_samples // 2 rows per component through
+    # draw_rows, so an odd mc_samples uses one row fewer
     @pytest.mark.parametrize("d,mc_samples,seed", [(2, 10_000, 0), (4, 20_001, 1), (9, 30_000, 7),
                                                    (3, 10_003, 5)])
     def test_overlap_estimate_unchanged_by_one_draw(self, d, mc_samples, seed):

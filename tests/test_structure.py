@@ -222,6 +222,16 @@ class TestSdistOverlap:
         with pytest.raises(ConfigError):
             sdist_overlap(spec, 5_000, seed=0)
 
+    def test_sample_floor_grows_with_dimension(self):
+        # the estimator's rows are a sample, with n >= 10 d: at d = 1001 the
+        # least mc_samples, 10 000, is too few, and no row is drawn
+        d = 1001
+        spec = MixtureSpec(means=np.zeros((2, d)),
+                           covariances=np.broadcast_to(np.eye(d), (2, d, d)))
+        with pytest.raises(ConfigError,
+                           match=r"^sample too small: n = 10000 but need n >= 10\*d = 10010 "):
+            sdist_overlap(spec, 10_000, seed=0)
+
     def test_non_integer_sample_count_rejected(self):
         spec = MixtureSpec(means=np.zeros((2, 2)), covariances=np.stack([np.eye(2)] * 2))
         with pytest.raises(ConfigError, match="mc_samples must be an int"):
@@ -231,22 +241,23 @@ class TestSdistOverlap:
         (2, 2.0, 1.0, 40), (5, 3.5, 0.7, 41), (20, 4.0, 1.5, 42),
     ])
     def test_matches_scipy_logpdf_on_the_same_points(self, d, separation, dispersion, seed):
-        # redraw the estimator's points (per component, in order, from one
-        # PCG64 stream) and average the ratio from scipy's log densities
+        # redraw the estimator's points (mc_samples // 2 per component, in
+        # order, from one PCG64 stream) and average the ratio from scipy's
+        # log densities
         spec = make_separation_family(d, 2, separation, dispersion, seed=seed)
         mc_samples = 20_001
         rng = np.random.default_rng(seed)
         points = np.vstack([
             mean + rng.standard_normal((m, d)) @ np.linalg.cholesky(cov).T
             for mean, cov, m in zip(spec.means, spec.covariances,
-                                    (mc_samples // 2, mc_samples - mc_samples // 2))
+                                    (mc_samples // 2, mc_samples // 2))
         ])
         log_f1, log_f2 = (multivariate_normal(mean, cov).logpdf(points)
                           for mean, cov in zip(spec.means, spec.covariances))
         ratio = np.exp(np.minimum(log_f1, log_f2) - np.logaddexp(log_f1, log_f2))
         est = sdist_overlap(spec, mc_samples, seed=seed)
         assert abs(est.value - (1.0 - ratio.mean())) <= 1e-12
-        assert abs(est.std_error - ratio.std(ddof=1) / np.sqrt(mc_samples)) <= 1e-12
+        assert abs(est.std_error - ratio.std(ddof=1) / np.sqrt(len(points))) <= 1e-12
 
     def test_comonotone_with_distinctness_over_separation_grid(self):
         # both coefficients rank the same 10 separation levels identically
