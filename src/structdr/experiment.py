@@ -42,8 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, StructdrError, check_int, check_path, check_real, reading
-from .linalg import Clusters
-from .mixture import draw_rows, make_separation_families, stratified_labels
+from .mixture import draw_rows, make_separation_families, stratified_clusters
 from .structure import analyze_stack, row_pass
 from .transform import check_scheme
 
@@ -238,58 +237,58 @@ def derive_seeds(master_seed: int, cell: Cell, replicate: int) -> tuple:
     return _seed(prefix, replicate, 1), _seed(prefix, replicate, 2, cell.n_per_cluster)
 
 
-def _analyze_block(cells: list, replicates: list, prefix: list, seeds: dict, specs: dict) -> list:
+def _analyze_block(cells: list, replicates: list, seeds: dict, family) -> list:
     """The Analysis of each (replicate, cell) of a block of cells that share
-    a geometry, replicate-major, as one stack; the first error is raised.
-    One stacked build adds the mixtures that `specs` (replicate -> mixture)
-    lacks. Cells that differ only in alpha share their rows (the data seed
-    leaves alpha out), drawn into stacks of at most STACK_VALUES values, each
-    row-passed with one numpy call per step and freed before the next is
-    drawn; then one stacked d x d pass analyzes every summary."""
+    a geometry, replicate-major, as one stack, from the MixtureStack of its
+    replicates' mixtures; the first error is raised. Cells that differ only
+    in alpha share their rows (the data seed leaves alpha out), drawn into
+    stacks of at most STACK_VALUES values, each row-passed with one numpy
+    call per step and freed before the next is drawn; then one stacked
+    d x d pass analyzes every summary."""
     first = cells[0]
-    new = [rep for rep in replicates if rep not in specs]
-    if new:
-        specs.update(zip(new, make_separation_families(
-            first.d, first.k, first.separation, first.dispersion,
-            [_seed(prefix, rep, 1) for rep in new])))
     summaries = {}  # (replicate, cell index) -> its row summary
     for n in dict.fromkeys(cell.n_per_cluster for cell in cells):
         indices = [i for i, cell in enumerate(cells) if cell.n_per_cluster == n]
-        clusters = Clusters.of(stratified_labels(first.k, n))
+        clusters = stratified_clusters(first.k, n)
         alphas = [cells[i].alpha for i in indices]
         per_stack = max(1, STACK_VALUES // (n * first.k * first.d))
         for lo in range(0, len(replicates), per_stack):
             stack = replicates[lo:lo + per_stack]
             # row_pass frees the rows only if no other reference holds them
-            passed = row_pass(draw_rows([specs[rep] for rep in stack], n,
+            passed = row_pass(draw_rows(family[lo:lo + per_stack], n,
                                         [seeds[rep, n] for rep in stack]),
                               clusters, alphas, first.scheme)
             summaries.update(zip(itertools.product(stack, indices), passed))
     return analyze_stack([summaries[rep, i] for rep in replicates for i in range(len(cells))])
 
 
-def _run_geometry(cells: list, replicates: list, master_seed: int, specs=None) -> list:
-    """A block of replicates of cells that share a geometry, as one stack
-    (_analyze_block); records come replicate by replicate, in cell order.
+def _run_geometry(cells: list, replicates: list, master_seed: int, family=None) -> list:
+    """A block of replicates of cells that share a geometry, as one stack:
+    one stacked build of its mixtures, unless `family` holds them, then
+    _analyze_block; records come replicate by replicate, in cell order.
     If the stack raises a module error, each (replicate, cell) of a larger
-    block runs alone as run_cell runs it, reusing its replicate's mixture
-    once the unit has built it (`specs`), and a block of one is recorded as
-    failed with that error. Each elapsed_seconds is an equal share of the
-    block's time."""
+    block runs alone as run_cell runs it, with its replicate's slice of the
+    block's family if the build succeeded, and a block of one is recorded
+    as failed with that error. Each elapsed_seconds is an equal share of
+    the block's time."""
     start = time.perf_counter()
-    specs = {} if specs is None else specs
-    prefix = _words(master_seed, *_geometry(cells[0]))
+    first = cells[0]
+    prefix = _words(master_seed, *_geometry(first))
     # the data seed is stream (2, n_per_cluster) of the geometry's replicate
     seeds = {(rep, n): _seed(prefix, rep, 2, n)
              for rep in replicates for n in {cell.n_per_cluster for cell in cells}}
     records = [ExperimentRecord(*cell, replicate=rep, seed=seeds[rep, cell.n_per_cluster])
                for rep in replicates for cell in cells]
     try:
-        analyses = _analyze_block(cells, replicates, prefix, seeds, specs)
+        if family is None:
+            family = make_separation_families(first.d, first.k, first.separation, first.dispersion,
+                                              [_seed(prefix, rep, 1) for rep in replicates])
+        analyses = _analyze_block(cells, replicates, seeds, family)
     except FAILURES as exc:
         if len(records) > 1:
-            records = [_run_geometry([cell], [rep], master_seed, specs)[0]
-                       for rep in replicates for cell in cells]
+            records = [_run_geometry([cell], [rep], master_seed,
+                                     None if family is None else family[j:j + 1])[0]
+                       for j, rep in enumerate(replicates) for cell in cells]
         else:
             records[0].status = "failed"
             records[0].reason = f"{type(exc).__name__}: {exc}"

@@ -5,6 +5,7 @@ sampling, and a seeded separation/dispersion family for simulation sweeps.
 import csv
 import json
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,7 @@ from .errors import (
     is_int,
     reading,
 )
-from .linalg import cluster_counts, raise_first, symmetrize
+from .linalg import Clusters, cluster_counts, raise_first, symmetrize
 
 MIN_ROWS_PER_DIM = 10
 COVARIANCE_CONDITION_CAP = 10.0
@@ -53,22 +54,7 @@ class MixtureSpec:
             )
         if d <= k - 1:
             raise ConfigError(f"need dimension d > k - 1, got d = {d}, k = {k}")
-        if not (np.isfinite(means).all() and np.isfinite(covs).all()):
-            raise ConfigError("means and covariances must be finite")
-        dev = np.abs(covs - np.swapaxes(covs, 1, 2)).max(axis=(1, 2))
-        symmetric = dev <= 1e-10 * np.abs(covs).max(axis=(1, 2))
-        try:  # Cholesky reads the lower triangles only, so asymmetry cannot fail it
-            factors = np.linalg.cholesky(covs)
-        except np.linalg.LinAlgError:  # in turn, so that the first bad covariance is named
-            for l, cov in enumerate(covs):
-                if not symmetric[l]:
-                    break
-                try:
-                    np.linalg.cholesky(cov)
-                except np.linalg.LinAlgError:
-                    raise DefinitenessError(
-                        f"covariance {l} is not positive definite (Cholesky failed)") from None
-        raise_first(symmetric, lambda l: ConfigError(f"covariance {l} is not symmetric"))
+        factors = _factors(means, covs)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covariances", covs)
         object.__setattr__(self, "factors", factors)
@@ -99,6 +85,50 @@ class MixtureSpec:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed mixture spec document: {exc}") from exc
         return cls(means=means, covariances=covariances)
+
+
+def _factors(means: np.ndarray, covariances: np.ndarray) -> np.ndarray:
+    """The one validity rule of mixtures, (k, d, d) covariances or a stack of
+    them: every value finite, each covariance symmetric to 1e-10 of its
+    largest entry and positive definite. Returns the stacked Cholesky factors;
+    the first bad covariance in order is named by its index in its mixture."""
+    if not (np.isfinite(means).all() and np.isfinite(covariances).all()):
+        raise ConfigError("means and covariances must be finite")
+    k, d = covariances.shape[-3:-1]
+    dev = np.abs(covariances - np.swapaxes(covariances, -1, -2)).max(axis=(-2, -1))
+    symmetric = dev <= 1e-10 * np.abs(covariances).max(axis=(-2, -1))
+    try:  # Cholesky reads the lower triangles only, so asymmetry cannot fail it
+        factors = np.linalg.cholesky(covariances)
+    except np.linalg.LinAlgError:  # in turn, so that the first bad covariance is named
+        for i, cov in enumerate(covariances.reshape(-1, d, d)):
+            if not symmetric.flat[i]:
+                break
+            try:
+                np.linalg.cholesky(cov)
+            except np.linalg.LinAlgError:
+                raise DefinitenessError(
+                    f"covariance {i % k} is not positive definite (Cholesky failed)") from None
+    raise_first(symmetric, lambda i: ConfigError(f"covariance {i % k} is not symmetric"))
+    return factors
+
+
+@dataclass(frozen=True)
+class MixtureStack:
+    """R mixtures of one k and d, means (R, k, d), covariances (R, k, d, d)
+    and factors as `_factors` checked and made them. Item i is mixture i as
+    a MixtureSpec, by its constructor; a slice is a stack of its mixtures."""
+
+    means: np.ndarray
+    covariances: np.ndarray
+    factors: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.means)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return MixtureStack(self.means[i], self.covariances[i], self.factors[i])
+        return MixtureSpec(means=self.means[i], covariances=self.covariances[i])
 
 
 @dataclass
@@ -263,37 +293,48 @@ def sample(spec: MixtureSpec, n_per_cluster: int, seed) -> LabeledDataset:
     reproducible for a fixed seed. This is `draw_rows` for one spec and
     seed.
     """
+    if not isinstance(spec, MixtureSpec):
+        raise ConfigError(f"spec must be a MixtureSpec, got {spec!r}")
     n_per_cluster = check_int("n_per_cluster", n_per_cluster, 1)
     rows = draw_rows([spec], n_per_cluster, [check_seed("seed", seed)])[0]
     return LabeledDataset(data=rows, labels=stratified_labels(spec.k, n_per_cluster))
 
 
-def draw_rows(specs: list, n_per_cluster: int, seeds: list) -> np.ndarray:
-    """The rows that `sample` draws for each (spec, seed), specs of one k and
-    d, as one C-ordered stack (len(specs), n, d): each seed's PCG64 stream
-    fills its slot of one (len(specs), k, n_per_cluster, d) block of normals,
-    then one stacked product by the Cholesky factors and one broadcast add of
-    the means make the rows, each slice with the bits of one draw per
+def draw_rows(specs, n_per_cluster: int, seeds: list) -> np.ndarray:
+    """The rows that `sample` draws for each mixture of `specs` (a
+    MixtureStack, or MixtureSpecs of one k and d) with its seed, as one
+    C-ordered stack (len(specs), n, d): each seed's PCG64 stream fills its
+    slot of one (len(specs), k, n_per_cluster, d) block of normals, then one
+    stacked product by the Cholesky factors and one broadcast add of the
+    means make the rows, each slice with the bits of one draw per
     component. The size is checked before the block is allocated."""
-    k, d = specs[0].k, specs[0].d
+    means, factors = ((specs.means, specs.factors) if isinstance(specs, MixtureStack) else
+                      (np.array([s.means for s in specs]), np.array([s.factors for s in specs])))
+    _, k, d = means.shape
     n = n_per_cluster * k
     if n < MIN_ROWS_PER_DIM * d:
         raise ConfigError(
             f"sample too small: n = {n} but need n >= {MIN_ROWS_PER_DIM}*d = "
             f"{MIN_ROWS_PER_DIM * d} for d = {d}"
         )
-    check_size("n_per_cluster", n_per_cluster, len(specs), n, d)
-    z = np.empty((len(specs), k, n_per_cluster, d))
+    check_size("n_per_cluster", n_per_cluster, len(means), n, d)
+    z = np.empty((len(means), k, n_per_cluster, d))
     for seed, slot in zip(seeds, z):
         np.random.default_rng(seed).standard_normal(out=slot)
-    rows = z @ np.swapaxes(np.array([spec.factors for spec in specs]), -1, -2)
-    rows += np.array([spec.means for spec in specs])[:, :, None, :]
-    return rows.reshape(len(specs), n, d)
+    rows = z @ np.swapaxes(factors, -1, -2)
+    rows += means[:, :, None, :]
+    return rows.reshape(len(means), n, d)
 
 
 def stratified_labels(k: int, n_per_cluster: int) -> np.ndarray:
     """The labels of a stratified sample: n_per_cluster each of 1..k, in order."""
     return np.repeat(np.arange(1, k + 1), n_per_cluster)
+
+
+def stratified_clusters(k: int, n_per_cluster: int) -> Clusters:
+    """`Clusters.of(stratified_labels(k, n_per_cluster))`, with no count."""
+    return Clusters(stratified_labels(k, n_per_cluster), np.full(k, n_per_cluster),
+                    np.repeat(np.eye(k), n_per_cluster, axis=0))
 
 
 def _simplex_vertices(k: int) -> np.ndarray:
@@ -319,23 +360,32 @@ def make_separation_family(d: int, k: int, separation: float, dispersion: float,
     whose log-uniform spectrum D has condition number <= 10. For a fixed
     seed the frame and covariances do not depend on `separation`, so the
     family is monotone: doubling `separation` doubles every pairwise mean
-    distance. This is `make_separation_families` for one seed.
+    distance. This is `make_separation_families` for one seed, checked and
+    factored by the `MixtureSpec` constructor, as a spec read from JSON is.
     """
-    return make_separation_families(d, k, separation, dispersion, [check_seed("seed", seed)])[0]
+    means, covariances = _separation_stack(d, k, separation, dispersion,
+                                           [check_seed("seed", seed)])
+    return MixtureSpec(means=means[0], covariances=covariances[0])
 
 
 def make_separation_families(d: int, k: int, separation: float, dispersion: float,
-                             seeds) -> list:
-    """The `make_separation_family` spec of each seed, built as one stack.
+                             seeds) -> MixtureStack:
+    """The `make_separation_family` mixture of each seed, as one MixtureStack
+    checked and factored once by `MixtureSpec`'s rule."""
+    means, covariances = _separation_stack(d, k, separation, dispersion, seeds)
+    return MixtureStack(means, covariances, _factors(means, covariances))
+
+
+def _separation_stack(d, k, separation, dispersion, seeds) -> tuple:
+    """The means and covariances of each seed's family mixture, unchecked.
 
     Each seed's generator draws, in turn, the Gaussian d x d block whose QR
     gives the means' frame, then per cluster the log-spectrum and the
     Gaussian block of the covariance's axes Q. Then the QRs of all blocks
     and the covariance products are one numpy call each over the stack,
-    and every spec is the one its seed gets alone, bit for bit. Every
-    parameter is checked before any draw; the dispersion must lie in
-    [sqrt(tiny * 10), sqrt(max / 10)]. Each spec is then built, checked
-    and factored by `MixtureSpec`, as a spec read from JSON is.
+    and every mixture is the one its seed gets alone, bit for bit. Every
+    parameter, then every seed, is checked before any draw; the dispersion
+    must lie in [sqrt(tiny * 10), sqrt(max / 10)].
     """
     d = check_int("d", d)
     k = check_int("k", k, 1)
@@ -347,6 +397,9 @@ def make_separation_families(d: int, k: int, separation: float, dispersion: floa
         raise ConfigError(f"dispersion = {dispersion} is too large: the covariances overflow")
     if dispersion < np.sqrt(np.finfo(float).tiny * COVARIANCE_CONDITION_CAP):
         raise ConfigError(f"dispersion = {dispersion} is too small: the covariances underflow")
+    if not isinstance(seeds, Iterable):
+        raise ConfigError(f"seeds must be a list of seeds, got {seeds!r}")
+    seeds = [check_seed(f"seeds[{i}]", seed) for i, seed in enumerate(seeds)]
     check_size("d", d, len(seeds), k + 1, d, d)
     half = np.log(COVARIANCE_CONDITION_CAP) / 2.0
     blocks = np.empty((len(seeds), k + 1, d, d))
@@ -363,4 +416,4 @@ def make_separation_families(d: int, k: int, separation: float, dispersion: floa
     means = separation * (_simplex_vertices(k) @ np.swapaxes(frames, -1, -2))
     covariances = dispersion**2 * symmetrize(
         (axes * np.exp(log_spectra)[..., None, :]) @ np.swapaxes(axes, -1, -2))
-    return [MixtureSpec(means=m, covariances=c) for m, c in zip(means, covariances)]
+    return means, covariances

@@ -29,7 +29,7 @@ from .linalg import (
     unwhiten,
 )
 from .mixture import LabeledDataset, MixtureSpec, draw_rows
-from .subspace import SubspaceBasis, leading_basis, sss
+from .subspace import _similarity
 from .transform import (
     DEFAULT_ALPHA,
     check_rows,
@@ -136,6 +136,8 @@ def sdist_overlap(spec: MixtureSpec, mc_samples: int = DEFAULT_MC_SAMPLES,
     integral with per-sample values in (0, 1/2]. As for any sample,
     mc_samples must be at least max(10 000, 10 d).
     """
+    if not isinstance(spec, MixtureSpec):
+        raise ConfigError(f"spec must be a MixtureSpec, got {spec!r}")
     if spec.k != 2:
         raise ConfigError(
             f"integral distinctness is defined here for k = 2 only, got k = {spec.k}"
@@ -290,9 +292,13 @@ def analyze_stack(rows: list) -> list:
     so Y's distinctness is X's. The first-order predictions perturb (B_y, I)
     by (B_z - B_y, T_z - I). X's principal axes come from the spectrum that
     isotropized it, and X's Fisher basis is that spectrum's whitener times
-    Y's; the bases of X and Z0 are checked and compared as one stack
-    (len(rows), 2, d, k - 1). Y's and Z0's Fisher eigenvectors W U, with U
-    orthonormal, need no check: `total_whitener` has bounded cond(W) by 1e5."""
+    Y's. The four bases of X and Z0 are compared as one stack (len(rows),
+    2, d, k - 1) by `sss`'s kernel, unchecked, because none can fail
+    `SubspaceBasis`'s check: the principal bases are orthonormal
+    eigenvectors, and each Fisher basis is W U with U's columns orthonormal
+    and W a whitener that `total_whitener` accepted, so cond(W) < 1e5 and
+    the basis's singular values, which lie in [smin(W), smax(W)], have a
+    ratio above 1e-5, over both RANK_RTOL and CONDITIONING_WARN_TOL."""
     if not rows:
         return []
     k, d = rows[0].k, rows[0].y_between.shape[-1]
@@ -304,12 +310,11 @@ def analyze_stack(rows: list) -> list:
     y_eigen = sym_eig(y_between)
     z_fisher = fisher_solve(z, k)
     predicted = perturb_eigs_first_order(y_eigen, z.between - y_between, z.total - np.eye(d))
-    values = np.stack([[r.spectrum.values for r in rows], z_fisher.spectrum.values], axis=1)
     vectors = np.stack([[r.spectrum.vectors for r in rows], z_fisher.spectrum.vectors], axis=1)
-    whiteners = total_whitener(EigenSolution(values[:, 0], vectors[:, 0]))
-    columns = [whiteners @ y_eigen.vectors[..., : k - 1], z_fisher.eigen.vectors[..., : k - 1]]
-    bases = SubspaceBasis(columns=np.stack(columns, axis=1))
-    similarity = sss(leading_basis(values, vectors, k - 1), bases).tolist()
+    whiteners = total_whitener(EigenSolution(np.array([r.spectrum.values for r in rows]),
+                                             vectors[:, 0]))
+    fisher = [whiteners @ y_eigen.vectors[..., : k - 1], z_fisher.eigen.vectors[..., : k - 1]]
+    similarity = _similarity(vectors[..., : k - 1], np.stack(fisher, axis=1)).tolist()
     analyses = []
     for r, lambda_x, lambda_z, predictions, (sss_x, sss_z) in zip(
             rows, _distinctness(y_eigen.values, k).tolist(), z_fisher.distinctness.tolist(),

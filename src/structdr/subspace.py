@@ -140,7 +140,13 @@ def sss(v: SubspaceBasis, a: SubspaceBasis) -> float:
         )
     if v.dim != a.dim:
         raise ShapeError(f"subspace dimensions differ: {v.dim} vs {a.dim}")
-    crossed = np.swapaxes(v.orthonormal(), -1, -2) @ a.orthonormal()
-    cosines = np.clip(np.linalg.svd(crossed, compute_uv=False), 0.0, 1.0)
-    similarity = np.mean(cosines**2, axis=-1)
+    similarity = _similarity(v.columns, a.columns)
     return float(similarity) if similarity.ndim == 0 else similarity
+
+
+def _similarity(v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """`sss`'s steps on bases (..., d, m) that the caller knows to pass
+    `SubspaceBasis`'s check, as an array."""
+    crossed = np.swapaxes(np.linalg.qr(v)[0], -1, -2) @ np.linalg.qr(a)[0]
+    cosines = np.clip(np.linalg.svd(crossed, compute_uv=False), 0.0, 1.0)
+    return np.mean(cosines**2, axis=-1)

@@ -1051,22 +1051,23 @@ class TestSpecReuse:
                 assert_same_records([record], [run_cell(Cell(*astuple(record)[:7]),
                                                         record.replicate, config.seed)])
 
-    def test_spec_its_constructor_rejects_fails_only_its_replicate(self, monkeypatch):
-        # the stacked build makes each spec through MixtureSpec, so a spec
-        # whose covariances the constructor rejects fails the stacked build,
-        # and the per-seed rerun isolates it with the constructor's reason
+    def test_mixture_the_rule_rejects_fails_only_its_replicate(self, monkeypatch):
+        # the stacked build checks the unit's mixtures with the one rule, so
+        # a mixture whose covariances the rule rejects fails the stacked
+        # build, and the per-replicate rerun isolates it with the rule's reason
         config = reuse_config(dims=[3], clusters=[2], separations=[2.0], replicates=4)
         cell = config.cells()[0]
-        bad = make_separation_families(3, 2, 2.0, 1.0, [derive_seeds(config.seed, cell, 2)[0]])[0]
+        bad = make_separation_families(3, 2, 2.0, 1.0, [derive_seeds(config.seed, cell, 2)[0]])
         reason = "covariance 1 is not positive definite (Cholesky failed)"
-        post_init = mixture.MixtureSpec.__post_init__
+        rule = mixture._factors
 
-        def rejecting_post_init(spec):
-            if np.array_equal(spec.covariances, bad.covariances):
+        def rejecting_rule(means, covariances):
+            if any(np.array_equal(covs, bad.covariances[0])
+                   for covs in covariances.reshape((-1,) + bad.covariances.shape[1:])):
                 raise DefinitenessError(reason)
-            post_init(spec)
+            return rule(means, covariances)
 
-        monkeypatch.setattr(mixture.MixtureSpec, "__post_init__", rejecting_post_init)
+        monkeypatch.setattr(mixture, "_factors", rejecting_rule)
         records = run_sweep(config)
         assert len(records) == 16
         for record in records:
@@ -1076,11 +1077,16 @@ class TestSpecReuse:
                 assert_same_records([record], [run_cell(Cell(*astuple(record)[:7]),
                                                         record.replicate, config.seed)])
 
-    def test_clusters_counted_and_spec_seeds_derived_once(self, monkeypatch):
-        counted, streams = [], []
-        count, seed = linalg.cluster_counts, experiment._seed
+    def test_clusters_built_and_spec_seeds_derived_once(self, monkeypatch):
+        built, counted, streams = [], [], []
+        clusters, count = experiment.stratified_clusters, linalg.cluster_counts
+        seed = experiment._seed
 
-        def counting(labels):
+        def counting(k, n_per_cluster):
+            built.append((k, n_per_cluster))
+            return clusters(k, n_per_cluster)
+
+        def counting_labels(labels):
             counted.append(labels.size)
             return count(labels)
 
@@ -1090,18 +1096,30 @@ class TestSpecReuse:
 
         for module in (linalg, mixture, transform, structure, experiment):
             if getattr(module, "cluster_counts", None) is count:
-                monkeypatch.setattr(module, "cluster_counts", counting)
+                monkeypatch.setattr(module, "cluster_counts", counting_labels)
+        monkeypatch.setattr(experiment, "stratified_clusters", counting)
         monkeypatch.setattr(experiment, "_seed", recording_seed)
         config = reuse_config()
         records = run_sweep(config)
         assert len(records) == 32 * config.replicates
-        # one count per sample size of each unit (8 geometries, 2 sizes), one
-        # spec seed per mixture and one data seed per drawn sample, which
-        # the sample's 2 alphas share
-        assert sorted(counted) == sorted(n * k for _, k in ((3, 2), (3, 3), (4, 2), (4, 3))
-                                         for n in (30, 45) for _ in (2.0, 3.0))
+        # one cluster build per sample size of each unit (8 geometries, 2
+        # sizes) and no count of its labels, one spec seed per mixture and
+        # one data seed per drawn sample, which the sample's 2 alphas share
+        assert counted == []
+        assert sorted(built) == sorted((k, n) for _, k in ((3, 2), (3, 3), (4, 2), (4, 3))
+                                       for n in (30, 45) for _ in (2.0, 3.0))
         assert streams.count((1,)) == 8 * config.replicates
         assert sum(stream[0] == 2 for stream in streams) == 8 * 2 * config.replicates
+
+    def test_sweep_makes_no_spec(self, monkeypatch):
+        # a unit draws from its family's stacked arrays: no replicate's
+        # mixture goes through the MixtureSpec constructor
+        def no_spec(spec):
+            raise AssertionError("a MixtureSpec was made")
+
+        monkeypatch.setattr(mixture.MixtureSpec, "__post_init__", no_spec)
+        records = run_sweep(reuse_config())
+        assert records and all(r.status == "ok" for r in records)
 
     def test_every_sweep_builds_its_own(self, builds):
         config = reuse_config()

@@ -6,8 +6,10 @@ Coordinates, seed, status, reason and bound_satisfied must be identical,
 and float columns must agree within its FLOAT_ATOL (1e-9).
 
 `fig3_d20_largen` at 1 replicate (up to 20000 x 20 rows, the large row
-kernel), `fig3_d7` at 2 replicates and `prop1` at 3 must reproduce their
-goldens byte for byte, on one, two and three processes. `prop1` at 3
+kernel), `fig3_d7` at 2 replicates, `prop1` at 3 and `fig2` at 1 (100
+geometries of d = 2, k = 2, where the mixture build is most of a unit)
+must reproduce their goldens byte for byte, on one, two and three
+processes. `prop1` at 3
 replicates with alphas 0.25 and 0.5, whose cells share one sample per
 replicate, must reproduce `tests/data/prop1_two_alphas_r3.csv`, written
 before the cells shared it, on one, two and three processes.
@@ -66,7 +68,7 @@ def test_prop1_sweep_matches_golden_csv(tmp_path):
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("name,replicates",
-                         [("fig3_d20_largen", 1), ("fig3_d7", 2), ("prop1", 3)])
+                         [("fig3_d20_largen", 1), ("fig3_d7", 2), ("prop1", 3), ("fig2", 1)])
 def test_sweep_writes_golden_bytes(tmp_path, name, replicates, threads):
     out = tmp_path / f"{name}.csv"
     run_sweep(replace(recipe(name), replicates=replicates, seed=0), out_path=out,
@@ -77,7 +79,8 @@ def test_sweep_writes_golden_bytes(tmp_path, name, replicates, threads):
 # Each golden that a sweep writes byte for byte, and its config.
 GOLDENS = {
     **{f"{name}_r{replicates}.csv": replace(recipe(name), replicates=replicates, seed=0)
-       for name, replicates in [("fig3_d20_largen", 1), ("fig3_d7", 2), ("prop1", 3)]},
+       for name, replicates in [("fig3_d20_largen", 1), ("fig3_d7", 2), ("prop1", 3),
+                                ("fig2", 1)]},
     "prop1_two_alphas_r3.csv": replace(recipe("prop1"), replicates=3, seed=0, alphas=[0.25, 0.5]),
     "prop1_failures_r3.csv": replace(
         recipe("prop1"), replicates=3, seed=0, clusters=[3, 5], n_per_cluster=[100, 300],

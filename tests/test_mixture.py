@@ -373,6 +373,21 @@ class TestSeparationFamily:
         with pytest.raises(ConfigError, match=re.escape(message)):
             make_separation_family(d, k, separation, dispersion, seed=0)
 
+    @pytest.mark.parametrize("seeds,message", [
+        ([-1], "seeds[0] must be >= 0, got -1"),
+        ([3, 1.5], "seeds[1] must be an integer, got 1.5"),
+        ([0, 1, True], "seeds[2] must be an integer, got True"),
+        (5, "seeds must be a list of seeds, got 5"),
+    ], ids=["negative", "float", "bool", "int"])
+    def test_bad_seed_rejected_before_any_draw(self, monkeypatch, seeds, message):
+        def no_draw(*args):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ConfigError) as caught:
+            make_separation_families(3, 2, 1.0, 1.0, seeds)
+        assert str(caught.value) == message
+
     def test_numpy_scalar_parameters_build_the_same_spec(self):
         want = make_separation_family(5, 3, 4.0, 1.5, seed=9)
         got = make_separation_family(np.int64(5), np.int32(3), np.float64(4.0),
@@ -380,22 +395,25 @@ class TestSeparationFamily:
         for name in ("means", "covariances", "factors"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
-    def test_every_spec_goes_through_the_constructor(self, monkeypatch):
-        # the spec's own checks and Cholesky run once per seed, so a family
-        # spec is made the way a spec read from JSON is
-        built = []
-        post_init = MixtureSpec.__post_init__
+    def test_every_mixture_is_checked_once_by_the_rule(self, monkeypatch):
+        # one rule checks and factors every mixture: a family once as a
+        # stack, and a spec, from JSON or make_separation_family, once
+        # through the constructor
+        checked = []
+        rule = mixture._factors
 
-        def counting_post_init(self):
-            post_init(self)
-            built.append(self)
+        def recording_rule(means, covariances):
+            checked.append(covariances.shape)
+            return rule(means, covariances)
 
-        monkeypatch.setattr(MixtureSpec, "__post_init__", counting_post_init)
-        specs = make_separation_families(7, 3, 10.0, 1.7, [3, 11, 2**63 + 5, 0, 11])
-        assert len(built) == 5
-        assert all(got is want for got, want in zip(specs, built))
+        monkeypatch.setattr(mixture, "_factors", recording_rule)
+        family = make_separation_families(7, 3, 10.0, 1.7, [3, 11, 2**63 + 5, 0, 11])
+        assert checked == [(5, 3, 7, 7)]
+        assert family.factors.tobytes() == rule(family.means, family.covariances).tobytes()
         make_separation_family(4, 2, 4.0, 1.0, seed=1)
-        assert len(built) == 6
+        assert checked == [(5, 3, 7, 7), (2, 4, 4)]
+        # a family's item i is made by the constructor
+        assert isinstance(family[1], MixtureSpec) and checked[-1] == (3, 7, 7)
 
     @pytest.mark.parametrize("d,k", [(2, 2), (20, 10)])
     def test_smallest_dispersion_builds_every_seed(self, d, k):

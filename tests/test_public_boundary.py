@@ -169,6 +169,15 @@ def test_run_cell_takes_only_a_cell():
         structdr.run_cell((2, 2), 0, 0)
 
 
+@pytest.mark.parametrize("draw", [lambda spec: structdr.sample(spec, 10, 0),
+                                  structdr.sdist_overlap], ids=["sample", "sdist_overlap"])
+@pytest.mark.parametrize("spec", [None, (2, 2), "spec"], ids=["none", "tuple", "str"])
+def test_draws_take_only_a_mixture_spec(draw, spec):
+    with pytest.raises(ConfigError) as caught:
+        draw(spec)
+    assert str(caught.value) == f"spec must be a MixtureSpec, got {spec!r}"
+
+
 # Each public call that takes a file path, as (callable, the path's name).
 PATH_CALLS = {
     "read_records_csv": (structdr.read_records_csv, "path"),

@@ -1,6 +1,8 @@
 """Property tests of the two invariants the weighting rests on: isotropic
 rows satisfy Y^T Y = I, and every row weight lies in (0, 1]. Where a
-weight would underflow to 0, `compute_weights` raises instead.
+weight would underflow to 0, `compute_weights` raises instead. Two more
+rest on them: the transform never reads the labels, and each basis that
+`analyze_stack` compares unchecked would pass `SubspaceBasis`'s check.
 
 Needs hypothesis (the `test` extra); the module is skipped without it.
 """
@@ -11,17 +13,24 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from structdr import (
     ConfigError,
     LabeledDataset,
+    RankError,
+    SubspaceBasis,
+    analyze,
     compute_weights,
     isotropize,
     make_separation_family,
+    pc_subspace,
     sample,
+    sss,
+    transform_pipeline,
 )
+from structdr import structure
 from structdr.transform import SCHEMES
 
 # Entrywise tolerance on Y^T Y - I. The error grows like eps cond(X0)^2:
@@ -90,3 +99,50 @@ def test_weights_lie_in_unit_interval(x, alpha, scheme):
     weights = compute_weights(iso, alpha=alpha, scheme=scheme)
     assert np.all(weights > 0.0)
     assert np.all(weights <= 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=labelled_data(), alpha=st.sampled_from([0.25, 0.5, 2.0]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_transform_is_blind_to_the_labels(x, alpha, seed):
+    # permuted labels, or one label for every row, leave Y, the weights,
+    # Z0 and PC(Z0) bit-identical; only the Fisher side may change
+    want = transform_pipeline(x, alpha)
+    m = x.k - 1
+    for labels in (np.random.default_rng(seed).permutation(x.labels), np.ones_like(x.labels)):
+        got = transform_pipeline(LabeledDataset(data=x.data, labels=labels), alpha)
+        for name in ("isotropic", "weighted"):
+            assert getattr(got, name).data.tobytes() == getattr(want, name).data.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert (pc_subspace(got.weighted.data, m).columns.tobytes()
+                == pc_subspace(want.weighted.data, m).columns.tobytes())
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=labelled_data(), stretch=st.floats(min_value=0.0, max_value=5.5),
+       alpha=st.sampled_from([0.25, 0.5, 2.0]))
+def test_compared_bases_pass_the_basis_check(x, stretch, alpha):
+    # X stretched along its first axis by up to 10^5.5, past the edge of
+    # total_whitener's rule (smallest eigenvalue > 1e-10 * largest): each
+    # basis that the d x d pass compares passes SubspaceBasis with no
+    # warning, and sss of the checked bases gives the pass's bits
+    data = x.data.copy()
+    data[:, 0] *= 10.0**stretch
+    compared, kernel = [], structure._similarity
+
+    def recording(v, a):
+        compared.append((v, a))
+        return kernel(v, a)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(structure, "_similarity", recording)
+        try:
+            result = analyze(LabeledDataset(data=data, labels=x.labels), alpha)
+        except RankError:  # X's total scatter is past the edge
+            assume(False)
+    [(principal, fisher)] = compared
+    assert principal.shape == fisher.shape == (1, 2, x.d, x.k - 1)
+    bases = [[SubspaceBasis(columns=b[0, i]) for b in (principal, fisher)] for i in range(2)]
+    for pair in bases:
+        assert [basis.warnings for basis in pair] == [(), ()]
+    assert [sss(*pair) for pair in bases] == [result.sss_x, result.sss_z]
