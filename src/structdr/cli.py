@@ -118,7 +118,8 @@ def _cmd_transform(args) -> int:
     iso_path = f"{args.out}_isotropic.csv"
     weighted_path = f"{args.out}_weighted.csv"
     weights_path = f"{args.out}_weights.csv"
-    pipe.isotropic.as_labeled().to_csv(iso_path)
+    names = [f"x{j + 1}" for j in range(data.d)]
+    write_labeled_csv(iso_path, names, pipe.isotropic.data, data.labels)
     pipe.weighted.to_csv(weighted_path)
     write_labeled_csv(weights_path, ["weight"], pipe.weights[:, None], data.labels)
     print(f"wrote {iso_path}, {weighted_path}, {weights_path}")

@@ -200,10 +200,9 @@ def cluster_indicator(labels, k: int) -> np.ndarray:
 
 
 class Clusters(NamedTuple):
-    """What datasets with the same labels in {1..k} share: the labels, the
-    count of each cluster and the (n, k) cluster indicator."""
+    """What datasets with the same labels in {1..k} share: the count of
+    each cluster and the (n, k) cluster indicator."""
 
-    labels: np.ndarray
     counts: np.ndarray
     indicator: np.ndarray
 
@@ -211,4 +210,4 @@ class Clusters(NamedTuple):
     def of(cls, labels):
         """The clusters of labels in {1..k}, each of which must occur."""
         counts = cluster_counts(labels)
-        return cls(labels, counts, cluster_indicator(labels, counts.size))
+        return cls(counts, cluster_indicator(labels, counts.size))

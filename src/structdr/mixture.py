@@ -248,6 +248,13 @@ class LabeledDataset:
             raise ConfigError(f"{path}: {exc}") from None
 
 
+def check_dataset(name: str, value) -> LabeledDataset:
+    """value, once it is a LabeledDataset."""
+    if not isinstance(value, LabeledDataset):
+        raise ConfigError(f"{name} must be a LabeledDataset, got {type(value).__name__}")
+    return value
+
+
 def _numpy_safe(line: str) -> str:
     """line, or ValueError if numpy might read it unlike the csv loop: numpy
     strips \\x1c-\\x1f from a field's ends, its integer parser can crash
@@ -333,8 +340,7 @@ def stratified_labels(k: int, n_per_cluster: int) -> np.ndarray:
 
 def stratified_clusters(k: int, n_per_cluster: int) -> Clusters:
     """`Clusters.of(stratified_labels(k, n_per_cluster))`, with no count."""
-    return Clusters(stratified_labels(k, n_per_cluster), np.full(k, n_per_cluster),
-                    np.repeat(np.eye(k), n_per_cluster, axis=0))
+    return Clusters(np.full(k, n_per_cluster), np.repeat(np.eye(k), n_per_cluster, axis=0))
 
 
 def _simplex_vertices(k: int) -> np.ndarray:

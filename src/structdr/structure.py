@@ -28,16 +28,16 @@ from .linalg import (
     total_whitener,
     unwhiten,
 )
-from .mixture import LabeledDataset, MixtureSpec, draw_rows
+from .mixture import LabeledDataset, MixtureSpec, check_dataset, draw_rows
 from .subspace import _similarity
 from .transform import (
     DEFAULT_ALPHA,
+    apply_weights,
     check_rows,
     check_weighting,
     compute_weights,
     isotropic,
     isotropize,
-    weighted_rows,
 )
 
 MIN_MC_SAMPLES = 10_000
@@ -94,7 +94,7 @@ def _scatter_pair(centered: np.ndarray, clusters: Clusters) -> ScatterPair:
 
 def scatter_matrices(data: LabeledDataset) -> ScatterPair:
     """Total and between-cluster scatter of a labeled dataset with n > d."""
-    check_rows(data.data)
+    check_rows(check_dataset("data", data).data)
     return _scatter_pair(apply_centering(data.data), Clusters.of(data.labels))
 
 
@@ -234,10 +234,10 @@ def row_pass(rows: np.ndarray, clusters: Clusters, alphas: list,
     alphas = [check_weighting(alpha, scheme) for alpha in alphas]
     _check_cluster_count(clusters.counts.size, rows.shape[-1])
     check_rows(rows)
-    iso = isotropic(rows, clusters.labels)
+    iso = isotropic(rows)
     del rows
     return _summarize(iso.data, iso.sqnorms, iso.spectrum, clusters, alphas,
-                      lambda alpha: weighted_rows(iso, compute_weights(iso, alpha, scheme)))
+                      lambda alpha: apply_weights(iso, compute_weights(iso, alpha, scheme)))
 
 
 @dataclass(frozen=True)
@@ -272,6 +272,8 @@ def distinctness_delta_check(x: LabeledDataset, z0: LabeledDataset, alpha: float
     is not rerun: the result is `analyze(x, alpha)` bit for bit.
     """
     check_weighting(alpha)
+    check_dataset("x", x)
+    check_dataset("z0", z0)
     if x.labels.shape != z0.labels.shape or np.any(x.labels != z0.labels):
         raise ShapeError("x and z0 must carry identical labels")
     if x.d != z0.d:
@@ -347,10 +349,11 @@ def analyze(x: LabeledDataset, alpha: float = DEFAULT_ALPHA,
     Raises
     ------
     ConfigError
-        For k < 2, k > d, n <= d, alpha not finite and > 0, an unknown
-        scheme or a weight that underflows to 0.
+        For x not a LabeledDataset, k < 2, k > d, n <= d, alpha not
+        finite and > 0, an unknown scheme or a weight that underflows to 0.
     RankError
         If X's (or Z0's) total scatter is numerically singular.
     """
+    check_dataset("x", x)
     summaries = row_pass(x.data.copy(order="K")[None], Clusters.of(x.labels), [alpha], scheme)
     return analyze_stack(summaries)[0]

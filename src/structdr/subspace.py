@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, RankError, ShapeError, check_int
-from .linalg import RANK_RTOL, column_means, raise_first, sym_eig, total_scatter
+from .linalg import RANK_RTOL, column_means, sym_eig, total_scatter
 from .mixture import LabeledDataset
 
 CONDITIONING_WARN_TOL = 1e-6
@@ -20,15 +20,13 @@ CENTERED_TOL = 1e-8
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """d x m matrix whose linearly independent columns span a subspace, or
-    a stack (..., d, m) of them.
+    """d x m matrix whose linearly independent columns span a subspace.
 
     Columns need not be orthonormal (Fisher bases are orthonormal in the
     total-scatter metric instead). Construction rejects numerically
     dependent columns, whose smallest singular value is <= RANK_RTOL times
     the largest, and attaches a conditioning warning when it is merely
-    below CONDITIONING_WARN_TOL times the largest. A stack of bases
-    carries the warnings of all of them.
+    below CONDITIONING_WARN_TOL times the largest.
     """
 
     columns: np.ndarray
@@ -36,32 +34,32 @@ class SubspaceBasis:
 
     def __post_init__(self):
         cols = np.asarray(self.columns, dtype=float)
-        if cols.ndim < 2:
-            raise ConfigError(f"basis columns must form a (..., d, m) array, got {cols.shape}")
-        d, m = cols.shape[-2:]
+        if cols.ndim != 2:
+            raise ConfigError(f"basis columns must form a (d, m) array, got {cols.shape}")
+        d, m = cols.shape
         if not 1 <= m < d:
             raise ConfigError(f"need 1 <= m < d for a proper subspace, got m = {m}, d = {d}")
         singular = np.linalg.svd(cols, compute_uv=False)
-        largest, smallest = singular[..., 0], singular[..., -1]
-        raise_first(smallest > RANK_RTOL * largest, lambda i: RankError(
-            f"basis columns numerically dependent: smallest singular value "
-            f"{smallest.flat[i]:.3e} (largest = {largest.flat[i]:.3e}, "
-            f"required > {RANK_RTOL:g} * largest)"))
-        warnings = tuple(self.warnings) + tuple(
-            f"near-dependent basis: smallest singular value {low:.3e} (largest = {high:.3e})"
-            for low, high in zip(smallest.flat, largest.flat)
-            if low < CONDITIONING_WARN_TOL * high
-        )
+        largest, smallest = singular[0], singular[-1]
+        if not smallest > RANK_RTOL * largest:
+            raise RankError(
+                f"basis columns numerically dependent: smallest singular value "
+                f"{smallest:.3e} (largest = {largest:.3e}, "
+                f"required > {RANK_RTOL:g} * largest)")
+        warnings = tuple(self.warnings)
+        if smallest < CONDITIONING_WARN_TOL * largest:
+            warnings += (f"near-dependent basis: smallest singular value {smallest:.3e} "
+                         f"(largest = {largest:.3e})",)
         object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "warnings", warnings)
 
     @property
     def ambient_dim(self) -> int:
-        return self.columns.shape[-2]
+        return self.columns.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.columns.shape[-1]
+        return self.columns.shape[1]
 
     def orthonormal(self) -> np.ndarray:
         q, _ = np.linalg.qr(self.columns)
@@ -74,9 +72,9 @@ def pc_subspace(data, m: int) -> SubspaceBasis:
     The caller centers; non-finite data and a column mean above
     CENTERED_TOL times the largest |entry| are rejected, and an X^T X that
     overflows raises NumericalError, as in `isotropize`. When the m-th and
-    (m+1)-th covariance eigenvalues coincide the leading subspace is not
-    unique, so an ambiguity warning is attached to the (still returned)
-    result.
+    (m+1)-th covariance eigenvalues coincide (gap <= RANK_RTOL times the
+    largest) the leading subspace is not unique, so an ambiguity warning is
+    attached to the (still returned) result.
     """
     m = check_int("m", m)
     data = np.asarray(data, dtype=float)
@@ -94,23 +92,12 @@ def pc_subspace(data, m: int) -> SubspaceBasis:
         )
     cov = total_scatter(data) / n
     sol = sym_eig(cov)
-    return leading_basis(sol.values, sol.vectors, m)
-
-
-def leading_basis(values, vectors, m: int) -> SubspaceBasis:
-    """Span of the m leading eigenvectors of a covariance or scatter matrix,
-    or of each of a stack, given its eigenvalues (non-increasing) and
-    eigenvectors. When the m-th and (m+1)-th eigenvalues coincide (gap <=
-    RANK_RTOL times the largest) the subspace is not unique, and an
-    ambiguity warning is attached."""
-    gaps = values[..., m - 1] - values[..., m]
-    ambiguous = gaps <= RANK_RTOL * values[..., 0]
-    warnings = tuple(
-        f"leading {m}-dimensional subspace is ambiguous: eigenvalue {m} and "
-        f"{m + 1} differ by {gap:.3e}"
-        for gap, flag in zip(gaps.flat, ambiguous.flat) if flag
-    )
-    return SubspaceBasis(columns=vectors[..., :m], warnings=warnings)
+    gap = sol.values[m - 1] - sol.values[m]
+    warnings = ()
+    if gap <= RANK_RTOL * sol.values[0]:
+        warnings = (f"leading {m}-dimensional subspace is ambiguous: eigenvalue {m} and "
+                    f"{m + 1} differ by {gap:.3e}",)
+    return SubspaceBasis(columns=sol.vectors[:, :m], warnings=warnings)
 
 
 def fisher_subspace(data: LabeledDataset) -> SubspaceBasis:
@@ -125,8 +112,7 @@ def fisher_subspace(data: LabeledDataset) -> SubspaceBasis:
 
 
 def sss(v: SubspaceBasis, a: SubspaceBasis) -> float:
-    """Subspace similarity: mean squared cosine of the principal angles;
-    an array of them for stacks of bases.
+    """Subspace similarity: mean squared cosine of the principal angles.
 
     Both bases are orthonormalized, the singular values of the crossed
     product are the cosines of the principal angles, and their squared
@@ -140,8 +126,7 @@ def sss(v: SubspaceBasis, a: SubspaceBasis) -> float:
         )
     if v.dim != a.dim:
         raise ShapeError(f"subspace dimensions differ: {v.dim} vs {a.dim}")
-    similarity = _similarity(v.columns, a.columns)
-    return float(similarity) if similarity.ndim == 0 else similarity
+    return float(_similarity(v.columns, a.columns))
 
 
 def _similarity(v: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError, check_real
 from .linalg import EigenSolution, column_means, sym_eig, total_scatter, total_whitener
-from .mixture import LabeledDataset
+from .mixture import LabeledDataset, check_dataset
 
 DEFAULT_ALPHA = 0.5
 SCHEMES = ("hyperbolic", "exponential")
@@ -27,11 +27,10 @@ class IsotropicDataset:
     """Data in isotropic position (zero column means, Y^T Y = I) plus the
     affine map that produced it: y = (x - center) @ whitener. `spectrum`
     is X0^T X0 = A L A^T, which holds X's principal axes, and
-    whitener = A L^{-1/2}. A stack of datasets with the same labels has a
-    leading axis on every array but the labels."""
+    whitener = A L^{-1/2}. A stack of datasets has a leading axis on every
+    array. No labels: the transform reads none."""
 
     data: np.ndarray
-    labels: np.ndarray
     center: np.ndarray
     whitener: np.ndarray
     spectrum: EigenSolution
@@ -45,9 +44,6 @@ class IsotropicDataset:
         """Squared row norms |y_i|^2, computed on first use: the weights
         and the analysis's norm spread read the same array."""
         return np.einsum("...ij,...ij->...i", self.data, self.data)
-
-    def as_labeled(self) -> LabeledDataset:
-        return LabeledDataset(data=self.data, labels=self.labels)
 
 
 @dataclass(frozen=True)
@@ -89,18 +85,18 @@ def isotropize(x: LabeledDataset) -> IsotropicDataset:
     Raises
     ------
     ConfigError
-        If n <= d.
+        If x is not a LabeledDataset, or n <= d.
     NumericalError
         If the total scatter, or its symmetrization, overflows.
     RankError
         If the total scatter is numerically rank deficient (no silent
         regularization is attempted).
     """
-    check_rows(x.data)
-    return isotropic(x.data.copy(order="K"), x.labels)
+    check_rows(check_dataset("x", x).data)
+    return isotropic(x.data.copy(order="K"))
 
 
-def isotropic(rows: np.ndarray, labels) -> IsotropicDataset:
+def isotropic(rows: np.ndarray) -> IsotropicDataset:
     """`isotropize` of rows (n, d), or of each dataset of a stack
     (..., n, d), one numpy call per step; each dataset of a C-ordered
     stack gets the bits it gets alone. The rows are centered in place, so
@@ -112,7 +108,6 @@ def isotropic(rows: np.ndarray, labels) -> IsotropicDataset:
     whitener = total_whitener(spectrum)
     return IsotropicDataset(
         data=rows @ whitener,
-        labels=labels,
         center=center,
         whitener=whitener,
         spectrum=spectrum,
@@ -144,26 +139,22 @@ def compute_weights(y: IsotropicDataset, alpha: float = DEFAULT_ALPHA,
     return weights
 
 
-def weighted_rows(y: IsotropicDataset, weights: np.ndarray) -> np.ndarray:
+def apply_weights(y: IsotropicDataset, weights: np.ndarray) -> np.ndarray:
     """The rows of Z0 = F diag(w) Y: each row scaled by its weight, then
-    re-centered; a stack of them for a stack."""
+    re-centered; a stack of them for a stack, with weights (..., n)."""
+    if weights.shape != y.data.shape[:-1]:
+        raise ShapeError(f"weights have shape {weights.shape}, expected {y.data.shape[:-1]}")
     weighted = weights[..., None] * y.data
     weighted -= column_means(weighted)[..., None, :]
     return weighted
 
 
-def apply_weights(y: IsotropicDataset, weights: np.ndarray) -> LabeledDataset:
-    """Scale each row by its weight and re-center: Z0 = F diag(w) Y."""
-    if weights.shape != (y.n,):
-        raise ShapeError(f"weights have shape {weights.shape}, dataset has {y.n} rows")
-    return LabeledDataset(data=weighted_rows(y, weights), labels=y.labels)
-
-
 def transform_pipeline(x: LabeledDataset, alpha: float = DEFAULT_ALPHA,
                        scheme: str = "hyperbolic") -> PipelineResult:
     """Isotropize, weight, and center in one call, returning every
-    intermediate for diagnostics."""
+    intermediate for diagnostics, Z0 with x's labels."""
     check_weighting(alpha, scheme)
     iso = isotropize(x)
     weights = compute_weights(iso, alpha=alpha, scheme=scheme)
-    return PipelineResult(isotropic=iso, weights=weights, weighted=apply_weights(iso, weights))
+    weighted = LabeledDataset(apply_weights(iso, weights), x.labels)
+    return PipelineResult(isotropic=iso, weights=weights, weighted=weighted)

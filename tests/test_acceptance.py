@@ -80,7 +80,7 @@ def test_criterion_02_isotropy_invariance():
     for _ in range(100):
         data = random_labeled(rng)
         pair_x = scatter_matrices(data)
-        pair_y = scatter_matrices(isotropize(data).as_labeled())
+        pair_y = scatter_matrices(LabeledDataset(isotropize(data).data, data.labels))
         ex = gen_eig(pair_x.between, pair_x.total).values
         ey = gen_eig(pair_y.between, pair_y.total).values
         worst = max(worst, float(np.abs(ex - ey).max()))
@@ -136,8 +136,7 @@ def test_criterion_05_weight_formulas():
     alpha = 0.5
     rows = np.array([[0.0, 0.0], [np.sqrt(alpha), 0.0]])
     iso = IsotropicDataset(
-        data=rows, labels=np.ones(2, dtype=np.int64),
-        center=np.zeros(2), whitener=np.eye(2), spectrum=sym_eig(np.eye(2)),
+        data=rows, center=np.zeros(2), whitener=np.eye(2), spectrum=sym_eig(np.eye(2)),
     )
     hyp = compute_weights(iso, alpha=alpha, scheme="hyperbolic")
     exp = compute_weights(iso, alpha=alpha, scheme="exponential")

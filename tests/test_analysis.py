@@ -62,7 +62,7 @@ def reference(data, alpha, scheme):
     pipe = transform_pipeline(data, alpha=alpha, scheme=scheme)
     sss_z = sss(pc_subspace(pipe.weighted.data, m), fisher_subspace(pipe.weighted))
     lambda_z = fisher_solve(scatter_matrices(pipe.weighted), k).distinctness
-    base_pair = scatter_matrices(pipe.isotropic.as_labeled())
+    base_pair = scatter_matrices(LabeledDataset(pipe.isotropic.data, data.labels))
     z_pair = scatter_matrices(pipe.weighted)
     predicted = perturb_eigs_first_order(
         gen_eig(base_pair.between, base_pair.total),

@@ -178,6 +178,20 @@ def test_draws_take_only_a_mixture_spec(draw, spec):
     assert str(caught.value) == f"spec must be a MixtureSpec, got {spec!r}"
 
 
+@pytest.mark.parametrize("value", [None, np.zeros((10, 2)), [[1, 2]]],
+                         ids=["none", "array", "list"])
+@pytest.mark.parametrize("call,name", [
+    ("analyze", "x"), ("isotropize", "x"), ("transform_pipeline", "x"),
+    ("scatter_matrices", "data"), ("fisher_subspace", "data"),
+    ("distinctness_delta_check", "x"), ("distinctness_delta_check", "z0")])
+def test_dataset_calls_take_only_a_labeled_dataset(valid_calls, call, name, value):
+    # an array has a .data too (a memoryview), so the check is by type, not by attribute
+    kwargs = dict(valid_calls[call] if call == "distinctness_delta_check" else {}, **{name: value})
+    with pytest.raises(ConfigError) as caught:
+        getattr(structdr, call)(**kwargs)
+    assert str(caught.value) == f"{name} must be a LabeledDataset, got {type(value).__name__}"
+
+
 # Each public call that takes a file path, as (callable, the path's name).
 PATH_CALLS = {
     "read_records_csv": (structdr.read_records_csv, "path"),

@@ -20,6 +20,8 @@ from structdr import (
     ExperimentConfig,
     LabeledDataset,
     RankError,
+    apply_weights,
+    compute_weights,
     isotropize,
     recipe,
     run_cell,
@@ -30,6 +32,7 @@ from structdr.experiment import derive_seeds
 from structdr.linalg import Clusters
 from structdr.mixture import draw_rows, make_separation_families, sample, stratified_labels
 from structdr.structure import analyze, row_pass
+from structdr.transform import isotropic
 
 
 def summary_bytes(summary):
@@ -58,9 +61,15 @@ def test_each_slice_equals_its_stack_of_one(d, k, n_per, replicates, alphas, sch
     clusters = clusters_of(k, n_per)
     rows = draw_rows(specs, n_per, seeds)
     assert rows.flags.c_contiguous and rows.shape == (replicates, n_per * k, d)
+    # Z0 of the stack, sliced, against Z0 of each dataset alone
+    iso = isotropic(rows.copy())
+    z0 = apply_weights(iso, compute_weights(iso, alphas[0], scheme))
     for j, (spec, data_seed) in enumerate(zip(specs, seeds)):
         alone = sample(spec, n_per, seed=data_seed)
         assert rows[j].tobytes() == alone.data.tobytes()
+        y = isotropize(alone)
+        weights = compute_weights(y, alphas[0], scheme)
+        assert z0[j].tobytes() == apply_weights(y, weights).tobytes()
     stacked = row_pass(rows, clusters, alphas, scheme)
     assert len(stacked) == replicates * len(alphas)
     for j, (spec, data_seed) in enumerate(zip(specs, seeds)):
@@ -102,7 +111,7 @@ def test_each_drawn_stack_is_freed_before_the_next_is_weighted(monkeypatch):
     # sweep keeps no reference to the stack: one held in a local would stay
     # alive while the next sample size's stack is drawn and weighted
     drawn = []
-    weighted_rows = structure.weighted_rows
+    original = structure.apply_weights
 
     def tracked(specs, n_per_cluster, seeds):
         rows = draw_rows(specs, n_per_cluster, seeds)
@@ -111,10 +120,10 @@ def test_each_drawn_stack_is_freed_before_the_next_is_weighted(monkeypatch):
 
     def checked(iso, weights):
         assert drawn and all(ref() is None for ref in drawn)
-        return weighted_rows(iso, weights)
+        return original(iso, weights)
 
     monkeypatch.setattr(experiment, "draw_rows", tracked)
-    monkeypatch.setattr(structure, "weighted_rows", checked)
+    monkeypatch.setattr(structure, "apply_weights", checked)
     records = run_sweep(replace(recipe("prop1"), replicates=2, n_per_cluster=[100, 300]))
     assert len(drawn) == 2 and all(r.status == "ok" for r in records)
 

@@ -54,9 +54,11 @@ class TestSubspaceBasis:
         with pytest.raises(ConfigError):
             SubspaceBasis(columns=np.eye(3))  # m == d
 
-    @pytest.mark.parametrize("columns", [np.ones(3), np.float64(1.0)], ids=["1-D", "0-D"])
+    @pytest.mark.parametrize("columns", [np.ones(3), np.float64(1.0), np.ones((2, 4, 2))],
+                             ids=["1-D", "0-D", "3-D"])
     def test_columns_must_be_a_matrix(self, columns):
-        with pytest.raises(ConfigError, match=r"^basis columns must form a \(\.\.\., d, m\) array"):
+        # one basis: a stack of them is rejected too
+        with pytest.raises(ConfigError, match=r"^basis columns must form a \(d, m\) array"):
             SubspaceBasis(columns=columns)
 
     def test_orthonormal_helper(self):
@@ -147,11 +149,11 @@ class TestFisherSubspace:
         # in isotropic position the discriminant subspace is spanned by the
         # centered cluster means
         spec = make_separation_family(6, 3, 3.0, 1.0, seed=7)
-        iso = isotropize(sample(spec, 60, seed=8))
-        labeled = iso.as_labeled()
-        fisher = fisher_subspace(labeled)
+        data = sample(spec, 60, seed=8)
+        iso = isotropize(data)
+        fisher = fisher_subspace(LabeledDataset(iso.data, data.labels))
         means = np.stack(
-            [iso.data[iso.labels == c].mean(axis=0) for c in (1, 2)], axis=1
+            [iso.data[data.labels == c].mean(axis=0) for c in (1, 2)], axis=1
         )
         assert sss(fisher, SubspaceBasis(columns=means)) > 1.0 - 1e-6
 

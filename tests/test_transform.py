@@ -28,6 +28,7 @@ from structdr import (
     sym_eig,
     transform_pipeline,
 )
+from structdr.transform import isotropic
 
 from oracles import centering_matrix, hat_matrix
 
@@ -41,7 +42,6 @@ def synthetic_isotropic(rows):
     rows = np.asarray(rows, dtype=float)
     return IsotropicDataset(
         data=rows,
-        labels=np.ones(rows.shape[0], dtype=np.int64),
         center=np.zeros(rows.shape[1]),
         whitener=np.eye(rows.shape[1]),
         spectrum=sym_eig(np.eye(rows.shape[1])),
@@ -65,9 +65,9 @@ class TestIsotropize:
         assert sqnorms.mean() == pytest.approx(data.d / data.n, abs=1e-12)
 
     def test_labels_pass_through(self):
+        # the transform reads no labels; the pipeline attaches x's to Z0
         data = random_dataset(seed=4)
-        iso = isotropize(data)
-        assert np.array_equal(iso.labels, data.labels)
+        assert np.array_equal(transform_pipeline(data).weighted.labels, data.labels)
 
     def test_provenance_reproduces_output(self):
         data = random_dataset(seed=5)
@@ -98,7 +98,7 @@ class TestIsotropize:
             data = random_dataset(seed=seed, d=5, k=3)
             pair_x = scatter_matrices(data)
             ex = gen_eig(pair_x.between, pair_x.total).values
-            pair_y = scatter_matrices(isotropize(data).as_labeled())
+            pair_y = scatter_matrices(LabeledDataset(isotropize(data).data, data.labels))
             ey = gen_eig(pair_y.between, pair_y.total).values
             assert np.abs(ex - ey).max() < 1e-8
 
@@ -177,14 +177,15 @@ class TestApplyWeights:
     def test_unit_weights_recover_isotropic_data(self):
         iso = isotropize(random_dataset(seed=9))
         out = apply_weights(iso, np.ones(iso.n))
-        np.testing.assert_allclose(out.data, iso.data, atol=1e-12)
+        assert isinstance(out, np.ndarray)
+        np.testing.assert_allclose(out, iso.data, atol=1e-12)
 
     def test_constant_weights_preserve_fisher_spectrum(self):
         data = random_dataset(seed=10, d=4, k=3)
         iso = isotropize(data)
         z0 = apply_weights(iso, np.full(iso.n, 0.37))
-        pair_y = scatter_matrices(iso.as_labeled())
-        pair_z = scatter_matrices(z0)
+        pair_y = scatter_matrices(LabeledDataset(iso.data, data.labels))
+        pair_z = scatter_matrices(LabeledDataset(z0, data.labels))
         ey = gen_eig(pair_y.between, pair_y.total).values
         ez = gen_eig(pair_z.between, pair_z.total).values
         assert np.abs(ey - ez).max() < 1e-9
@@ -197,7 +198,7 @@ class TestApplyWeights:
         z0 = apply_weights(iso, w)
         diag_w = np.diag(w)
         oracle = iso.data.T @ diag_w @ centering_matrix(iso.n) @ diag_w @ iso.data
-        total = scatter_matrices(z0).total
+        total = scatter_matrices(LabeledDataset(z0, data.labels)).total
         assert np.linalg.norm(total - oracle) < 1e-10
 
     def test_between_scatter_identity_via_hat_matrix(self):
@@ -212,9 +213,14 @@ class TestApplyWeights:
         assert np.linalg.norm(between - oracle) < 1e-8
 
     def test_length_mismatch(self):
-        iso = isotropize(random_dataset(seed=12))
+        data = random_dataset(seed=12)
+        iso = isotropize(data)
         with pytest.raises(ShapeError):
             apply_weights(iso, np.ones(iso.n - 1))
+        # a stack of 3 datasets needs a stack of 3 weight vectors
+        stack = isotropic(np.stack([data.data] * 3))
+        with pytest.raises(ShapeError, match=r"^weights have shape \(2, 80\), expected \(3, 80\)$"):
+            apply_weights(stack, np.ones((2, iso.n)))
 
 
 class TestPipeline:
@@ -246,6 +252,6 @@ class TestPipeline:
         data = random_dataset(seed=15)
         pipe = transform_pipeline(data, alpha=0.8, scheme="exponential")
         rebuilt = apply_weights(pipe.isotropic, pipe.weights)
-        np.testing.assert_allclose(pipe.weighted.data, rebuilt.data, atol=1e-15)
+        np.testing.assert_allclose(pipe.weighted.data, rebuilt, atol=1e-15)
         sqnorms = np.einsum("ij,ij->i", pipe.isotropic.data, pipe.isotropic.data)
         assert np.array_equal(pipe.weights, np.exp(-sqnorms / 0.8))
